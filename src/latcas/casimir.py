@@ -7,9 +7,11 @@ difference is integrated once. Subtracting two separately integrated O(nz)
 quantities instead would lose most significant digits: for a linear branch
 at nz=20 the difference is ~1e-5 while either term is ~20.
 
-The inner kz average refines per transverse point (doubling with node
-reuse) until it reaches rounding level, so its truncation error never
-masquerades as a Casimir signal.
+The inner kz average is exact up to rounding, so its error never
+masquerades as a Casimir signal. For even s the integrand is a
+trigonometric polynomial of degree s/2 in kz and the uniform (s/2+1)-node
+rule integrates it exactly. For odd s it is a closed form in the complete
+elliptic integrals K and E, evaluated by the arithmetic-geometric mean.
 """
 from __future__ import annotations
 
@@ -29,9 +31,9 @@ __all__ = [
     "casimir_energy_massive",
 ]
 
-_INNER_BASE = 64
-_INNER_MAX_POINTS = 1 << 20
 _MAT_BUDGET = 1 << 24  # elements per temporary (t, node) block
+_AGM_MAX_ITER = 64  # convergence is quadratic; the cap bounds NaN or inf input
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -107,39 +109,49 @@ def _mode_sum(spec: DispersionSpec, modes: ModeSet, t: np.ndarray) -> np.ndarray
     return 0.5 * total
 
 
-def _kz_average(
-    spec: DispersionSpec, t: np.ndarray, base: int = _INNER_BASE
-) -> tuple[np.ndarray, float]:
-    """Per-point kz average (1/2pi) int omega(t + 2 - 2 cos x) dx.
+def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
+    """Per-point kz average (1/2pi) int omega(t + 2 - 2 cos x) dx, exact to rounding.
 
-    Uniform grids doubled per point until the change is at rounding level.
-    Doubling reuses the previous nodes: mean_2m = (mean_m + mean over the
-    new odd nodes) / 2. Returns the averages and the largest final
-    per-point change (a truncation bound for the caller).
+    Even s: the uniform (s/2+1)-node rule, exact for the degree-s/2
+    trigonometric polynomial. Odd s: with v = t + am^2 and q = 4/(v+4),
+    v + 2 - 2 cos x = (v+4)(1 - q cos^2(x/2)), so the average is
+    (v+4)^(s/2) (2/pi) I_s with I_p = int_0^(pi/2) (1 - q sin^2 phi)^(p/2) dphi.
+    I_-1 = K(q) and I_1 = E(q) come from one arithmetic-geometric mean
+    (Abramowitz & Stegun 17.6); higher odd orders follow from
+    I_(p+2) = ((p+1)(2-q) I_p - p(1-q) I_(p-2)) / (p+2), which is stable
+    forward because its characteristic roots are 1 and 1-q <= 1.
     """
-    means = _node_sum(spec, t, _node_kernels(base, odd=False)) / base
-    residual = np.full(t.size, math.inf)
-    m = base
-    active = np.arange(t.size)
-    eps = np.finfo(float).eps
-    while active.size and m < _INNER_MAX_POINTS:
-        odd_mean = _node_sum(spec, t[active], _node_kernels(m, odd=True)) / m
-        new = 0.5 * (means[active] + odd_mean)
-        delta = np.abs(new - means[active])
-        means[active] = new
-        residual[active] = delta
-        tol = np.maximum(1e-15, 8.0 * eps * np.abs(new))
-        active = active[delta > tol]
-        m *= 2
-    return means, float(residual.max()) if residual.size else 0.0
+    s = spec.s
+    if s % 2 == 0:
+        m = s // 2 + 1
+        return _node_sum(spec, t, _node_kernels(m)) / m
+    v = t + spec.am * spec.am if spec.am else t
+    w = v + 4.0
+    q = 4.0 / w
+    qc = v / w  # 1 - q without cancellation near v = 0
+    cusp = v == 0.0  # q = 1: K diverges, but (1-q) K -> 0 and E -> 1
+    a = np.ones_like(v)
+    b = np.sqrt(np.where(cusp, 1.0, qc))  # AGM(1, sqrt(1-q)); 1 is a finite stand-in at the cusp
+    tail = 0.5 * q  # sum_n 2^(n-1) c_n^2, with c_0^2 = q
+    scale = 0.5
+    for _ in range(_AGM_MAX_ITER):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        scale *= 2.0
+        tail += scale * (c * c)
+        if np.all(np.abs(c) <= _EPS * a):
+            break
+    k = (0.5 * math.pi) / a
+    cur = np.where(cusp, 1.0, k * (1.0 - tail))  # I_p, starting at p = 1
+    lo = qc * k  # (1-q) I_(p-2); exactly 0 at the cusp
+    for p in range(1, s, 2):
+        cur, lo = ((p + 1) * (2.0 - q) * cur - p * lo) / (p + 2), qc * cur
+    return (2.0 / math.pi) * np.sqrt(w) * w ** (s // 2) * cur
 
 
-def _node_kernels(m: int, odd: bool) -> np.ndarray:
-    if odd:
-        x = (np.arange(m, dtype=float) * 2.0 + 1.0) * (math.pi / m)
-    else:
-        x = np.arange(m, dtype=float) * (2.0 * math.pi / m)
-    return 2.0 - 2.0 * np.cos(x)
+def _node_kernels(m: int) -> np.ndarray:
+    """Kernels 2 - 2 cos x at the m uniform nodes x = 2 pi j / m."""
+    return 2.0 - 2.0 * np.cos(np.arange(m, dtype=float) * (2.0 * math.pi / m))
 
 
 def _check(spec: DispersionSpec, geom: Geometry) -> None:
@@ -185,12 +197,9 @@ def zero_point_int(
     signature symmetry and ignored.
     """
     _check(spec, geom)
-    inner_worst = [0.0]
 
     def f(pts: np.ndarray) -> np.ndarray:
-        avg, worst = _kz_average(spec, _kernel_sum(pts))
-        inner_worst[0] = max(inner_worst[0], worst)
-        return (0.5 * geom.nz) * avg
+        return (0.5 * geom.nz) * _kz_average(spec, _kernel_sum(pts))
 
     r = integrate_bz_multi(f, geom.d, cfg)
     value = spec.g * float(r.values[0])
@@ -198,7 +207,7 @@ def zero_point_int(
         raise QuadratureNonConvergence(
             f"kz-average quadrature did not converge (best {value}, estimate {r.errors[0]})",
             value,
-            spec.g * (float(r.errors[0]) + 0.5 * geom.nz * inner_worst[0]),
+            spec.g * float(r.errors[0]),
         )
     return value
 
@@ -217,14 +226,11 @@ def casimir_energy(
     """
     _check(spec, geom)
     modes = generate_modes(bc, geom.nz)
-    inner_worst = [0.0]
 
     def f(pts: np.ndarray) -> np.ndarray:
         t = _kernel_sum(pts)
         mode_part = _mode_sum(spec, modes, t)
-        avg, worst = _kz_average(spec, t)
-        inner_worst[0] = max(inner_worst[0], worst)
-        int_part = (0.5 * geom.nz) * avg
+        int_part = (0.5 * geom.nz) * _kz_average(spec, t)
         return np.stack([mode_part - int_part, int_part], axis=1)
 
     r = integrate_bz_multi(f, geom.d, cfg)
@@ -233,7 +239,7 @@ def casimir_energy(
     e0_sum = e0_int + e_cas
     alpha = (geom.d - 1) + spec.s
     coeff = float(geom.nz**alpha) * e_cas
-    quad_error = spec.g * (float(r.errors[0]) + 0.5 * geom.nz * inner_worst[0])
+    quad_error = spec.g * float(r.errors[0])
     return CasimirResult(e0_sum, e0_int, e_cas, coeff, quad_error, r.converged)
 
 

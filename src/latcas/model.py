@@ -5,6 +5,7 @@ a*k, masses a*m. The lattice constant never appears as a runtime parameter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,11 @@ __all__ = [
     "eval_lattice_dispersion",
     "eval_from_kernel_sum",
 ]
+
+
+def _is_int(x) -> bool:
+    # bool is an int subclass, but True is not a dispersion order or a size
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -33,13 +39,15 @@ class DispersionSpec:
     g: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 0:
+        if not _is_int(self.s) or self.s < 0:
             raise ValueError(f"dispersion order s must be a nonnegative integer, got {self.s!r}")
+        if isinstance(self.am, bool) or not math.isfinite(self.am):
+            raise ValueError(f"lattice mass am must be a finite real number, got {self.am!r}")
         if self.am < 0:
             raise ValueError(f"lattice mass am must be nonnegative, got {self.am!r}")
         if self.am > 0 and self.s != 1:
             raise ValueError("a nonzero mass is only supported for the linear branch (s=1)")
-        if not isinstance(self.g, int) or self.g < 1:
+        if not _is_int(self.g) or self.g < 1:
             raise ValueError(f"degeneracy g must be a positive integer, got {self.g!r}")
 
 
@@ -51,9 +59,9 @@ class Geometry:
     nz: int
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2, 3):
+        if not _is_int(self.d) or self.d not in (1, 2, 3):
             raise ValueError(f"spatial dimension d must be 1, 2, or 3, got {self.d!r}")
-        if not isinstance(self.nz, int) or self.nz < 1:
+        if not _is_int(self.nz) or self.nz < 1:
             raise ValueError(f"nz must be a positive integer, got {self.nz!r}")
 
 

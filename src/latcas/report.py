@@ -32,7 +32,11 @@ CSV_COLUMNS = ("Nz", "e0_sum", "e0_int", "e_cas", "coeff", "quad_error")
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One flattened result per thickness; `converged` is not emitted."""
+    """One flattened result per thickness.
+
+    JSON output carries `converged`; the CSV columns are the fixed
+    CSV_COLUMNS, so a CSV row does not.
+    """
 
     nz: int
     e0_sum: float
@@ -141,6 +145,7 @@ def _rows_json(rows: Sequence[SweepRow]) -> str:
             "e_cas": r.e_cas,
             "coeff": r.coeff,
             "quad_error": r.quad_error,
+            "converged": bool(r.converged),
         }
         for r in rows
     ]

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -172,10 +174,49 @@ def test_linear_chain_antiperiodic_closed_form() -> None:
 def test_inner_average_matches_elliptic_integral() -> None:
     # (1/2pi) int sqrt(t + 2 - 2 cos x) dx = (2/pi) sqrt(t+4) E(4/(t+4))
     t = np.array([0.0, 1e-6, 0.01, 0.5, 2.0, 6.3, 8.0])
-    got, err = _kz_average(DispersionSpec(1), t)
+    got = _kz_average(DispersionSpec(1), t)
     want = (2.0 / math.pi) * np.sqrt(t + 4.0) * scipy.special.ellipe(4.0 / (t + 4.0))
-    assert got == pytest.approx(want, rel=1e-9)
-    assert err < 1e-9
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+_KZ_T = [0.0, 1e-12, 1e-8, 1e-4] + [float(x) for x in np.linspace(1e-3, 12.0, 13)]
+
+
+@pytest.mark.parametrize("s,am", [(1, 0.0), (3, 0.0), (5, 0.0), (7, 0.0), (1, 0.5), (1, 5.0)])
+def test_odd_kz_average_matches_mpmath(s: int, am: float) -> None:
+    got = _kz_average(DispersionSpec(s, am=am), np.array(_KZ_T))
+    with mpmath.workdps(30):
+        for t, value in zip(_KZ_T, got):
+            v = mpmath.mpf(t) + mpmath.mpf(am) ** 2
+            f = lambda x: (v + 2 - 2 * mpmath.cos(x)) ** (mpmath.mpf(s) / 2)
+            want = mpmath.quad(f, [0, mpmath.pi / 2, mpmath.pi]) / mpmath.pi
+            assert abs(value - want) <= 1e-14 * abs(want), (s, am, t)
+
+
+def test_even_kz_average_matches_kernel_moments() -> None:
+    # <(t + kernel)^m> = sum_j C(m, j) t^(m-j) <kernel^j>, exact in integers
+    t = np.arange(6, dtype=float)
+    for s in (0, 2, 4, 6, 8):
+        m = s // 2
+        got = _kz_average(DispersionSpec(s), t)
+        for ti, value in zip(range(6), got):
+            want = sum(math.comb(m, j) * ti ** (m - j) * mo.kernel_moment(j) for j in range(m + 1))
+            assert value == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0.0), (s, ti)
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_kz_average_returns_on_nonfinite_input(s: int) -> None:
+    out = []
+
+    def call() -> None:
+        with np.errstate(invalid="ignore"):
+            out.append(_kz_average(DispersionSpec(s), np.array([math.nan, math.inf, 1.0])))
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert np.isnan(out[0][:2]).all() and np.isfinite(out[0][2])
 
 
 def test_massive_slab_against_scipy_reference() -> None:

@@ -113,6 +113,10 @@ def test_out_of_range_parameters_exit_one(capsys) -> None:
     assert run(["compute", "--s", "2", "--am", "3", "--nz", "1"]) == 1
     assert run(["compute", "--s", "2", "--nz", "1", "--d", "9"]) == 1
     _grab(capsys)
+    for am in ("nan", "inf"):
+        assert run(["compute", "--s", "1", "--am", am, "--d", "1", "--nz", "2"]) == 1
+        out, err = _grab(capsys)
+        assert out == "" and "finite" in err
 
 
 def test_nonconvergence_exits_two(capsys) -> None:

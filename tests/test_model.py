@@ -44,6 +44,12 @@ def test_rejects_invalid_specs() -> None:
         DispersionSpec(s=2, am=1.0)  # mass only combines with the linear branch
     with pytest.raises(ValueError):
         DispersionSpec(s=1, g=0)
+    for am in (math.nan, math.inf, -math.inf, True):
+        with pytest.raises(ValueError):
+            DispersionSpec(s=1, am=am)
+    for field in ("s", "g"):
+        with pytest.raises(ValueError):
+            DispersionSpec(**{"s": 1, field: True})
 
 
 def test_rejects_nonfinite_momenta() -> None:
@@ -57,6 +63,9 @@ def test_geometry_validation() -> None:
         Geometry(4, 1)
     with pytest.raises(ValueError):
         Geometry(2, 0)
+    for d, nz in ((True, 1), (3, True), (2.0, 1)):
+        with pytest.raises(ValueError):
+            Geometry(d, nz)
 
 
 def test_periodicity_to_machine_precision() -> None:

@@ -156,6 +156,16 @@ def test_json_roundtrip_bit_exact(tmp_path) -> None:
         assert rec["quad_error"] == row.quad_error
 
 
+def test_json_rows_carry_converged(tmp_path) -> None:
+    rows = [SweepRow(1, 2.0, 3.0, -1.0, -1.0, 0.0, True), SweepRow(2, 1.0, 1.0, 0.0, 0.0, 0.5, False)]
+    path = tmp_path / "rows.json"
+    emit(rows, "json", path)
+    assert [rec["converged"] for rec in json.loads(path.read_text())] == [True, False]
+    assert '"converged": false' in path.read_text()
+    emit(rows, "csv", path)
+    assert path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
 def test_decomposition_emission(tmp_path) -> None:
     dec = rectangle_decomposition(DispersionSpec(2), 2, PER, samples=64)
     cpath = tmp_path / "dec.csv"
