@@ -6,7 +6,10 @@ degree < n and spectrally accurate for analytic integrands, which is what
 makes the even-order "exact zero" results exact rather than approximate.
 
 Refinement doubles the grid until successive averages agree to tolerance;
-the inter-refinement difference is the reported error estimate. Grid sums
+the inter-refinement difference is the reported error estimate. Callers
+whose integrand is a trigonometric polynomial of known degree (even-order
+dispersions) skip refinement: one _grid_average on a fine enough grid is
+exact. Non-finite values never count as converged. Grid sums
 are accumulated in a fixed deterministic order: chunk subtotals use numpy's
 pairwise reduction and the subtotals are combined with math.fsum, so results
 are bit-stable run to run regardless of internal evaluation batching.
@@ -18,6 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .model import _is_int
 
 __all__ = [
     "QuadratureConfig",
@@ -35,15 +40,19 @@ _CHUNK = 1 << 18  # grid points evaluated per batch
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Grid refinement settings for integrands that are not trigonometric
+    polynomials (odd dispersion orders); even orders use one exact grid and
+    do not consult it."""
+
     base_points: int = 64
     max_refinements: int = 6
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base_points, int) or self.base_points < 4:
+        if not _is_int(self.base_points) or self.base_points < 4:
             raise ValueError(f"base_points must be an integer >= 4, got {self.base_points!r}")
-        if not isinstance(self.max_refinements, int) or self.max_refinements < 0:
+        if not _is_int(self.max_refinements) or self.max_refinements < 0:
             raise ValueError(f"max_refinements must be a nonnegative integer, got {self.max_refinements!r}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
@@ -55,9 +64,9 @@ class QuadratureConfig:
 class QuadResult:
     """Best value with its inter-refinement error estimate.
 
-    converged=False means the tolerance was not met within max_refinements;
-    the value and estimate are still the best available and the caller
-    decides what to do with them.
+    converged=False means the tolerance was not met within max_refinements
+    or the value is not finite; the value and estimate are still the best
+    available and the caller decides what to do with them.
     """
 
     value: float
@@ -105,22 +114,29 @@ def _grid_average(f: Callable[[np.ndarray], np.ndarray], ndim: int, n: int) -> n
     return np.array(sums) / total
 
 
+def _exact_result(values: np.ndarray, error: float, n: int) -> MultiQuadResult:
+    """Result of one grid that is exact up to `error`; non-finite values
+    are never converged and get an infinite error."""
+    if np.all(np.isfinite(values)):
+        return MultiQuadResult(values, np.full_like(values, error), True, n)
+    return MultiQuadResult(values, np.full_like(values, math.inf), False, n)
+
+
 def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureConfig) -> MultiQuadResult:
     n = cfg.base_points
     prev = _grid_average(f, ndim, n)
     if ndim == 0:
-        return MultiQuadResult(prev, np.zeros_like(prev), True, 1)
-    if cfg.max_refinements == 0:
-        return MultiQuadResult(prev, np.full_like(prev, math.inf), False, n)
+        return _exact_result(prev, 0.0, 1)
+    cur, delta = prev, np.full_like(prev, math.inf)  # unverified without a refinement
     for _ in range(cfg.max_refinements):
         n *= 2
         cur = _grid_average(f, ndim, n)
         delta = np.abs(cur - prev)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur))
-        if np.all(delta <= tol):
+        if np.all(delta <= tol):  # False for any NaN
             return MultiQuadResult(cur, delta, True, n)
         prev = cur
-    return MultiQuadResult(cur, delta, False, n)
+    return MultiQuadResult(cur, np.where(np.isfinite(cur), delta, math.inf), False, n)
 
 
 def integrate_bz_multi(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import threading
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from latcas import (
     zero_point_int,
     zero_point_sum,
 )
-from latcas.casimir import _kz_average
+from latcas.casimir import _kz_average, _transverse_average
 
 import moment_oracle as mo
 
@@ -71,6 +72,50 @@ def test_even_orders_match_exact_oracle_everywhere() -> None:
                 r = casimir_energy(DispersionSpec(s), Geometry(3, nz), bc, CFG)
                 assert r.e_cas == pytest.approx(want, abs=1e-9 * max(1.0, abs(want))), (s, name, nz)
                 assert r.converged
+
+
+def test_even_order_quad_error_bounds_the_oracle_error() -> None:
+    for s in range(0, 15, 2):
+        for d in (1, 2, 3):
+            for name, bc in _BC.items():
+                for nz in range(1, 33):
+                    want = mo.casimir_exact(s, d, nz, name)
+                    r = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc, CFG)
+                    where = (s, d, name, nz)
+                    assert abs(Fraction(r.e_cas) - want) <= Fraction(r.quad_error), where
+                    assert r.converged, where
+
+
+@pytest.mark.parametrize("s", [0, 2, 4, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_even_orders_use_one_exact_grid(s: int, d: int) -> None:
+    # s/2+1 points per axis, no refinement, whatever the config says
+    seen = []
+
+    def f(pts: np.ndarray) -> np.ndarray:
+        seen.append(pts.shape[0])
+        return np.ones(pts.shape[0])
+
+    cfg = QuadratureConfig(base_points=4, max_refinements=0)
+    r = _transverse_average(DispersionSpec(s), f, d, cfg)
+    assert r.points_per_axis == s // 2 + 1
+    assert seen == [(s // 2 + 1) ** (d - 1)]
+    assert r.converged and r.values[0] == 1.0
+    assert r.errors[0] == 16 * np.finfo(float).eps
+
+
+def test_nonfinite_values_are_not_converged() -> None:
+    # am**2 overflows: odd order, both without (d=1) and with grid doubling
+    for d in (1, 2):
+        with np.errstate(all="ignore"):
+            r = casimir_energy(DispersionSpec(1, am=1e160), Geometry(d, 2), PER, FAST)
+        assert math.isnan(r.e_cas) and not r.converged and r.quad_error == math.inf, d
+    # 4**550 overflows: even order, the single exact grid
+    with np.errstate(all="ignore"):
+        r = casimir_energy(DispersionSpec(1100), Geometry(1, 1), ANTI, CFG)
+    assert math.isnan(r.e_cas) and not r.converged and r.quad_error == math.inf
+    with np.errstate(all="ignore"), pytest.raises(QuadratureNonConvergence):
+        zero_point_int(DispersionSpec(1100), Geometry(1, 1), ANTI, CFG)
 
 
 def test_remnant_support_periodic() -> None:

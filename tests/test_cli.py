@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from latcas.cli import run
@@ -124,6 +125,15 @@ def test_nonconvergence_exits_two(capsys) -> None:
     out, _ = _grab(capsys)
     assert code == 2
     assert "converged  = no" in out
+
+
+def test_nonfinite_result_exits_two(capsys) -> None:
+    # am is finite but am**2 overflows: the NaN result must not pass as converged
+    with np.errstate(all="ignore"):
+        code = run(["compute", "--s", "1", "--am", "1e160", "--d", "1", "--nz", "2"])
+    out, _ = _grab(capsys)
+    assert code == 2
+    assert "converged  = no" in out and "quad_error = inf" in out
 
 
 def test_env_override_for_quadrature(monkeypatch, capsys) -> None:

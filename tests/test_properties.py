@@ -1,0 +1,70 @@
+"""Property tests of casimir_energy over random orders, sizes and boundaries.
+
+Even orders run on one exact grid and take milliseconds; odd orders are
+drawn only where they stay cheap (d=1 has no transverse grid, d=2 runs a
+reduced refinement).
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latcas import BoundaryCondition, DispersionSpec, Geometry, QuadratureConfig, casimir_energy
+
+EPS = float(np.finfo(float).eps)
+FAST = QuadratureConfig(base_points=16, max_refinements=2)
+BCS = st.sampled_from(
+    [BoundaryCondition.periodic(), BoundaryCondition.antiperiodic(), BoundaryCondition.phenomenological()]
+)
+EVEN_S = st.integers(0, 7).map(lambda h: 2 * h)
+
+
+@st.composite
+def cases(draw):
+    """(s, d) pairs: any even order in d=1..3, odd orders in d=1..2."""
+    if draw(st.booleans()):
+        return draw(EVEN_S), draw(st.integers(1, 3))
+    return draw(st.integers(0, 3).map(lambda h: 2 * h + 1)), draw(st.integers(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.integers(1, 24), BCS, st.integers(2, 12))
+def test_energies_are_linear_in_degeneracy(case, nz, bc, g) -> None:
+    s, d = case
+    one = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc, FAST)
+    many = casimir_energy(DispersionSpec(s, g=g), Geometry(d, nz), bc, FAST)
+    # the integrand does not see g: the integrated fields scale exactly
+    assert (many.e_cas, many.e0_int, many.quad_error) == (g * one.e_cas, g * one.e0_int, g * one.quad_error)
+    assert many.converged == one.converged
+    # derived fields carry one more rounding each
+    assert many.e0_sum == pytest.approx(g * one.e0_sum, rel=2 * EPS, abs=0.0)
+    assert many.coeff == pytest.approx(g * one.coeff, rel=2 * EPS, abs=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(EVEN_S, st.integers(1, 3), st.booleans(), st.integers(1, 40))
+def test_even_orders_vanish_beyond_half_the_order(s, d, periodic, extra) -> None:
+    nz = s // 2 + extra
+    bc = BoundaryCondition.periodic() if periodic else BoundaryCondition.antiperiodic()
+    r = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc)
+    assert r.converged
+    assert abs(r.e_cas) <= r.quad_error <= 16 * EPS * abs(r.e0_int)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.integers(1, 32), BCS)
+def test_difference_identity_holds_at_rounding_level(case, nz, bc) -> None:
+    s, d = case
+    r = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc, FAST)
+    assert abs((r.e0_sum - r.e0_int) - r.e_cas) <= EPS * max(abs(r.e0_sum), abs(r.e0_int))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), st.integers(1, 32), BCS)
+def test_repeated_calls_are_bit_identical(case, nz, bc) -> None:
+    s, d = case
+    first = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc, FAST)
+    again = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc, FAST)
+    assert repr(first) == repr(again)

@@ -25,6 +25,12 @@ def test_config_validation() -> None:
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1e-3)
+    with pytest.raises(ValueError):
+        QuadratureConfig(base_points=True)
+    with pytest.raises(ValueError):
+        QuadratureConfig(max_refinements=True)
+    with pytest.raises(ValueError):
+        QuadratureConfig(max_refinements=False)
 
 
 def test_kz_moments_are_central_binomials() -> None:
@@ -68,6 +74,12 @@ def test_d1_transverse_integral_is_identity() -> None:
     assert r.value == 1.25
     assert r.converged
     assert r.error == 0.0
+
+
+def test_nonfinite_integrand_is_not_converged() -> None:
+    for d in (1, 2):
+        r = integrate_bz(lambda k: np.full(k.shape[0], math.nan), d=d, cfg=CFG)
+        assert not r.converged and math.isinf(r.error), d
 
 
 def test_one_level_exact_for_subresolution_harmonics() -> None:
