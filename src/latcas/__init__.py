@@ -10,7 +10,6 @@ classification over thickness sweeps, and CSV/JSON reporting.
 from .casimir import (
     QuadratureNonConvergence,
     casimir_energy,
-    casimir_energy_massive,
     zero_point_int,
     zero_point_sum,
 )
@@ -28,7 +27,6 @@ from .massexp import (
     ExpansionTerm,
     convergence_check,
     expansion_coefficients,
-    remnant_partial_sum,
     remnant_partial_sums,
 )
 from .model import (
@@ -42,10 +40,7 @@ from .modes import BoundaryCondition, BoundaryKind, ModeSet, PhenOffset, generat
 from .quadrature import (
     MultiQuadResult,
     QuadratureConfig,
-    QuadResult,
-    integrate_bz,
     integrate_bz_multi,
-    integrate_kz,
     richardson_extrapolate,
 )
 from .report import (
@@ -77,13 +72,11 @@ __all__ = [
     "ModeSet",
     "MultiQuadResult",
     "PhenOffset",
-    "QuadResult",
     "QuadratureConfig",
     "QuadratureNonConvergence",
     "RectangleDecomposition",
     "SweepRow",
     "casimir_energy",
-    "casimir_energy_massive",
     "classify_behavior",
     "classify_rows",
     "continuum_casimir",
@@ -94,11 +87,8 @@ __all__ = [
     "expansion_coefficients",
     "gamma_fn",
     "generate_modes",
-    "integrate_bz",
     "integrate_bz_multi",
-    "integrate_kz",
     "rectangle_decomposition",
-    "remnant_partial_sum",
     "remnant_partial_sums",
     "richardson_extrapolate",
     "sweep",

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .model import CasimirResult, DispersionSpec, Geometry
+from .model import CasimirResult, DispersionSpec, Geometry, _kernel, _omega_inplace
 from .modes import BoundaryCondition, ModeSet, generate_modes
 from .quadrature import MultiQuadResult, QuadratureConfig, _exact_result, _grid_average, integrate_bz_multi
 
@@ -34,7 +34,6 @@ __all__ = [
     "zero_point_sum",
     "zero_point_int",
     "casimir_energy",
-    "casimir_energy_massive",
 ]
 
 _MAT_BUDGET = 1 << 24  # elements per temporary (t, node) block
@@ -51,33 +50,6 @@ class QuadratureNonConvergence(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error = error
-
-
-def _kernel_sum(pts: np.ndarray) -> np.ndarray:
-    # sum_i (2 - 2 cos ak_i) over the transverse axes; zero axes -> 0
-    if pts.shape[1] == 0:
-        return np.zeros(pts.shape[0])
-    return (2.0 - 2.0 * np.cos(pts)).sum(axis=1)
-
-
-def _omega_inplace(spec: DispersionSpec, v: np.ndarray) -> np.ndarray:
-    """Turn kernel sums into dispersion values without fresh temporaries."""
-    if spec.am:
-        v += spec.am * spec.am
-    s = spec.s
-    if s == 0:
-        v[...] = 1.0
-    elif s == 1:
-        np.sqrt(v, out=v)
-    elif s == 2:
-        pass
-    elif s % 2 == 0:
-        np.power(v, s // 2, out=v)
-    else:
-        root = np.sqrt(v)
-        np.power(v, s // 2, out=v)
-        v *= root
-    return v
 
 
 def _node_sum(spec: DispersionSpec, t: np.ndarray, tz: np.ndarray) -> np.ndarray:
@@ -110,7 +82,7 @@ def _mode_sum(spec: DispersionSpec, modes: ModeSet, t: np.ndarray) -> np.ndarray
     """(1/2) w sum_l omega(t + kernel(akz_l)) for every entry of t; every
     generate_modes family has one uniform weight w."""
     w = modes.weights[0]
-    return 0.5 * (w * _node_sum(spec, t, 2.0 - 2.0 * np.cos(modes.akz)))
+    return 0.5 * (w * _node_sum(spec, t, _kernel(modes.akz)))
 
 
 def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
@@ -155,7 +127,7 @@ def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
 
 def _node_kernels(m: int) -> np.ndarray:
     """Kernels 2 - 2 cos x at the m uniform nodes x = 2 pi j / m."""
-    return 2.0 - 2.0 * np.cos(np.arange(m, dtype=float) * (2.0 * math.pi / m))
+    return _kernel(np.arange(m, dtype=float) * (2.0 * math.pi / m))
 
 
 def _transverse_average(spec: DispersionSpec, f, d: int, cfg: QuadratureConfig) -> MultiQuadResult:
@@ -204,7 +176,7 @@ def zero_point_sum(
     modes = generate_modes(bc, geom.nz)
 
     def f(pts: np.ndarray) -> np.ndarray:
-        return _mode_sum(spec, modes, _kernel_sum(pts))
+        return _mode_sum(spec, modes, _kernel(pts).sum(axis=1))
 
     return _bare_value(spec, f, geom.d, cfg, "mode-sum")
 
@@ -223,7 +195,7 @@ def zero_point_int(
     _check(spec, geom)
 
     def f(pts: np.ndarray) -> np.ndarray:
-        return (0.5 * geom.nz) * _kz_average(spec, _kernel_sum(pts))
+        return (0.5 * geom.nz) * _kz_average(spec, _kernel(pts).sum(axis=1))
 
     return _bare_value(spec, f, geom.d, cfg, "kz-average")
 
@@ -244,7 +216,7 @@ def casimir_energy(
     modes = generate_modes(bc, geom.nz)
 
     def f(pts: np.ndarray) -> np.ndarray:
-        t = _kernel_sum(pts)
+        t = _kernel(pts).sum(axis=1)
         mode_part = _mode_sum(spec, modes, t)
         int_part = (0.5 * geom.nz) * _kz_average(spec, t)
         return np.stack([mode_part - int_part, int_part], axis=1)
@@ -254,19 +226,10 @@ def casimir_energy(
     e0_int = spec.g * float(r.values[1])
     e0_sum = e0_int + e_cas
     alpha = (geom.d - 1) + spec.s
-    coeff = float(geom.nz**alpha) * e_cas
+    try:
+        coeff = float(geom.nz**alpha) * e_cas
+    except OverflowError:  # nz**alpha passes the float range
+        coeff = math.inf * e_cas if e_cas else 0.0
     quad_error = spec.g * float(r.errors[0])
     return CasimirResult(e0_sum, e0_int, e_cas, coeff, quad_error, r.converged)
 
-
-def casimir_energy_massive(
-    am: float,
-    geom: Geometry,
-    bc: BoundaryCondition,
-    cfg: QuadratureConfig = QuadratureConfig(),
-    g: int = 1,
-) -> CasimirResult:
-    """Casimir energy for the massive linear branch, omega = sqrt(k~^2 + am^2)."""
-    if not am > 0:
-        raise ValueError(f"am must be positive for the massive branch, got {am!r}")
-    return casimir_energy(DispersionSpec(s=1, am=am, g=g), geom, bc, cfg)

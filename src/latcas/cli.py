@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Sequence
 
-from .casimir import casimir_energy, casimir_energy_massive
+from .casimir import casimir_energy
 from .classify import ClassifyThresholds, classify_behavior
 from .continuum import ContinuumParams, continuum_casimir
 from .massexp import convergence_check, remnant_partial_sums
@@ -147,12 +147,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_mass_expansion(args: argparse.Namespace) -> int:
+    report = convergence_check(args.am, args.d)  # rejects am <= 0 before any energy
     geom = Geometry(args.d, args.nz)
     bc = _bc(args)
     cfg = _quad_config(args)
-    massive = casimir_energy_massive(args.am, geom, bc, cfg, g=args.g)
+    massive = casimir_energy(DispersionSpec(1, am=args.am, g=args.g), geom, bc, cfg)
     partials = remnant_partial_sums(args.am, geom, bc, args.orders, cfg)
-    report = convergence_check(args.am, args.d)
     print(f"massive e_cas = {massive.e_cas:.15g}")
     print(f"expansion domain: {'convergent' if report.converges else 'divergent'} "
           f"(margin {report.margin:.4g})")

@@ -21,7 +21,6 @@ __all__ = [
     "expansion_coefficients",
     "convergence_check",
     "ConvergenceReport",
-    "remnant_partial_sum",
     "remnant_partial_sums",
 ]
 
@@ -102,13 +101,3 @@ def remnant_partial_sums(
         sums.append(total)
     return sums
 
-
-def remnant_partial_sum(
-    am: float,
-    geom: Geometry,
-    bc: BoundaryCondition,
-    orders: int = DEFAULT_ORDERS,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """The order-`orders` truncation of the reconstruction."""
-    return remnant_partial_sums(am, geom, bc, orders, cfg)[-1]

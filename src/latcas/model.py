@@ -1,4 +1,5 @@
-"""Domain types for dispersions, slab geometry, and results.
+"""Domain types for dispersions, slab geometry, and results, plus the one
+nearest-neighbor kernel and dispersion evaluator every energy is built on.
 
 All quantities are dimensionless lattice units: energies are a*E, momenta
 a*k, masses a*m. The lattice constant never appears as a runtime parameter.
@@ -71,7 +72,8 @@ class CasimirResult:
 
     e0_sum is derived as e0_int + e_cas from one shared quadrature pass, so
     e_cas = e0_sum - e0_int holds at the rounding level by construction.
-    coeff = nz**alpha * e_cas with alpha = (d-1) + s.
+    coeff = nz**alpha * e_cas with alpha = (d-1) + s; inf (nan for a nan
+    e_cas) where nz**alpha passes the float range.
     """
 
     e0_sum: float
@@ -83,25 +85,37 @@ class CasimirResult:
 
 
 def _kernel(ak: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor kernel 2 - 2 cos ak, elementwise."""
     return 2.0 - 2.0 * np.cos(ak)
 
 
-def eval_from_kernel_sum(spec: DispersionSpec, t: np.ndarray | float) -> np.ndarray | float:
-    """Dispersion value from the summed kernel t = sum_i (2 - 2 cos ak_i).
+def _omega_inplace(spec: DispersionSpec, v: np.ndarray) -> np.ndarray:
+    """Turn kernel sums v into dispersion values in place and return v.
 
     Integer powers are computed as exact polynomial powers so that even-order
     dispersions stay trigonometric polynomials of the momenta.
     """
-    t = np.asarray(t, dtype=float)
-    v = t + spec.am * spec.am if spec.am else t
-    if spec.s == 0:
-        out = np.ones_like(v)
-    elif spec.s == 1:
-        out = np.sqrt(v)
-    elif spec.s % 2 == 0:
-        out = v ** (spec.s // 2)
+    if spec.am:
+        v += spec.am * spec.am
+    s = spec.s
+    if s == 0:
+        v[...] = 1.0
+    elif s == 1:
+        np.sqrt(v, out=v)
+    elif s == 2:
+        pass
+    elif s % 2 == 0:
+        np.power(v, s // 2, out=v)
     else:
-        out = v ** (spec.s // 2) * np.sqrt(v)
+        root = np.sqrt(v)
+        np.power(v, s // 2, out=v)
+        v *= root
+    return v
+
+
+def eval_from_kernel_sum(spec: DispersionSpec, t: np.ndarray | float) -> np.ndarray | float:
+    """Dispersion value from the summed kernel t = sum_i (2 - 2 cos ak_i)."""
+    out = _omega_inplace(spec, np.array(t, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -113,5 +127,4 @@ def eval_lattice_dispersion(spec: DispersionSpec, ak) -> np.ndarray | float:
     ak = np.asarray(ak, dtype=float)
     if not np.all(np.isfinite(ak)):
         raise ValueError("momentum components must be finite")
-    t = _kernel(ak).sum(axis=-1)
-    return eval_from_kernel_sum(spec, t)
+    return eval_from_kernel_sum(spec, _kernel(ak).sum(axis=-1))

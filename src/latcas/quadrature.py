@@ -5,14 +5,17 @@ domain the uniform n-point rule is exact for trigonometric polynomials of
 degree < n and spectrally accurate for analytic integrands, which is what
 makes the even-order "exact zero" results exact rather than approximate.
 
-Refinement doubles the grid until successive averages agree to tolerance;
-the inter-refinement difference is the reported error estimate. Callers
-whose integrand is a trigonometric polynomial of known degree (even-order
-dispersions) skip refinement: one _grid_average on a fine enough grid is
-exact. Non-finite values never count as converged. Grid sums
-are accumulated in a fixed deterministic order: chunk subtotals use numpy's
-pairwise reduction and the subtotals are combined with math.fsum, so results
-are bit-stable run to run regardless of internal evaluation batching.
+integrate_bz_multi is the one entry point and MultiQuadResult the one
+result type: a scalar integrand is a one-component result, and a 1D
+periodic average is the d=2 case. Refinement doubles the grid until
+successive averages agree to tolerance; the inter-refinement difference is
+the reported error estimate. Callers whose integrand is a trigonometric
+polynomial of known degree (even-order dispersions) skip refinement: one
+_grid_average on a fine enough grid is exact. Non-finite values never count
+as converged. Grid sums are accumulated in a fixed deterministic order:
+chunk subtotals use numpy's pairwise reduction and the subtotals are
+combined with math.fsum, so results are bit-stable run to run regardless of
+internal evaluation batching.
 """
 from __future__ import annotations
 
@@ -26,11 +29,8 @@ from .model import _is_int
 
 __all__ = [
     "QuadratureConfig",
-    "QuadResult",
     "MultiQuadResult",
-    "integrate_bz",
     "integrate_bz_multi",
-    "integrate_kz",
     "richardson_extrapolate",
 ]
 
@@ -54,30 +54,21 @@ class QuadratureConfig:
             raise ValueError(f"base_points must be an integer >= 4, got {self.base_points!r}")
         if not _is_int(self.max_refinements) or self.max_refinements < 0:
             raise ValueError(f"max_refinements must be a nonnegative integer, got {self.max_refinements!r}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol!r}")
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    """Best value with its inter-refinement error estimate.
-
-    converged=False means the tolerance was not met within max_refinements
-    or the value is not finite; the value and estimate are still the best
-    available and the caller decides what to do with them.
-    """
-
-    value: float
-    error: float
-    converged: bool
-    points_per_axis: int
+        for name in ("rel_tol", "abs_tol"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not 0 < tol < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
 
 
 @dataclass(frozen=True)
 class MultiQuadResult:
-    """Vector-valued variant: all components share one grid and one verdict."""
+    """Averages with their error estimates; all components share one grid
+    and one verdict.
+
+    converged=False means the tolerance was not met within max_refinements
+    or a value is not finite; the values and estimates are still the best
+    available and the caller decides what to do with them.
+    """
 
     values: np.ndarray
     errors: np.ndarray
@@ -87,9 +78,6 @@ class MultiQuadResult:
 
 def _grid_average(f: Callable[[np.ndarray], np.ndarray], ndim: int, n: int) -> np.ndarray:
     """Mean of f over the uniform tensor grid, one value per component of f."""
-    if ndim == 0:
-        vals = np.atleast_2d(np.asarray(f(np.zeros((1, 0))), dtype=float))
-        return vals.reshape(1, -1)[0].copy()
     axis = np.arange(n, dtype=float) * (_TWO_PI / n)
     total = n**ndim
     chunk = min(total, _CHUNK)
@@ -144,35 +132,13 @@ def integrate_bz_multi(
 ) -> MultiQuadResult:
     """BZ average over the d-1 transverse axes of a vector-valued integrand.
 
-    f receives an (npoints, d-1) array of momenta and returns (npoints,)
-    or (npoints, ncomp). Convergence requires every component to meet the
-    tolerance on the same grid.
+    f receives an (npoints, d-1) array of momenta (for d=1, one empty
+    momentum) and returns (npoints,) or (npoints, ncomp). Convergence
+    requires every component to meet the tolerance on the same grid.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"spatial dimension d must be 1, 2, or 3, got {d!r}")
     return _refine(f, d - 1, cfg)
-
-
-def integrate_bz(
-    f: Callable[[np.ndarray], np.ndarray], d: int, cfg: QuadratureConfig
-) -> QuadResult:
-    """BZ average of a scalar integrand over the transverse zone.
-
-    For d=1 there are no transverse axes and the result is f evaluated at the
-    empty momentum vector.
-    """
-    r = integrate_bz_multi(f, d, cfg)
-    if r.values.size != 1:
-        raise ValueError("integrate_bz expects a scalar integrand; use integrate_bz_multi")
-    return QuadResult(float(r.values[0]), float(r.errors[0]), r.converged, r.points_per_axis)
-
-
-def integrate_kz(f: Callable[[np.ndarray], np.ndarray], cfg: QuadratureConfig) -> QuadResult:
-    """Average (1/2pi) int_0^2pi f(x) dx of a 2pi-periodic integrand."""
-    r = _refine(lambda pts: np.asarray(f(pts[:, 0]), dtype=float), 1, cfg)
-    if r.values.size != 1:
-        raise ValueError("integrate_kz expects a scalar integrand")
-    return QuadResult(float(r.values[0]), float(r.errors[0]), r.converged, r.points_per_axis)
 
 
 def richardson_extrapolate(values: Sequence[float], ratio: float = 2.0) -> tuple[float, float]:

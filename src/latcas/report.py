@@ -10,10 +10,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .casimir import casimir_energy
-from .model import DispersionSpec, Geometry, eval_from_kernel_sum
+from .casimir import _kz_average, casimir_energy
+from .model import DispersionSpec, Geometry, _kernel, eval_from_kernel_sum
 from .modes import BoundaryCondition, generate_modes
-from .quadrature import QuadratureConfig, integrate_kz
+from .quadrature import QuadratureConfig
 
 __all__ = [
     "SweepRow",
@@ -54,7 +54,8 @@ class RectangleDecomposition:
     Rectangle l is centered on mode akz_l with width weight_l * 2pi/nz and
     height omega(k_perp, akz_l), so sum_area/(2pi) is exactly the weighted
     mode average entering the zero-point sum. int_area is the area under the
-    sampled curve over one zone.
+    curve over one zone, 2pi times the exact kz average that the continuum
+    zero-point energy uses; the sampled curve is for plotting only.
     """
 
     rects: tuple[tuple[float, float, float], ...]  # (left, width, height)
@@ -100,24 +101,19 @@ def rectangle_decomposition(
     """
     if samples < 64:
         raise ValueError(f"samples must be at least 64, got {samples!r}")
-    t_perp = float(np.sum(2.0 - 2.0 * np.cos(np.asarray(k_perp, dtype=float)))) if len(k_perp) else 0.0
+    t_perp = float(np.sum(_kernel(np.asarray(k_perp, dtype=float))))
     modes = generate_modes(bc, nz)
-    rects = []
-    for akz, w in modes.modes:
-        width = w * _TWO_PI / nz
-        height = float(eval_from_kernel_sum(spec, t_perp + 2.0 - 2.0 * math.cos(akz)))
-        rects.append((akz - 0.5 * width, width, height))
+    widths = modes.weights * _TWO_PI / nz
+    heights = eval_from_kernel_sum(spec, t_perp + _kernel(modes.akz))
+    rects = tuple((float(x - 0.5 * w), float(w), float(h)) for x, w, h in zip(modes.akz, widths, heights))
     sum_area = math.fsum(w * h for _, w, h in rects)
 
     xs = np.arange(samples, dtype=float) * (_TWO_PI / samples)
-    ys = np.asarray(eval_from_kernel_sum(spec, t_perp + 2.0 - 2.0 * np.cos(xs)))
+    ys = eval_from_kernel_sum(spec, t_perp + _kernel(xs))
     curve = tuple((float(x), float(y)) for x, y in zip(xs, ys))
 
-    quad = integrate_kz(
-        lambda x: np.asarray(eval_from_kernel_sum(spec, t_perp + 2.0 - 2.0 * np.cos(x))),
-        QuadratureConfig(),
-    )
-    return RectangleDecomposition(tuple(rects), curve, sum_area, _TWO_PI * quad.value)
+    int_area = _TWO_PI * float(_kz_average(spec, np.array([t_perp]))[0])
+    return RectangleDecomposition(rects, curve, sum_area, int_area)
 
 
 def _g17(x: float) -> str:

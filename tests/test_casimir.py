@@ -17,7 +17,7 @@ from latcas import (
     QuadratureConfig,
     QuadratureNonConvergence,
     casimir_energy,
-    casimir_energy_massive,
+    remnant_partial_sums,
     zero_point_int,
     zero_point_sum,
 )
@@ -267,7 +267,7 @@ def test_kz_average_returns_on_nonfinite_input(s: int) -> None:
 def test_massive_slab_against_scipy_reference() -> None:
     # independent route: adaptive 2D quadrature with the elliptic inner average
     am = 5.0
-    r = casimir_energy_massive(am, Geometry(3, 1), PER, CFG)
+    r = casimir_energy(DispersionSpec(1, am=am), Geometry(3, 1), PER, CFG)
 
     def diff(kx: float, ky: float) -> float:
         t = 4.0 - 2.0 * math.cos(kx) - 2.0 * math.cos(ky)
@@ -285,26 +285,30 @@ def test_massive_slab_against_scipy_reference() -> None:
 
 
 def test_heavier_mass_flattens_the_band() -> None:
-    light = casimir_energy_massive(5.0, Geometry(3, 1), PER, FAST)
-    heavy = casimir_energy_massive(100.0, Geometry(3, 1), PER, FAST)
+    light = casimir_energy(DispersionSpec(1, am=5.0), Geometry(3, 1), PER, FAST)
+    heavy = casimir_energy(DispersionSpec(1, am=100.0), Geometry(3, 1), PER, FAST)
     assert abs(heavy.e_cas) < abs(light.e_cas)
 
 
 def test_small_mass_limit_is_continuous() -> None:
     cfg = QuadratureConfig(base_points=64, max_refinements=3)
     massless = casimir_energy(DispersionSpec(1), Geometry(3, 8), PER, cfg)
-    light = casimir_energy_massive(1e-3, Geometry(3, 8), PER, cfg)
+    light = casimir_energy(DispersionSpec(1, am=1e-3), Geometry(3, 8), PER, cfg)
     assert light.e_cas == pytest.approx(massless.e_cas, abs=1e-7)
 
 
 def test_massive_coefficient_exponent_matches_linear_branch() -> None:
-    r = casimir_energy_massive(5.0, Geometry(3, 2), PER, FAST)
+    r = casimir_energy(DispersionSpec(1, am=5.0), Geometry(3, 2), PER, FAST)
     assert r.coeff == pytest.approx(2**3 * r.e_cas, rel=1e-15)
 
 
 def test_massive_requires_positive_mass() -> None:
+    # the massive branch is DispersionSpec(1, am > 0); am = 0 is the massless
+    # branch, so the mass-expansion entry point is the one that rejects it
     with pytest.raises(ValueError):
-        casimir_energy_massive(0.0, Geometry(3, 1), PER, CFG)
+        remnant_partial_sums(0.0, Geometry(3, 1), PER, 2, CFG)
+    with pytest.raises(ValueError):
+        DispersionSpec(1, am=-1.0)
 
 
 def test_nonconvergence_raises_for_bare_number_ops() -> None:
@@ -326,3 +330,24 @@ def test_deterministic_bitwise_repeat() -> None:
     a = casimir_energy(DispersionSpec(1), Geometry(2, 3), PER, FAST)
     b = casimir_energy(DispersionSpec(1), Geometry(2, 3), PER, FAST)
     assert (a.e_cas, a.e0_int, a.quad_error) == (b.e_cas, b.e0_int, b.quad_error)
+
+
+def test_coeff_past_the_float_range_does_not_raise() -> None:
+    # nz**alpha = 4**600 passes the float range while e_cas stays finite
+    r = casimir_energy(DispersionSpec(600), Geometry(1, 4), PER, CFG)
+    assert r.converged and math.isfinite(r.e_cas) and r.e_cas != 0.0
+    assert r.coeff == math.copysign(math.inf, r.e_cas)
+
+
+@pytest.mark.parametrize(
+    "e_cas, want", [(0.0, 0.0), (-1e-300, -math.inf), (1e-300, math.inf), (math.nan, math.nan)]
+)
+def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
+    import latcas.casimir as casimir
+
+    def fake(spec, f, d, cfg):
+        return casimir._exact_result(np.array([e_cas, 1.0]), 0.0, 1)
+
+    monkeypatch.setattr(casimir, "_transverse_average", fake)
+    r = casimir_energy(DispersionSpec(1100), Geometry(1, 2), PER, CFG)
+    assert r.coeff == want or (math.isnan(want) and math.isnan(r.coeff))

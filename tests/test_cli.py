@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latcas.cli
+import latcas.massexp
 from latcas.cli import run
 
 
@@ -86,6 +90,22 @@ def test_mass_expansion_output(capsys) -> None:
     assert float(rows[0].split()[1]) == pytest.approx(-0.1, rel=1e-9)
 
 
+def test_mass_expansion_rejects_zero_mass_before_any_energy(monkeypatch, capsys) -> None:
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("no energy may be computed for am <= 0")
+
+    monkeypatch.setattr(latcas.cli, "casimir_energy", spy)
+    monkeypatch.setattr(latcas.massexp, "casimir_energy", spy)
+    code = run(["mass-expansion", "--am", "0", "--nz", "1"])
+    _, err = _grab(capsys)
+    assert code == 1
+    assert calls == []
+    assert "am must be positive" in err
+
+
 def test_rectangles_json(tmp_path, capsys) -> None:
     path = tmp_path / "dec.json"
     code = run(["rectangles", "--s", "2", "--nz", "2", "--format", "json", "--out", str(path)])
@@ -136,6 +156,17 @@ def test_nonfinite_result_exits_two(capsys) -> None:
     assert "converged  = no" in out and "quad_error = inf" in out
 
 
+def test_coeff_past_the_float_range_exits_cleanly(capsys) -> None:
+    # nz**alpha passes the float range: NaN values exit 2, finite ones give coeff = inf
+    with np.errstate(all="ignore"):
+        assert run(["compute", "--s", "1100", "--d", "1", "--nz", "2"]) == 2
+        out, err = _grab(capsys)
+        assert "coeff      = nan" in out and "Traceback" not in err
+        assert run(["compute", "--s", "600", "--d", "1", "--nz", "4"]) == 0
+        out, err = _grab(capsys)
+        assert "coeff      = inf" in out and "Traceback" not in err
+
+
 def test_env_override_for_quadrature(monkeypatch, capsys) -> None:
     monkeypatch.setenv("LATCAS_MAX_REFINEMENTS", "0")
     code = run(["compute", "--s", "1", "--d", "2", "--nz", "4"])
@@ -173,3 +204,18 @@ def test_installed_entry_point_runs() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0"
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("latcas ")]
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch, capsys) -> None:
+    commands = _readme_cli_commands()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv) == 0, argv
+        _grab(capsys)

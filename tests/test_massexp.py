@@ -7,13 +7,13 @@ import pytest
 
 from latcas import (
     BoundaryCondition,
+    DispersionSpec,
     DivergentExpansionWarning,
     Geometry,
     QuadratureConfig,
-    casimir_energy_massive,
+    casimir_energy,
     convergence_check,
     expansion_coefficients,
-    remnant_partial_sum,
     remnant_partial_sums,
 )
 
@@ -80,25 +80,25 @@ def test_series_reproduces_square_root() -> None:
 def test_partial_sum_vanishes_when_no_order_contributes() -> None:
     # every order up to s=6 is past its remnant support at nz=4; only
     # pointwise cancellation noise (well below 1e-12) remains
-    assert remnant_partial_sum(5.0, Geometry(3, 4), PER, 3, CFG) == pytest.approx(0.0, abs=1e-12)
+    assert remnant_partial_sums(5.0, Geometry(3, 4), PER, 3, CFG)[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_divergent_domain_warns_but_computes() -> None:
     with pytest.warns(DivergentExpansionWarning):
-        value = remnant_partial_sum(3.0, Geometry(3, 1), PER, 2, CFG)
+        value = remnant_partial_sums(3.0, Geometry(3, 1), PER, 2, CFG)[-1]
     assert value == pytest.approx(1.0 / 6.0 * -1.0 + (-1.0 / (8 * 27)) * -11.0, rel=1e-9)
 
 
 def test_partial_sums_are_cumulative() -> None:
     sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, 3, CFG)
     assert sums == pytest.approx([-0.1, -0.089, -0.09112], rel=1e-9)
-    assert remnant_partial_sum(5.0, Geometry(3, 1), PER, 3, CFG) == sums[-1]
+    assert remnant_partial_sums(5.0, Geometry(3, 1), PER, 3, CFG)[-1] == sums[-1]
 
 
 def test_reconstruction_error_shrinks_with_order() -> None:
     for nz in (1, 2, 3):
         geom = Geometry(3, nz)
-        massive = casimir_energy_massive(5.0, geom, PER, CFG).e_cas
+        massive = casimir_energy(DispersionSpec(1, am=5.0), geom, PER, CFG).e_cas
         sums = remnant_partial_sums(5.0, geom, PER, nz + 3, CFG)
         errors = [abs(s - massive) for s in sums[nz - 1 :]]
         assert all(a > b for a, b in zip(errors, errors[1:])), (nz, errors)
@@ -108,6 +108,6 @@ def test_reconstruction_converges_to_massive_value() -> None:
     # by K = 2 nz + 1 the truncation sits below five percent for am = 5
     for nz in (1, 2, 3):
         geom = Geometry(3, nz)
-        massive = casimir_energy_massive(5.0, geom, PER, CFG).e_cas
-        partial = remnant_partial_sum(5.0, geom, PER, 2 * nz + 1, CFG)
+        massive = casimir_energy(DispersionSpec(1, am=5.0), geom, PER, CFG).e_cas
+        partial = remnant_partial_sums(5.0, geom, PER, 2 * nz + 1, CFG)[-1]
         assert abs(partial - massive) / abs(massive) < 0.05, nz

@@ -108,6 +108,14 @@ def test_kernel_sum_evaluation_matches_momentum_form() -> None:
     assert eval_from_kernel_sum(spec, t) == pytest.approx(eval_lattice_dispersion(spec, ak), rel=1e-14)
 
 
+def test_kernel_sum_evaluation_leaves_its_input_alone() -> None:
+    t = np.array([0.0, 1.5, 7.25])
+    for spec in (DispersionSpec(0), DispersionSpec(1, am=0.5), DispersionSpec(3), DispersionSpec(4)):
+        eval_from_kernel_sum(spec, t)
+        assert t.tolist() == [0.0, 1.5, 7.25]
+    assert isinstance(eval_from_kernel_sum(DispersionSpec(2), 1.5), float)
+
+
 def test_result_carries_fields() -> None:
     r = CasimirResult(2.0, 3.0, -1.0, -1.0, 0.0)
     assert r.converged

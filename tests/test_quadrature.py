@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from latcas import QuadratureConfig, integrate_bz, integrate_bz_multi, integrate_kz, richardson_extrapolate
+from latcas import QuadratureConfig, integrate_bz_multi, richardson_extrapolate
 
 from moment_oracle import kernel_moment
 
@@ -14,6 +14,11 @@ CFG = QuadratureConfig()
 
 def kernel(x: np.ndarray) -> np.ndarray:
     return 2.0 - 2.0 * np.cos(x)
+
+
+def integrate_kz(f, cfg: QuadratureConfig):
+    """Average of a 2pi-periodic f(x): the d=2 BZ average of f(pts[:, 0])."""
+    return integrate_bz_multi(lambda pts: f(pts[:, 0]), d=2, cfg=cfg)
 
 
 def test_config_validation() -> None:
@@ -31,55 +36,60 @@ def test_config_validation() -> None:
         QuadratureConfig(max_refinements=True)
     with pytest.raises(ValueError):
         QuadratureConfig(max_refinements=False)
+    for tol in (True, math.inf, math.nan, 0, -1e-3):
+        with pytest.raises(ValueError):
+            QuadratureConfig(rel_tol=tol)
+        with pytest.raises(ValueError):
+            QuadratureConfig(abs_tol=tol)
 
 
 def test_kz_moments_are_central_binomials() -> None:
     for n in range(7):
         r = integrate_kz(lambda x, n=n: kernel(x) ** n, CFG)
         assert r.converged
-        assert r.value == pytest.approx(kernel_moment(n), rel=1e-13)
+        assert r.values[0] == pytest.approx(kernel_moment(n), rel=1e-13)
 
 
 def test_kz_cubed_kernel() -> None:
     r = integrate_kz(lambda x: kernel(x) ** 3, CFG)
-    assert r.value == pytest.approx(20.0, rel=1e-13)
+    assert r.values[0] == pytest.approx(20.0, rel=1e-13)
 
 
 def test_kz_zero_integrand() -> None:
     r = integrate_kz(lambda x: np.zeros_like(x), CFG)
-    assert r.value == 0.0
-    assert r.error == 0.0
+    assert r.values[0] == 0.0
+    assert r.errors[0] == 0.0
 
 
 def test_bz_single_axis_kernel() -> None:
-    r = integrate_bz(lambda k: kernel(k[:, 0]), d=3, cfg=CFG)
+    r = integrate_bz_multi(lambda k: kernel(k[:, 0]), d=3, cfg=CFG)
     assert r.converged
-    assert r.value == pytest.approx(2.0, rel=1e-13)
-    assert r.error <= 1e-13 * 2.0
+    assert r.values[0] == pytest.approx(2.0, rel=1e-13)
+    assert r.errors[0] <= 1e-13 * 2.0
 
 
 def test_bz_constant_is_exact() -> None:
     for d in (1, 2, 3):
-        r = integrate_bz(lambda k: np.full(k.shape[0], 0.7), d=d, cfg=CFG)
-        assert r.value == 0.7
+        r = integrate_bz_multi(lambda k: np.full(k.shape[0], 0.7), d=d, cfg=CFG)
+        assert r.values[0] == 0.7
 
 
 def test_bz_squared_transverse_kernel() -> None:
-    r = integrate_bz(lambda k: (kernel(k[:, 0]) + kernel(k[:, 1])) ** 2, d=3, cfg=CFG)
-    assert r.value == pytest.approx(20.0, rel=1e-13)
+    r = integrate_bz_multi(lambda k: (kernel(k[:, 0]) + kernel(k[:, 1])) ** 2, d=3, cfg=CFG)
+    assert r.values[0] == pytest.approx(20.0, rel=1e-13)
 
 
 def test_d1_transverse_integral_is_identity() -> None:
-    r = integrate_bz(lambda k: np.full(k.shape[0], 1.25), d=1, cfg=CFG)
-    assert r.value == 1.25
+    r = integrate_bz_multi(lambda k: np.full(k.shape[0], 1.25), d=1, cfg=CFG)
+    assert r.values[0] == 1.25
     assert r.converged
-    assert r.error == 0.0
+    assert r.errors[0] == 0.0
 
 
 def test_nonfinite_integrand_is_not_converged() -> None:
     for d in (1, 2):
-        r = integrate_bz(lambda k: np.full(k.shape[0], math.nan), d=d, cfg=CFG)
-        assert not r.converged and math.isinf(r.error), d
+        r = integrate_bz_multi(lambda k: np.full(k.shape[0], math.nan), d=d, cfg=CFG)
+        assert not r.converged and math.isinf(r.errors[0]), d
 
 
 def test_one_level_exact_for_subresolution_harmonics() -> None:
@@ -88,14 +98,15 @@ def test_one_level_exact_for_subresolution_harmonics() -> None:
         return 3.0 + np.cos(5.0 * x) - 0.25 * np.sin(11.0 * x) + np.cos(63.0 * x)
 
     r = integrate_kz(f, QuadratureConfig(base_points=64, max_refinements=1))
-    assert r.value == pytest.approx(3.0, abs=10 * np.finfo(float).eps * 3.0)
-    assert r.error <= 1e-13 * 3.0
+    assert r.values[0] == pytest.approx(3.0, abs=10 * np.finfo(float).eps * 3.0)
+    assert r.errors[0] <= 1e-13 * 3.0
 
 
 def test_translation_invariance() -> None:
     base = integrate_kz(lambda x: kernel(x) ** 2, CFG)
     shifted = integrate_kz(lambda x: kernel(x + 0.37) ** 2, CFG)
-    assert shifted.value == pytest.approx(base.value, abs=max(base.error, 1e-13 * base.value))
+    want, err = base.values[0], base.errors[0]
+    assert shifted.values[0] == pytest.approx(want, abs=max(err, 1e-13 * want))
 
 
 def test_nonconvergence_is_a_soft_outcome() -> None:
@@ -103,22 +114,22 @@ def test_nonconvergence_is_a_soft_outcome() -> None:
     cfg = QuadratureConfig(base_points=8, max_refinements=2, rel_tol=1e-16, abs_tol=1e-300)
     r = integrate_kz(lambda x: np.abs(np.sin(x / 2.0)), cfg)
     assert not r.converged
-    assert r.value == pytest.approx(2.0 / math.pi, rel=1e-2)
-    assert r.error > 0.0
+    assert r.values[0] == pytest.approx(2.0 / math.pi, rel=1e-2)
+    assert r.errors[0] > 0.0
     assert r.points_per_axis == 32
 
 
 def test_zero_refinements_reports_unverified() -> None:
     r = integrate_kz(lambda x: kernel(x), QuadratureConfig(max_refinements=0))
     assert not r.converged
-    assert math.isinf(r.error)
-    assert r.value == pytest.approx(2.0, rel=1e-13)
+    assert math.isinf(r.errors[0])
+    assert r.values[0] == pytest.approx(2.0, rel=1e-13)
 
 
 def test_error_estimate_is_last_refinement_change() -> None:
     r = integrate_kz(lambda x: np.exp(np.cos(x)), CFG)
     assert r.converged
-    assert 0.0 <= r.error <= max(CFG.abs_tol, CFG.rel_tol * abs(r.value))
+    assert 0.0 <= r.errors[0] <= max(CFG.abs_tol, CFG.rel_tol * abs(r.values[0]))
 
 
 def test_multi_component_integration() -> None:
@@ -131,22 +142,17 @@ def test_multi_component_integration() -> None:
     assert r.values == pytest.approx([2.0, 6.0], rel=1e-13)
 
 
-def test_scalar_entry_point_rejects_vector_integrands() -> None:
-    with pytest.raises(ValueError):
-        integrate_bz(lambda k: np.stack([k[:, 0], k[:, 0]], axis=1), d=2, cfg=CFG)
-
-
 def test_dimension_validation() -> None:
     with pytest.raises(ValueError):
-        integrate_bz(lambda k: k[:, 0], d=5, cfg=CFG)
+        integrate_bz_multi(lambda k: k[:, 0], d=5, cfg=CFG)
 
 
 def test_determinism_bitwise() -> None:
     f = lambda x: np.sqrt(kernel(x) + 0.3)
     a = integrate_kz(f, CFG)
     b = integrate_kz(f, CFG)
-    assert a.value == b.value
-    assert a.error == b.error
+    assert a.values[0] == b.values[0]
+    assert a.errors[0] == b.errors[0]
 
 
 def test_richardson_recovers_limit_and_order() -> None:

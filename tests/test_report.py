@@ -74,6 +74,13 @@ def test_rectangles_quadratic_single_site() -> None:
     assert dec.int_area / (2 * math.pi) == pytest.approx(2.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("nz", [1, 3, 8])
+def test_rectangles_linear_int_area_is_exact(nz: int) -> None:
+    # (1/2pi) int |2 sin(x/2)| dx = 4/pi: the exact kz average, cusp included
+    dec = rectangle_decomposition(DispersionSpec(1), nz, PER)
+    assert dec.int_area == pytest.approx(8.0, rel=1e-14)
+
+
 def test_rectangle_area_identity_against_modes() -> None:
     for spec, nz, bc, k_perp in [
         (DispersionSpec(1), 3, PER, ()),
