@@ -15,13 +15,15 @@ elliptic integrals K and E, evaluated by the arithmetic-geometric mean.
 
 The transverse average splits the same way. For even s the integrand is of
 degree s/2 on every transverse axis too, so one uniform grid of s/2+1
-points per axis is exact: no refinement, no QuadratureConfig, and a
-rounding bound as the error. Odd s double the grid and report the change
-between the last two levels.
+points per axis is exact: no refinement and no QuadratureConfig. Odd s
+double the grid and report the change between the last two levels. Both
+parities report at least a rounding floor of 16 ulps of the largest
+integrated term, because the pointwise difference rounds at that size.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,10 +38,10 @@ __all__ = [
     "casimir_energy",
 ]
 
-_MAT_BUDGET = 1 << 24  # elements per temporary (t, node) block
+_MAT_BUDGET = 1 << 24  # elements per temporary (rows of t, nodes) block
 _AGM_MAX_ITER = 64  # convergence is quadratic; the cap bounds NaN or inf input
 _EPS = float(np.finfo(float).eps)
-_ROUNDING_ULPS = 16  # even-order error bound, in ulps of the largest component
+_ROUNDING_ULPS = 16  # error floor, in ulps of the largest component
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -55,27 +57,15 @@ class QuadratureNonConvergence(RuntimeError):
 def _node_sum(spec: DispersionSpec, t: np.ndarray, tz: np.ndarray) -> np.ndarray:
     """sum_j omega(t + tz[j]) for every entry of t.
 
-    Blocked so temporaries stay bounded; block subtotals use numpy's pairwise
-    reduction and blocks are combined with compensated addition in fixed
-    order, keeping the result deterministic and accurate to a few ulp.
+    Rows of t go in blocks, so the (rows, nodes) temporary stays within
+    _MAT_BUDGET elements, or one row when there are more nodes than that;
+    each row is one numpy pairwise sum, so the result is deterministic.
     """
-    acc = np.zeros_like(t)
-    comp = np.zeros_like(t)
-    bn = max(1, min(tz.size, _MAT_BUDGET // max(1, t.size)))
-    buf = np.empty((t.size, bn)) if bn > 1 else None
-    for j in range(0, tz.size, bn):
-        blk = tz[j : j + bn]
-        if blk.size == 1:
-            part = _omega_inplace(spec, t + blk[0])
-        else:
-            work = buf if blk.size == bn else np.empty((t.size, blk.size))
-            np.add(t[:, None], blk[None, :], out=work)
-            part = _omega_inplace(spec, work).sum(axis=1)
-        y = part - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-    return acc
+    out = np.empty_like(t)
+    step = max(1, _MAT_BUDGET // tz.size)
+    for i in range(0, t.size, step):
+        out[i : i + step] = _omega_inplace(spec, t[i : i + step, None] + tz).sum(axis=1)
+    return out
 
 
 def _mode_sum(spec: DispersionSpec, modes: ModeSet, t: np.ndarray) -> np.ndarray:
@@ -134,16 +124,19 @@ def _transverse_average(spec: DispersionSpec, f, d: int, cfg: QuadratureConfig) 
     """Transverse BZ average of the integrand f for the dispersion spec.
 
     Even s: one uniform grid of s/2+1 points per axis, exact for the
-    degree-s/2 trigonometric polynomial; cfg is not consulted. The error is
-    _ROUNDING_ULPS ulps of the largest component, which for the Casimir
-    integrand is at least |e0_int|, the size of the terms that cancel.
-    Odd s: grid doubling under cfg.
+    degree-s/2 trigonometric polynomial; cfg is not consulted. Odd s: grid
+    doubling under cfg, with the change between the last two levels as the
+    error. Either way the error is at least _ROUNDING_ULPS ulps of the
+    largest component, which for the Casimir integrand is at least |e0_int|,
+    the size of the terms that cancel pointwise.
     """
     if spec.s % 2:
-        return integrate_bz_multi(f, d, cfg)
-    n = spec.s // 2 + 1
-    values = _grid_average(f, d - 1, n)
-    return _exact_result(values, _ROUNDING_ULPS * _EPS * float(np.max(np.abs(values))), n)
+        r = integrate_bz_multi(f, d, cfg)
+    else:
+        n = spec.s // 2 + 1
+        r = _exact_result(_grid_average(f, d - 1, n), 0.0, n)
+    floor = _ROUNDING_ULPS * _EPS * float(np.max(np.abs(r.values)))
+    return replace(r, errors=np.fmax(r.errors, floor))  # fmax: a NaN floor keeps the inf error
 
 
 def _bare_value(spec: DispersionSpec, f, d: int, cfg: QuadratureConfig, what: str) -> float:
@@ -231,5 +224,5 @@ def casimir_energy(
     except OverflowError:  # nz**alpha passes the float range
         coeff = math.inf * e_cas if e_cas else 0.0
     quad_error = spec.g * float(r.errors[0])
-    return CasimirResult(e0_sum, e0_int, e_cas, coeff, quad_error, r.converged)
+    return CasimirResult(geom.nz, e0_sum, e0_int, e_cas, coeff, quad_error, r.converged)
 

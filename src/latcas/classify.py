@@ -9,16 +9,19 @@ Remnant demands a sharp cliff: every head energy clearly nonzero, every
 tail energy at rounding level, nothing in between. A smoothly decaying
 energy (massive branch) crosses any single threshold gradually and would
 otherwise be mistaken for a remnant once it dips below eps_zero.
+
+The rows are the CasimirResult values of the sweep; a Classification keeps
+them unchanged in `rows`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import DispersionSpec
+from .model import CasimirResult, DispersionSpec
 from .modes import BoundaryCondition
 from .quadrature import QuadratureConfig
-from .report import SweepRow, sweep
+from .report import sweep
 
 __all__ = ["BehaviorKind", "ClassifyThresholds", "Classification", "classify_rows", "classify_behavior"]
 
@@ -54,7 +57,7 @@ class Classification:
     kind: BehaviorKind
     n_max: int | None = None
     coeff_limit: float | None = None
-    rows: tuple[SweepRow, ...] = field(default=(), repr=False)
+    rows: tuple[CasimirResult, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         if (self.kind is BehaviorKind.REMNANT) != (self.n_max is not None):
@@ -64,8 +67,8 @@ class Classification:
             raise ValueError("a nonzero coeff_limit is present exactly for Lasting outcomes")
 
 
-def classify_rows(rows: list[SweepRow], thresholds: ClassifyThresholds = ClassifyThresholds()) -> Classification:
-    """Classify precomputed sweep rows (ascending nz)."""
+def classify_rows(rows: list[CasimirResult], thresholds: ClassifyThresholds = ClassifyThresholds()) -> Classification:
+    """Classify precomputed sweep rows (ascending nz); the rows are kept as given."""
     if len(rows) < 2:
         raise ValueError("need at least two sweep rows to classify")
     frozen = tuple(rows)

@@ -5,17 +5,18 @@ give identical results. There is no randomness anywhere, so repeated
 invocations are byte-identical.
 
 Exit codes: 0 success, 1 invalid arguments, 2 quadrature non-convergence.
-
-Quadrature defaults can be overridden by environment variables
-(LATCAS_BASE_POINTS, LATCAS_MAX_REFINEMENTS, LATCAS_REL_TOL, LATCAS_ABS_TOL);
-explicit flags win over the environment.
+Result rows print in the columns of report.CSV_COLUMNS in every format, so
+a non-converged row says so in the table, CSV and JSON alike. Non-finite
+results are named in one stderr line instead of raw numpy warnings.
 """
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from typing import Sequence
+
+import numpy as np
 
 from .casimir import casimir_energy
 from .classify import ClassifyThresholds, classify_behavior
@@ -24,7 +25,7 @@ from .massexp import convergence_check, remnant_partial_sums
 from .model import CasimirResult, DispersionSpec, Geometry
 from .modes import BoundaryCondition, BoundaryKind, PhenOffset
 from .quadrature import QuadratureConfig
-from .report import SweepRow, emit, rectangle_decomposition, sweep
+from .report import CSV_COLUMNS, _row_values, emit, rectangle_decomposition, sweep
 
 __all__ = ["run", "main"]
 
@@ -48,28 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise _UsageError(f"environment variable {name}: {exc}") from exc
-
-
 def _add_quadrature_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--base-points", type=int,
-                   default=_env_default("LATCAS_BASE_POINTS", int, 64),
+    p.add_argument("--base-points", type=int, default=64,
                    help="grid points per axis at the first level (default 64)")
-    p.add_argument("--max-refinements", type=int,
-                   default=_env_default("LATCAS_MAX_REFINEMENTS", int, 6),
+    p.add_argument("--max-refinements", type=int, default=6,
                    help="number of grid doublings allowed (default 6)")
-    p.add_argument("--rel-tol", type=float,
-                   default=_env_default("LATCAS_REL_TOL", float, 1e-10),
+    p.add_argument("--rel-tol", type=float, default=1e-10,
                    help="relative tolerance on the integral (default 1e-10)")
-    p.add_argument("--abs-tol", type=float,
-                   default=_env_default("LATCAS_ABS_TOL", float, 1e-12),
+    p.add_argument("--abs-tol", type=float, default=1e-12,
                    help="absolute tolerance floor (default 1e-12)")
 
 
@@ -102,15 +89,30 @@ def _print_result(r: CasimirResult, d: int, s: int) -> None:
     print(f"converged  = {'yes' if r.converged else 'no'}")
 
 
-def _rows_table(rows: Sequence[SweepRow]) -> str:
-    header = f"{'Nz':>4} {'e0_sum':>22} {'e0_int':>22} {'e_cas':>22} {'coeff':>22} {'quad_error':>12}"
-    lines = [header]
+# (width, format) of each CSV_COLUMNS cell in the sweep and classify tables
+_TABLE_CELLS = ((4, ""), (22, ".15g"), (22, ".15g"), (22, ".15g"), (22, ".15g"), (12, ".3g"), (9, ""))
+
+
+def _table_cell(v, width: int, spec: str) -> str:
+    if isinstance(v, bool):
+        v = "yes" if v else "no"
+    return f"{v:>{width}{spec}}"
+
+
+def _rows_table(rows: Sequence[CasimirResult]) -> str:
+    lines = [" ".join(_table_cell(name, w, "") for name, (w, _) in zip(CSV_COLUMNS, _TABLE_CELLS))]
     for r in rows:
-        lines.append(
-            f"{r.nz:>4} {r.e0_sum:>22.15g} {r.e0_int:>22.15g} {r.e_cas:>22.15g} "
-            f"{r.coeff:>22.15g} {r.quad_error:>12.3g}"
-        )
+        lines.append(" ".join(_table_cell(v, *cell) for v, cell in zip(_row_values(r), _TABLE_CELLS)))
     return "\n".join(lines)
+
+
+def _exit_code(rows: Sequence[CasimirResult]) -> int:
+    """0 when every row converged, else 2; non-finite fields are named on stderr."""
+    values = [_row_values(r) for r in rows]
+    bad = [name for i, name in enumerate(CSV_COLUMNS) if not all(math.isfinite(v[i]) for v in values)]
+    if bad:
+        print(f"warning: non-finite {', '.join(bad)}", file=sys.stderr)
+    return 0 if all(r.converged for r in rows) else 2
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -119,9 +121,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.format == "table":
         _print_result(r, args.d, spec.s)
     else:
-        row = SweepRow(args.nz, r.e0_sum, r.e0_int, r.e_cas, r.coeff, r.quad_error, r.converged)
-        emit([row], args.format, args.out)
-    return 0 if r.converged else 2
+        emit([r], args.format, args.out)
+    return _exit_code([r])
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -130,7 +131,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(_rows_table(rows))
     else:
         emit(rows, args.format, args.out)
-    return 0 if all(r.converged for r in rows) else 2
+    return _exit_code(rows)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -142,8 +143,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(f"{c.kind.value} coeff_limit={c.coeff_limit:.12g}")
     else:
         print(c.kind.value)
-    print(_rows_table(list(c.rows)))
-    return 0 if all(r.converged for r in c.rows) else 2
+    print(_rows_table(c.rows))
+    return _exit_code(c.rows)
 
 
 def _cmd_mass_expansion(args: argparse.Namespace) -> int:
@@ -159,7 +160,7 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     print(f"{'K':>3} {'partial_sum':>22} {'difference':>22}")
     for k, p in enumerate(partials, start=1):
         print(f"{k:>3} {p:>22.15g} {p - massive.e_cas:>22.3e}")
-    return 0 if massive.converged else 2
+    return _exit_code([massive])
 
 
 def _cmd_rectangles(args: argparse.Namespace) -> int:
@@ -260,7 +261,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        with np.errstate(all="ignore"):  # non-finite results are reported by _exit_code
+            return args.handler(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

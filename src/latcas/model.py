@@ -68,7 +68,8 @@ class Geometry:
 
 @dataclass(frozen=True)
 class CasimirResult:
-    """Zero-point energies per transverse site and their difference.
+    """Zero-point energies per transverse site and their difference at
+    thickness nz: one row of a sweep table, and of CSV and JSON output.
 
     e0_sum is derived as e0_int + e_cas from one shared quadrature pass, so
     e_cas = e0_sum - e0_int holds at the rounding level by construction.
@@ -76,6 +77,7 @@ class CasimirResult:
     e_cas) where nz**alpha passes the float range.
     """
 
+    nz: int
     e0_sum: float
     e0_int: float
     e_cas: float

@@ -1,4 +1,9 @@
-"""Thickness sweeps, mode-rectangle decompositions, and CSV/JSON emission."""
+"""Thickness sweeps, mode-rectangle decompositions, and CSV/JSON emission.
+
+A sweep row is the CasimirResult of that thickness, passed through as is.
+CSV_COLUMNS and _row_values fix its columns once, for CSV, JSON and the CLI
+table alike, converged included.
+"""
 from __future__ import annotations
 
 import json
@@ -11,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .casimir import _kz_average, casimir_energy
-from .model import DispersionSpec, Geometry, _kernel, eval_from_kernel_sum
+from .model import CasimirResult, DispersionSpec, Geometry, _kernel, eval_from_kernel_sum
 from .modes import BoundaryCondition, generate_modes
 from .quadrature import QuadratureConfig
 
@@ -26,25 +31,16 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# emitted columns, in order; fixed so files are directly comparable
-CSV_COLUMNS = ("Nz", "e0_sum", "e0_int", "e_cas", "coeff", "quad_error")
+# emitted columns, in CasimirResult field order; fixed so files are directly comparable
+CSV_COLUMNS = ("Nz", "e0_sum", "e0_int", "e_cas", "coeff", "quad_error", "converged")
+
+# the benchmark in perfbench/ builds rows by this name, so it stays as an alias
+SweepRow = CasimirResult
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One flattened result per thickness.
-
-    JSON output carries `converged`; the CSV columns are the fixed
-    CSV_COLUMNS, so a CSV row does not.
-    """
-
-    nz: int
-    e0_sum: float
-    e0_int: float
-    e_cas: float
-    coeff: float
-    quad_error: float
-    converged: bool = True
+def _row_values(r: CasimirResult) -> tuple:
+    """The fields of r in CSV_COLUMNS order; every row format is built from it."""
+    return (r.nz, r.e0_sum, r.e0_int, r.e_cas, r.coeff, r.quad_error, bool(r.converged))
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ def sweep(
     bc: BoundaryCondition,
     nz_range: Iterable[int],
     cfg: QuadratureConfig = QuadratureConfig(),
-) -> list[SweepRow]:
+) -> list[CasimirResult]:
     """One Casimir evaluation per thickness; rows keep ascending unique nz.
 
     A non-converged row is recorded like any other (its quad_error and
@@ -81,11 +77,7 @@ def sweep(
         raise ValueError("nz_range must be nonempty")
     if sorted(set(nzs)) != nzs:
         raise ValueError("nz_range must be strictly ascending")
-    rows = []
-    for nz in nzs:
-        r = casimir_energy(spec, Geometry(d, nz), bc, cfg)
-        rows.append(SweepRow(nz, r.e0_sum, r.e0_int, r.e_cas, r.coeff, r.quad_error, r.converged))
-    return rows
+    return [casimir_energy(spec, Geometry(d, nz), bc, cfg) for nz in nzs]
 
 
 def rectangle_decomposition(
@@ -120,31 +112,20 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _rows_csv(rows: Sequence[SweepRow]) -> str:
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):  # the JSON literal, so both formats read alike
+        return "true" if v else "false"
+    return str(v) if isinstance(v, int) else _g17(v)
+
+
+def _rows_csv(rows: Sequence[CasimirResult]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.nz)]
-                + [_g17(v) for v in (r.e0_sum, r.e0_int, r.e_cas, r.coeff, r.quad_error)]
-            )
-        )
+    lines += [",".join(_csv_cell(v) for v in _row_values(r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
-def _rows_json(rows: Sequence[SweepRow]) -> str:
-    payload = [
-        {
-            "Nz": r.nz,
-            "e0_sum": r.e0_sum,
-            "e0_int": r.e0_int,
-            "e_cas": r.e_cas,
-            "coeff": r.coeff,
-            "quad_error": r.quad_error,
-            "converged": bool(r.converged),
-        }
-        for r in rows
-    ]
+def _rows_json(rows: Sequence[CasimirResult]) -> str:
+    payload = [dict(zip(CSV_COLUMNS, _row_values(r))) for r in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -168,7 +149,7 @@ def _decomp_json(dec: RectangleDecomposition) -> str:
 
 
 def emit(data, fmt: str = "csv", destination: str | Path = "-") -> None:
-    """Write sweep rows or a decomposition as CSV or JSON.
+    """Write result rows or a decomposition as CSV or JSON.
 
     destination "-" writes to stdout. Floats carry 17 significant digits so a
     parse reproduces every value bit-exactly.
@@ -179,8 +160,8 @@ def emit(data, fmt: str = "csv", destination: str | Path = "-") -> None:
         text = _decomp_csv(data) if fmt == "csv" else _decomp_json(data)
     else:
         rows = list(data)
-        if not all(isinstance(r, SweepRow) for r in rows):
-            raise TypeError("emit expects SweepRow iterables or a RectangleDecomposition")
+        if not all(isinstance(r, CasimirResult) for r in rows):
+            raise TypeError("emit expects CasimirResult iterables or a RectangleDecomposition")
         text = _rows_csv(rows) if fmt == "csv" else _rows_json(rows)
     if destination == "-":
         sys.stdout.write(text)

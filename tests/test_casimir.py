@@ -284,6 +284,46 @@ def test_massive_slab_against_scipy_reference() -> None:
     assert r.e_cas == pytest.approx(want, abs=1e-8)
 
 
+def _dos_oracle(am: float, nz: int) -> mpmath.mpf:
+    """Periodic d=3 massive e_cas at 40 digits, as one integral of the
+    transverse integrand F(t) over the square-lattice density of states
+    rho(t) = K(m)/(2 pi^2), 1-m = (t-4)^2/16, of the kernel sum t. K comes
+    from the AGM because ellipk is inf at the van Hove point t=4."""
+    with mpmath.workdps(40):
+        a2 = mpmath.mpf(am) ** 2
+
+        def integrand(t):
+            v = t + a2
+            modes = mpmath.fsum(mpmath.sqrt(v + 2 - 2 * mpmath.cos(2 * mpmath.pi * l / nz)) for l in range(nz))
+            kz_avg = mpmath.sqrt(v + 4) * 2 / mpmath.pi * mpmath.ellipe(4 / (v + 4))
+            k = mpmath.pi / (2 * mpmath.agm(1, abs(t - 4) / 4))
+            return (modes - nz * kz_avg) / 2 * k / (2 * mpmath.pi**2)
+
+        return mpmath.quad(integrand, [0, 4, 8])
+
+
+@pytest.mark.parametrize("am, nz", [(5.0, 8), (2.0, 16), (0.5, 8)])
+def test_odd_order_quad_error_bounds_the_dos_oracle_error(am: float, nz: int) -> None:
+    # the level change alone understates these errors 6-39 times; the rounding floor covers them
+    r = casimir_energy(DispersionSpec(1, am=am), Geometry(3, nz), PER, CFG)
+    assert r.converged
+    assert abs(r.e_cas - _dos_oracle(am, nz)) <= r.quad_error
+
+
+def test_node_sum_blocking_is_bit_identical(monkeypatch) -> None:
+    # each row of t is one sum whatever the block size, so blocking moves no bit
+    import latcas.casimir as casimir
+
+    cases = [
+        (DispersionSpec(1), Geometry(2, 5), PHEN),
+        (DispersionSpec(1, am=0.5), Geometry(2, 3), ANTI),
+        (DispersionSpec(4), Geometry(3, 3), PER),
+    ]
+    want = [casimir_energy(*case, FAST) for case in cases]
+    monkeypatch.setattr(casimir, "_MAT_BUDGET", 50)
+    assert [casimir_energy(*case, FAST) for case in cases] == want
+
+
 def test_heavier_mass_flattens_the_band() -> None:
     light = casimir_energy(DispersionSpec(1, am=5.0), Geometry(3, 1), PER, FAST)
     heavy = casimir_energy(DispersionSpec(1, am=100.0), Geometry(3, 1), PER, FAST)

@@ -5,6 +5,7 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ def test_compute_csv_output(tmp_path, capsys) -> None:
     _grab(capsys)
     assert code == 0
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error"
+    assert lines[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error,converged"
     fields = lines[1].split(",")
     assert int(fields[0]) == 2
     assert float(fields[3]) == pytest.approx(2.0, abs=1e-8)
@@ -73,7 +74,7 @@ def test_sweep_csv_to_stdout(capsys) -> None:
     out, _ = _grab(capsys)
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error"
+    assert lines[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error,converged"
     assert len(lines) == 5
     assert float(lines[1].split(",")[3]) == pytest.approx(-1.0, abs=1e-10)
 
@@ -156,6 +157,28 @@ def test_nonfinite_result_exits_two(capsys) -> None:
     assert "converged  = no" in out and "quad_error = inf" in out
 
 
+def test_nonfinite_result_is_named_without_numpy_warnings(capsys) -> None:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["compute", "--s", "1100", "--d", "1", "--nz", "2"])
+    _, err = _grab(capsys)
+    assert code == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert len(err.splitlines()) == 1 and "e_cas" in err
+
+
+def test_unconverged_rows_say_so_in_every_format(capsys) -> None:
+    argv = ["sweep", "--s", "1", "--d", "2", "--nz-max", "3", "--max-refinements", "0"]
+    assert run(argv) == 2
+    lines = _grab(capsys)[0].splitlines()
+    assert [line.split()[-1] for line in lines] == ["converged", "no", "no", "no"]
+    assert run(argv + ["--format", "csv"]) == 2
+    lines = _grab(capsys)[0].splitlines()
+    assert [line.split(",")[-1] for line in lines] == ["converged", "false", "false", "false"]
+    assert run(argv + ["--format", "json"]) == 2
+    assert [rec["converged"] for rec in json.loads(_grab(capsys)[0])] == [False, False, False]
+
+
 def test_coeff_past_the_float_range_exits_cleanly(capsys) -> None:
     # nz**alpha passes the float range: NaN values exit 2, finite ones give coeff = inf
     with np.errstate(all="ignore"):
@@ -165,22 +188,6 @@ def test_coeff_past_the_float_range_exits_cleanly(capsys) -> None:
         assert run(["compute", "--s", "600", "--d", "1", "--nz", "4"]) == 0
         out, err = _grab(capsys)
         assert "coeff      = inf" in out and "Traceback" not in err
-
-
-def test_env_override_for_quadrature(monkeypatch, capsys) -> None:
-    monkeypatch.setenv("LATCAS_MAX_REFINEMENTS", "0")
-    code = run(["compute", "--s", "1", "--d", "2", "--nz", "4"])
-    _grab(capsys)
-    assert code == 2
-    # explicit flag wins over the environment
-    code = run(["compute", "--s", "1", "--d", "2", "--nz", "4", "--max-refinements", "2"])
-    _grab(capsys)
-    assert code in (0, 2)
-    monkeypatch.setenv("LATCAS_MAX_REFINEMENTS", "not-a-number")
-    code = run(["compute", "--s", "2", "--nz", "1"])
-    _, err = _grab(capsys)
-    assert code == 1
-    assert "LATCAS_MAX_REFINEMENTS" in err
 
 
 def test_help_exits_zero(capsys) -> None:

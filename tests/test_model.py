@@ -117,6 +117,6 @@ def test_kernel_sum_evaluation_leaves_its_input_alone() -> None:
 
 
 def test_result_carries_fields() -> None:
-    r = CasimirResult(2.0, 3.0, -1.0, -1.0, 0.0)
+    r = CasimirResult(1, 2.0, 3.0, -1.0, -1.0, 0.0)
     assert r.converged
     assert r.e_cas == r.e0_sum - r.e0_int

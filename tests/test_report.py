@@ -7,10 +7,12 @@ import pytest
 
 from latcas import (
     BoundaryCondition,
+    CasimirResult,
     DispersionSpec,
     Geometry,
     QuadratureConfig,
     SweepRow,
+    casimir_energy,
     emit,
     generate_modes,
     rectangle_decomposition,
@@ -21,6 +23,12 @@ from latcas.report import CSV_COLUMNS
 
 PER = BoundaryCondition.periodic()
 CFG = QuadratureConfig()
+
+
+def test_sweep_rows_are_the_casimir_results() -> None:
+    assert SweepRow is CasimirResult
+    rows = sweep(DispersionSpec(4), 3, PER, [1, 3], CFG)
+    assert rows == [casimir_energy(DispersionSpec(4), Geometry(3, nz), PER, CFG) for nz in (1, 3)]
 
 
 def test_sweep_quadratic_column() -> None:
@@ -125,7 +133,7 @@ def test_csv_header_and_roundtrip(tmp_path) -> None:
     path = tmp_path / "rows.csv"
     emit(rows, "csv", path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error"
+    assert lines[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error,converged"
     fields = lines[1].split(",")
     assert int(fields[0]) == 1
     assert float(fields[1]) == rows[0].e0_sum
@@ -194,8 +202,8 @@ def test_decomposition_emission(tmp_path) -> None:
 def test_emit_to_stdout(capsys) -> None:
     emit([SweepRow(1, 2.0, 3.0, -1.0, -1.0, 0.0)], "csv", "-")
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error"
-    assert out.splitlines()[1] == "1,2,3,-1,-1,0"
+    assert out.splitlines()[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error,converged"
+    assert out.splitlines()[1] == "1,2,3,-1,-1,0,true"
 
 
 def test_emit_validation(tmp_path) -> None:
