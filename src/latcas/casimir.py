@@ -13,11 +13,23 @@ trigonometric polynomial of degree s/2 in kz and the uniform (s/2+1)-node
 rule integrates it exactly. For odd s it is a closed form in the complete
 elliptic integrals K and E, evaluated by the arithmetic-geometric mean.
 
-The transverse average splits the same way. For even s the integrand is of
-degree s/2 on every transverse axis too, so one uniform grid of s/2+1
-points per axis is exact: no refinement and no QuadratureConfig. Odd s
-double the grid and report the change between the last two levels. Both
-parities report at least a rounding floor of 16 ulps of the largest
+Every transverse integrand depends on the transverse momentum only through
+the kernel sum t = sum_i (2 - 2 cos k_i), so the integrands take t. The
+transverse average splits by parity as well. For even s the integrand is
+of degree s/2 on every transverse axis too, so one uniform grid of s/2+1
+points per axis is exact: no refinement and no QuadratureConfig. For odd s
+the zone average is the one-dimensional integral of F(t) against the
+lattice density of states, by tanh-sinh levels under QuadratureConfig with
+the change between the last two levels as the error:
+
+- d=1 has the single point t = 0;
+- d=2 averages kx over [0, pi] with t = 4 sin^2(kx/2);
+- d=3 uses the square-lattice density rho(t) = K(m) / (2 pi^2) on [0, 8],
+  sqrt(1-m) = |t-4|/4 (Economou, Green's Functions in Quantum Physics),
+  split at the van Hove point t = 4 so that its logarithm sits at the
+  interval ends, like the sqrt(t) cusp of the kz=0 mode at t = 0.
+
+Both parities report at least a rounding floor of 16 ulps of the largest
 integrated term, because the pointwise difference rounds at that size.
 """
 from __future__ import annotations
@@ -29,7 +41,7 @@ import numpy as np
 
 from .model import CasimirResult, DispersionSpec, Geometry, _kernel, _omega_inplace
 from .modes import BoundaryCondition, ModeSet, generate_modes
-from .quadrature import MultiQuadResult, QuadratureConfig, _exact_result, _grid_average, integrate_bz_multi
+from .quadrature import MultiQuadResult, QuadratureConfig, _exact_grid, _rows, _tanh_sinh
 
 __all__ = [
     "QuadratureNonConvergence",
@@ -45,7 +57,7 @@ _ROUNDING_ULPS = 16  # error floor, in ulps of the largest component
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Raised by operations that return a bare number when the grid refinement
+    """Raised by operations that return a bare number when the refinement
     did not meet tolerance. Carries the best value and its error estimate."""
 
     def __init__(self, message: str, value: float, error: float):
@@ -96,17 +108,8 @@ def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
     q = 4.0 / w
     qc = v / w  # 1 - q without cancellation near v = 0
     cusp = v == 0.0  # q = 1: K diverges, but (1-q) K -> 0 and E -> 1
-    a = np.ones_like(v)
-    b = np.sqrt(np.where(cusp, 1.0, qc))  # AGM(1, sqrt(1-q)); 1 is a finite stand-in at the cusp
-    tail = 0.5 * q  # sum_n 2^(n-1) c_n^2, with c_0^2 = q
-    scale = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        scale *= 2.0
-        tail += scale * (c * c)
-        if np.all(np.abs(c) <= _EPS * a):
-            break
+    # AGM(1, sqrt(1-q)), 1 a finite stand-in at the cusp; c_0^2 = q starts the tail
+    a, tail = _agm(np.sqrt(np.where(cusp, 1.0, qc)), 0.5 * q)
     k = (0.5 * math.pi) / a
     cur = np.where(cusp, 1.0, k * (1.0 - tail))  # I_p, starting at p = 1
     lo = qc * k  # (1-q) I_(p-2); exactly 0 at the cusp
@@ -115,26 +118,56 @@ def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
     return (2.0 / math.pi) * np.sqrt(w) * w ** (s // 2) * cur
 
 
+def _agm(b: np.ndarray, tail):
+    """Arithmetic-geometric mean a = M(1, b) elementwise, 0 <= b <= 1, so
+    K = (pi/2) / a with b = sqrt(1-m); tail comes back with
+    sum_(n>=1) 2^(n-1) c_n^2 added, which gives E = K (1 - tail) when it
+    starts at c_0^2 / 2 = m / 2 (Abramowitz & Stegun 17.6). The iteration
+    cap bounds NaN or inf input."""
+    a = np.ones_like(b)
+    scale = 0.5
+    for _ in range(_AGM_MAX_ITER):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        scale *= 2.0
+        tail = tail + scale * (c * c)
+        if np.all(np.abs(c) <= _EPS * a):
+            break
+    return a, tail
+
+
 def _node_kernels(m: int) -> np.ndarray:
     """Kernels 2 - 2 cos x at the m uniform nodes x = 2 pi j / m."""
     return _kernel(np.arange(m, dtype=float) * (2.0 * math.pi / m))
 
 
+def _square_lattice_dos(f, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """int_0^1 of this over x is int_0^8 f(t) rho(t) dt: t = 4x on [0, 4] and
+    t = 4 + 4x on [4, 8], where |t-4|/4 = sqrt(1-m) is xc and x, taken from
+    the complements and never from t, so no node rounds onto t = 4."""
+    vals = _rows(f(np.concatenate([4.0 * x, 4.0 + 4.0 * x])), 2 * x.size)
+    a, _ = _agm(np.concatenate([xc, x]), 0.0)
+    return (vals / (math.pi * a)[:, None]).reshape(2, x.size, -1).sum(axis=0)  # 4 rho = 1 / (pi a)
+
+
 def _transverse_average(spec: DispersionSpec, f, d: int, cfg: QuadratureConfig) -> MultiQuadResult:
-    """Transverse BZ average of the integrand f for the dispersion spec.
+    """Transverse BZ average of f(t), t the transverse kernel sum.
 
     Even s: one uniform grid of s/2+1 points per axis, exact for the
-    degree-s/2 trigonometric polynomial; cfg is not consulted. Odd s: grid
-    doubling under cfg, with the change between the last two levels as the
-    error. Either way the error is at least _ROUNDING_ULPS ulps of the
-    largest component, which for the Casimir integrand is at least |e0_int|,
-    the size of the terms that cancel pointwise.
+    degree-s/2 trigonometric polynomial; cfg is not consulted. Odd s:
+    tanh-sinh levels over the density of states of t under cfg, with the
+    change between the last two levels as the error. Either way the error
+    is at least _ROUNDING_ULPS ulps of the largest component, which for the
+    Casimir integrand is at least |e0_int|, the size of the terms that
+    cancel pointwise.
     """
-    if spec.s % 2:
-        r = integrate_bz_multi(f, d, cfg)
+    if spec.s % 2 == 0 or d == 1:  # d=1 is the single point t = 0
+        n = spec.s // 2 + 1 if spec.s % 2 == 0 else 1
+        r = _exact_grid(lambda k: f(_kernel(k).sum(axis=1)), d - 1, n)
+    elif d == 2:
+        r = _tanh_sinh(lambda x, xc: f(4.0 * np.sin(0.5 * math.pi * x) ** 2), cfg)
     else:
-        n = spec.s // 2 + 1
-        r = _exact_result(_grid_average(f, d - 1, n), 0.0, n)
+        r = _tanh_sinh(lambda x, xc: _square_lattice_dos(f, x, xc), cfg, width=2)
     floor = _ROUNDING_ULPS * _EPS * float(np.max(np.abs(r.values)))
     return replace(r, errors=np.fmax(r.errors, floor))  # fmax: a NaN floor keeps the inf error
 
@@ -168,8 +201,8 @@ def zero_point_sum(
     _check(spec, geom)
     modes = generate_modes(bc, geom.nz)
 
-    def f(pts: np.ndarray) -> np.ndarray:
-        return _mode_sum(spec, modes, _kernel(pts).sum(axis=1))
+    def f(t: np.ndarray) -> np.ndarray:
+        return _mode_sum(spec, modes, t)
 
     return _bare_value(spec, f, geom.d, cfg, "mode-sum")
 
@@ -187,8 +220,8 @@ def zero_point_int(
     """
     _check(spec, geom)
 
-    def f(pts: np.ndarray) -> np.ndarray:
-        return (0.5 * geom.nz) * _kz_average(spec, _kernel(pts).sum(axis=1))
+    def f(t: np.ndarray) -> np.ndarray:
+        return (0.5 * geom.nz) * _kz_average(spec, t)
 
     return _bare_value(spec, f, geom.d, cfg, "kz-average")
 
@@ -208,8 +241,7 @@ def casimir_energy(
     _check(spec, geom)
     modes = generate_modes(bc, geom.nz)
 
-    def f(pts: np.ndarray) -> np.ndarray:
-        t = _kernel(pts).sum(axis=1)
+    def f(t: np.ndarray) -> np.ndarray:
         mode_part = _mode_sum(spec, modes, t)
         int_part = (0.5 * geom.nz) * _kz_average(spec, t)
         return np.stack([mode_part - int_part, int_part], axis=1)

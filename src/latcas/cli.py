@@ -50,10 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_quadrature_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--base-points", type=int, default=64,
-                   help="grid points per axis at the first level (default 64)")
     p.add_argument("--max-refinements", type=int, default=6,
-                   help="number of grid doublings allowed (default 6)")
+                   help="tanh-sinh step halvings allowed for odd orders (default 6)")
     p.add_argument("--rel-tol", type=float, default=1e-10,
                    help="relative tolerance on the integral (default 1e-10)")
     p.add_argument("--abs-tol", type=float, default=1e-12,
@@ -66,7 +64,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    return QuadratureConfig(args.base_points, args.max_refinements, args.rel_tol, args.abs_tol)
+    return QuadratureConfig(max_refinements=args.max_refinements, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
 def _bc(args: argparse.Namespace) -> BoundaryCondition:

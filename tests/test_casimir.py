@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -17,11 +18,16 @@ from latcas import (
     QuadratureConfig,
     QuadratureNonConvergence,
     casimir_energy,
+    generate_modes,
+    integrate_bz_multi,
     remnant_partial_sums,
+    richardson_extrapolate,
     zero_point_int,
     zero_point_sum,
 )
-from latcas.casimir import _kz_average, _transverse_average
+from latcas.casimir import _kz_average, _mode_sum, _transverse_average
+from latcas.model import _kernel
+from latcas.quadrature import _MAX_POINTS
 
 import moment_oracle as mo
 
@@ -92,9 +98,9 @@ def test_even_orders_use_one_exact_grid(s: int, d: int) -> None:
     # s/2+1 points per axis, no refinement, whatever the config says
     seen = []
 
-    def f(pts: np.ndarray) -> np.ndarray:
-        seen.append(pts.shape[0])
-        return np.ones(pts.shape[0])
+    def f(t: np.ndarray) -> np.ndarray:
+        seen.append(t.size)
+        return np.ones(t.size)
 
     cfg = QuadratureConfig(base_points=4, max_refinements=0)
     r = _transverse_average(DispersionSpec(s), f, d, cfg)
@@ -284,30 +290,112 @@ def test_massive_slab_against_scipy_reference() -> None:
     assert r.e_cas == pytest.approx(want, abs=1e-8)
 
 
-def _dos_oracle(am: float, nz: int) -> mpmath.mpf:
-    """Periodic d=3 massive e_cas at 40 digits, as one integral of the
-    transverse integrand F(t) over the square-lattice density of states
-    rho(t) = K(m)/(2 pi^2), 1-m = (t-4)^2/16, of the kernel sum t. K comes
-    from the AGM because ellipk is inf at the van Hove point t=4."""
+def _dos_oracle(s: int, am: float, d: int, nz: int, bc: str) -> mpmath.mpf:
+    """e_cas at 40 digits, as one integral of the transverse integrand F(t)
+    of the kernel sum t. The kz average is (v+4)^(s/2) 2F1(-s/2, 1/2; 1; 4/(v+4)),
+    v = t + am^2. d=2 averages kx over [0, pi]; d=3 integrates over the
+    square-lattice density of states rho(t) = K(m)/(2 pi^2), 1-m = (t-4)^2/16,
+    with K from the AGM because ellipk is inf at the van Hove point t=4."""
     with mpmath.workdps(40):
         a2 = mpmath.mpf(am) ** 2
+        nu = mpmath.mpf(s) / 2
+        pi = mpmath.pi
+        if bc == "periodic":
+            modes = [(2 * pi * l / nz, 1) for l in range(nz)]
+        elif bc == "antiperiodic":
+            modes = [((2 * l + 1) * pi / nz, 1) for l in range(nz)]
+        else:
+            modes = [(l * pi / nz, mpmath.mpf(1) / 2) for l in range(1, 2 * nz + 1)]
 
         def integrand(t):
             v = t + a2
-            modes = mpmath.fsum(mpmath.sqrt(v + 2 - 2 * mpmath.cos(2 * mpmath.pi * l / nz)) for l in range(nz))
-            kz_avg = mpmath.sqrt(v + 4) * 2 / mpmath.pi * mpmath.ellipe(4 / (v + 4))
-            k = mpmath.pi / (2 * mpmath.agm(1, abs(t - 4) / 4))
-            return (modes - nz * kz_avg) / 2 * k / (2 * mpmath.pi**2)
+            mode_sum = mpmath.fsum(w * (v + 2 - 2 * mpmath.cos(k)) ** nu for k, w in modes)
+            kz_avg = (v + 4) ** nu * mpmath.hyp2f1(-nu, 0.5, 1, 4 / (v + 4))
+            return (mode_sum - nz * kz_avg) / 2
 
-        return mpmath.quad(integrand, [0, 4, 8])
+        if d == 2:
+            return mpmath.quad(lambda k: integrand(2 - 2 * mpmath.cos(k)), [0, pi]) / pi
+        k = lambda t: pi / (2 * mpmath.agm(1, abs(t - 4) / 4))
+        return mpmath.quad(lambda t: integrand(t) * k(t) / (2 * pi**2), [0, 4, 8])
 
 
-@pytest.mark.parametrize("am, nz", [(5.0, 8), (2.0, 16), (0.5, 8)])
-def test_odd_order_quad_error_bounds_the_dos_oracle_error(am: float, nz: int) -> None:
-    # the level change alone understates these errors 6-39 times; the rounding floor covers them
-    r = casimir_energy(DispersionSpec(1, am=am), Geometry(3, nz), PER, CFG)
+def _oracle_case_id(case) -> str:
+    s, am, d, nz, bc = case
+    return f"{am}-{nz}" if (s, d, bc) == (1, 3, "periodic") else f"{am}-{nz}-s{s}-d{d}-{bc}"
+
+
+_ORACLE_CASES = [
+    (1, 5.0, 3, 8, "periodic"),
+    (1, 2.0, 3, 16, "periodic"),
+    (1, 0.5, 3, 8, "periodic"),
+    (1, 0.0, 3, 8, "periodic"),
+    (1, 0.0, 3, 32, "periodic"),
+    (3, 0.0, 3, 4, "periodic"),
+    (1, 0.0, 3, 5, "antiperiodic"),
+    (1, 0.0, 3, 3, "phenomenological"),
+    (1, 0.0, 2, 8, "periodic"),
+    (3, 0.0, 2, 5, "phenomenological"),
+    (1, 0.5, 2, 6, "antiperiodic"),
+]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES, ids=_oracle_case_id)
+def test_odd_order_quad_error_bounds_the_dos_oracle_error(case) -> None:
+    # the massive cases understated their error 6-39 times under the old grid's
+    # level change alone; the rounding floor covers them
+    s, am, d, nz, bc = case
+    r = casimir_energy(DispersionSpec(s, am=am), Geometry(d, nz), _BC[bc], CFG)
     assert r.converged
-    assert abs(r.e_cas - _dos_oracle(am, nz)) <= r.quad_error
+    assert abs(r.e_cas - _dos_oracle(s, am, d, nz, bc)) <= r.quad_error
+
+
+def test_dos_average_matches_the_direct_grid() -> None:
+    # the same t-integrand on the uniform 2D zone grid, whose error falls as h^3
+    # at the sqrt(t) cusp of the kz=0 mode, extrapolated to h = 0
+    spec, nz = DispersionSpec(1), 4
+    modes = generate_modes(PER, nz)
+
+    def f(t: np.ndarray) -> np.ndarray:
+        return _mode_sum(spec, modes, t) - (0.5 * nz) * _kz_average(spec, t)
+
+    dos = _transverse_average(spec, f, 3, CFG)
+    assert dos.converged
+    grids = [
+        integrate_bz_multi(lambda pts: f(_kernel(pts).sum(axis=1)), 3, QuadratureConfig(n, 0)).values[0]
+        for n in (128, 256, 512)
+    ]
+    limit, order = richardson_extrapolate(grids)
+    assert order == pytest.approx(3.0, abs=0.05)
+    assert abs(grids[-1] - dos.values[0]) > 1e-9  # the finest grid alone is far off
+    assert abs(limit - dos.values[0]) <= 1e-10
+
+
+def test_point_budget_ends_in_nonconvergence() -> None:
+    # an unreachable tolerance with 60 halvings allowed stops at the budget
+    cfg = QuadratureConfig(max_refinements=60, rel_tol=1e-16, abs_tol=1e-300)
+    t0 = time.perf_counter()
+    r = casimir_energy(DispersionSpec(1), Geometry(3, 2), PER, cfg)
+    assert time.perf_counter() - t0 < 10.0
+    assert not r.converged and math.isfinite(r.e_cas) and r.quad_error > 0.0
+    seen = []
+
+    def f(t: np.ndarray) -> np.ndarray:
+        seen.append(t.size)
+        return np.sin(1e6 * t)  # tanh-sinh levels never agree on this
+
+    # the budget counts the values of t: one per node in d=2, two in d=3
+    for d, width in ((2, 1), (3, 2)):
+        seen.clear()
+        r = _transverse_average(DispersionSpec(1), f, d, cfg)
+        assert not r.converged
+        assert sum(seen) == width * r.points_per_axis <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
+
+
+def test_even_grid_past_the_point_budget_is_not_converged() -> None:
+    # 2^20 + 1 points per axis in d=2: refused before any point is evaluated
+    with np.errstate(all="ignore"):
+        r = casimir_energy(DispersionSpec(2 << 20), Geometry(2, 1), PER, CFG)
+    assert not r.converged and math.isnan(r.e_cas) and r.quad_error == math.inf
 
 
 def test_node_sum_blocking_is_bit_identical(monkeypatch) -> None:
@@ -384,9 +472,10 @@ def test_coeff_past_the_float_range_does_not_raise() -> None:
 )
 def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
     import latcas.casimir as casimir
+    from latcas.quadrature import _exact_result
 
     def fake(spec, f, d, cfg):
-        return casimir._exact_result(np.array([e_cas, 1.0]), 0.0, 1)
+        return _exact_result(np.array([e_cas, 1.0]), 1)
 
     monkeypatch.setattr(casimir, "_transverse_average", fake)
     r = casimir_energy(DispersionSpec(1100), Geometry(1, 2), PER, CFG)

@@ -148,6 +148,13 @@ def test_nonconvergence_exits_two(capsys) -> None:
     assert "converged  = no" in out
 
 
+def test_point_budget_exits_two(capsys) -> None:
+    argv = ["compute", "--s", "1", "--d", "3", "--nz", "2", "--max-refinements", "60",
+            "--rel-tol", "1e-16", "--abs-tol", "1e-300"]
+    assert run(argv) == 2
+    assert "converged  = no" in _grab(capsys)[0]
+
+
 def test_nonfinite_result_exits_two(capsys) -> None:
     # am is finite but am**2 overflows: the NaN result must not pass as converged
     with np.errstate(all="ignore"):

@@ -1,8 +1,8 @@
 """Property tests of casimir_energy over random orders, sizes and boundaries.
 
-Even orders run on one exact grid and take milliseconds; odd orders are
-drawn only where they stay cheap (d=1 has no transverse grid, d=2 runs a
-reduced refinement).
+Even orders run on one exact grid and odd orders on a few hundred
+tanh-sinh nodes, so every case takes milliseconds and both parities are
+drawn in every dimension.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcas import BoundaryCondition, DispersionSpec, Geometry, QuadratureConfig, casimir_energy
+from latcas import BoundaryCondition, DispersionSpec, Geometry, PhenOffset, QuadratureConfig, casimir_energy
 
 EPS = float(np.finfo(float).eps)
 FAST = QuadratureConfig(base_points=16, max_refinements=2)
@@ -23,10 +23,8 @@ EVEN_S = st.integers(0, 7).map(lambda h: 2 * h)
 
 @st.composite
 def cases(draw):
-    """(s, d) pairs: any even order in d=1..3, odd orders in d=1..2."""
-    if draw(st.booleans()):
-        return draw(EVEN_S), draw(st.integers(1, 3))
-    return draw(st.integers(0, 3).map(lambda h: 2 * h + 1)), draw(st.integers(1, 2))
+    """(s, d) pairs: any order up to 15 in d=1..3."""
+    return draw(st.integers(0, 15)), draw(st.integers(1, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -38,8 +36,11 @@ def test_energies_are_linear_in_degeneracy(case, nz, bc, g) -> None:
     # the integrand does not see g: the integrated fields scale exactly
     assert (many.e_cas, many.e0_int, many.quad_error) == (g * one.e_cas, g * one.e0_int, g * one.quad_error)
     assert many.converged == one.converged
-    # derived fields carry one more rounding each
-    assert many.e0_sum == pytest.approx(g * one.e0_sum, rel=2 * EPS, abs=0.0)
+    # e0_sum = e0_int + e_cas rounds once more on each side; the parts can
+    # cancel (s=7, d=2, nz=1: e0_int = 137, e_cas = -118), so the bound is
+    # relative to the parts, not to e0_sum
+    assert abs(many.e0_sum - g * one.e0_sum) <= 2 * EPS * (abs(many.e0_int) + abs(many.e_cas))
+    # coeff carries one more rounding
     assert many.coeff == pytest.approx(g * one.coeff, rel=2 * EPS, abs=0.0)
 
 
@@ -68,3 +69,15 @@ def test_repeated_calls_are_bit_identical(case, nz, bc) -> None:
     first = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc, FAST)
     again = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc, FAST)
     assert repr(first) == repr(again)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.integers(1, 16), st.sampled_from(list(PhenOffset)))
+def test_phenomenological_is_half_the_doubled_periodic_slab(case, nz, offset) -> None:
+    # the 2nz half-weight modes l pi / nz are the periodic modes of a slab of 2nz;
+    # high odd orders may miss abs_tol (rounding of |e0_int| passes it), so the
+    # check is against the reported errors, converged or not
+    s, d = case
+    phen = casimir_energy(DispersionSpec(s), Geometry(d, nz), BoundaryCondition.phenomenological(offset))
+    per = casimir_energy(DispersionSpec(s), Geometry(d, 2 * nz), BoundaryCondition.periodic())
+    assert abs(phen.e_cas - 0.5 * per.e_cas) <= phen.quad_error + 0.5 * per.quad_error

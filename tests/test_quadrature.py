@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latcas import QuadratureConfig, integrate_bz_multi, richardson_extrapolate
+from latcas.quadrature import _MAX_POINTS
 
 from moment_oracle import kernel_moment
 
@@ -117,6 +118,33 @@ def test_nonconvergence_is_a_soft_outcome() -> None:
     assert r.values[0] == pytest.approx(2.0 / math.pi, rel=1e-2)
     assert r.errors[0] > 0.0
     assert r.points_per_axis == 32
+
+
+def test_grid_levels_stop_at_the_point_budget() -> None:
+    # unreachable tolerance, 60 doublings allowed: the budget ends the refinement
+    seen = []
+
+    def f(pts: np.ndarray) -> np.ndarray:
+        seen.append(pts.shape[0])
+        return np.abs(np.sin(pts[:, 0] / 2.0)) * np.abs(np.sin(pts[:, 1] / 2.0))
+
+    cfg = QuadratureConfig(base_points=8, max_refinements=60, rel_tol=1e-16, abs_tol=1e-300)
+    r = integrate_bz_multi(f, d=3, cfg=cfg)
+    assert not r.converged and math.isfinite(r.values[0]) and r.errors[0] > 0.0
+    assert sum(seen) <= _MAX_POINTS < sum(seen) + (2 * r.points_per_axis) ** 2
+
+
+def test_base_grid_past_the_point_budget_is_not_converged() -> None:
+    seen = []
+
+    def f(pts: np.ndarray) -> np.ndarray:
+        seen.append(pts.shape[0])
+        return np.stack([np.ones(pts.shape[0])] * 2, axis=1)
+
+    r = integrate_bz_multi(f, d=3, cfg=QuadratureConfig(base_points=2048))
+    assert not r.converged and r.points_per_axis == 0
+    assert np.isnan(r.values).all() and r.values.shape == (2,) and np.isinf(r.errors).all()
+    assert seen == [0]  # only the empty call that counts the components
 
 
 def test_zero_refinements_reports_unverified() -> None:
