@@ -30,7 +30,21 @@ the change between the last two levels as the error:
   interval ends, like the sqrt(t) cusp of the kz=0 mode at t = 0.
 
 Both parities report at least a rounding floor of 16 ulps of the largest
-integrated term, because the pointwise difference rounds at that size.
+integrated term, because the pointwise difference rounds at that size, and
+level changes within that floor count as converged.
+
+Each value of t costs the mode sum and the kz average: the thickness's
+modes plus s/2+1 kz nodes (one closed form for odd s) in dispersion
+evaluations. The point budget of quadrature charges that cost, and a
+thickness whose first level would pass it is refused before its modes are
+generated. One kernel, _casimir_rows, computes a list of thicknesses, and
+casimir_energy is its one-thickness case. The odd-order levels do not
+depend on nz, so the thicknesses of one call share them: each level's
+nodes, weights, values of t, density-of-states scale and kz average are
+built once, when the first thickness needs the level. The table lives for
+that call only. Every thickness still takes its own mode sum, pointwise
+difference, budget and convergence test, so a sweep row is bit for bit
+the casimir_energy result of its thickness.
 """
 from __future__ import annotations
 
@@ -40,8 +54,20 @@ from dataclasses import replace
 import numpy as np
 
 from .model import CasimirResult, DispersionSpec, Geometry, _kernel, _omega_inplace
-from .modes import BoundaryCondition, ModeSet, generate_modes
-from .quadrature import MultiQuadResult, QuadratureConfig, _exact_grid, _rows, _tanh_sinh
+from .modes import BoundaryCondition, ModeSet, generate_modes, _mode_count
+from .quadrature import (
+    _EPS,
+    _MAX_POINTS,
+    MultiQuadResult,
+    QuadratureConfig,
+    _exact_grid,
+    _rounding_floor,
+    _rows,
+    _tanh_sinh,
+    _tanh_sinh_nodes,
+    _tanh_sinh_size,
+    _unreached,
+)
 
 __all__ = [
     "QuadratureNonConvergence",
@@ -52,8 +78,6 @@ __all__ = [
 
 _MAT_BUDGET = 1 << 24  # elements per temporary (rows of t, nodes) block
 _AGM_MAX_ITER = 64  # convergence is quadratic; the cap bounds NaN or inf input
-_EPS = float(np.finfo(float).eps)
-_ROUNDING_ULPS = 16  # error floor, in ulps of the largest component
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -141,35 +165,53 @@ def _node_kernels(m: int) -> np.ndarray:
     return _kernel(np.arange(m, dtype=float) * (2.0 * math.pi / m))
 
 
-def _square_lattice_dos(f, x: np.ndarray, xc: np.ndarray) -> np.ndarray:
-    """int_0^1 of this over x is int_0^8 f(t) rho(t) dt: t = 4x on [0, 4] and
-    t = 4 + 4x on [4, 8], where |t-4|/4 = sqrt(1-m) is xc and x, taken from
-    the complements and never from t, so no node rounds onto t = 4."""
-    vals = _rows(f(np.concatenate([4.0 * x, 4.0 + 4.0 * x])), 2 * x.size)
+def _dos_level(d: int, level: int) -> tuple:
+    """Tanh-sinh level `level` of the density-of-states integral in d = 2, 3:
+    (w, t, scale), the weights of the nodes the level adds, the values of t
+    at them, and the scale that divides each value (None in d=2).
+
+    d=2: t = 4 sin^2(pi x / 2), the kx average over [0, pi]. d=3: t = 4x on
+    [0, 4] and t = 4 + 4x on [4, 8], two values per node, where |t-4|/4 =
+    sqrt(1-m) is xc and x, taken from the complements and never from t, so
+    no node rounds onto t = 4; scale = pi M(1, sqrt(1-m)) = 1 / (4 rho).
+    """
+    x, xc, w = _tanh_sinh_nodes(level)
+    if d == 2:
+        return w, 4.0 * np.sin(0.5 * math.pi * x) ** 2, None
     a, _ = _agm(np.concatenate([xc, x]), 0.0)
-    return (vals / (math.pi * a)[:, None]).reshape(2, x.size, -1).sum(axis=0)  # 4 rho = 1 / (pi a)
+    return w, np.concatenate([4.0 * x, 4.0 + 4.0 * x]), math.pi * a
 
 
-def _transverse_average(spec: DispersionSpec, f, d: int, cfg: QuadratureConfig) -> MultiQuadResult:
+def _transverse_average(
+    spec: DispersionSpec, f, d: int, cfg: QuadratureConfig, cost: int = 1, levels=None
+) -> MultiQuadResult:
     """Transverse BZ average of f(t), t the transverse kernel sum.
 
     Even s: one uniform grid of s/2+1 points per axis, exact for the
     degree-s/2 trigonometric polynomial; cfg is not consulted. Odd s:
     tanh-sinh levels over the density of states of t under cfg, with the
-    change between the last two levels as the error. Either way the error
-    is at least _ROUNDING_ULPS ulps of the largest component, which for the
-    Casimir integrand is at least |e0_int|, the size of the terms that
-    cancel pointwise.
+    change between the last two levels as the error, each value of t
+    charged cost points against the budget. levels(j) gives level j as
+    _dos_level does, possibly with extra per-t arrays that f takes after t;
+    by default it is _dos_level itself. Either way the error is at least the
+    rounding floor of the largest component, which for the Casimir integrand
+    is at least |e0_int|, the size of the terms that cancel pointwise.
     """
     if spec.s % 2 == 0 or d == 1:  # d=1 is the single point t = 0
         n = spec.s // 2 + 1 if spec.s % 2 == 0 else 1
         r = _exact_grid(lambda k: f(_kernel(k).sum(axis=1)), d - 1, n)
-    elif d == 2:
-        r = _tanh_sinh(lambda x, xc: f(4.0 * np.sin(0.5 * math.pi * x) ** 2), cfg)
     else:
-        r = _tanh_sinh(lambda x, xc: _square_lattice_dos(f, x, xc), cfg, width=2)
-    floor = _ROUNDING_ULPS * _EPS * float(np.max(np.abs(r.values)))
-    return replace(r, errors=np.fmax(r.errors, floor))  # fmax: a NaN floor keeps the inf error
+
+        def at(j: int) -> tuple:
+            w, t, scale, *extra = levels(j) if levels else _dos_level(d, j)
+            vals = _rows(f(t, *extra), t.size)
+            if scale is not None:  # d=3: fold the two values of t of each node
+                vals = (vals / scale[:, None]).reshape(2, w.size, -1).sum(axis=0)
+            return w, vals
+
+        r = _tanh_sinh(at, cfg, width=d - 1, cost=cost)  # one value of t per node in d=2, two in d=3
+    # fmax: a NaN floor keeps the inf error
+    return replace(r, errors=np.fmax(r.errors, _rounding_floor(r.values)))
 
 
 def _bare_value(spec: DispersionSpec, f, d: int, cfg: QuadratureConfig, what: str) -> float:
@@ -226,6 +268,64 @@ def zero_point_int(
     return _bare_value(spec, f, geom.d, cfg, "kz-average")
 
 
+def _first_level_fits(spec: DispersionSpec, d: int, cost: int) -> bool:
+    """Whether the first level of the transverse rule stays within the point
+    budget at cost dispersion evaluations per value of t."""
+    if spec.s % 2 == 0 or d == 1:
+        first = (spec.s // 2 + 1 if spec.s % 2 == 0 else 1) ** (d - 1)
+    else:
+        first = (d - 1) * _tanh_sinh_size(0)
+    return first * cost <= _MAX_POINTS
+
+
+def _casimir_rows(
+    spec: DispersionSpec, d: int, bc: BoundaryCondition, nzs, cfg: QuadratureConfig
+) -> list[CasimirResult]:
+    """Casimir energies at the thicknesses nzs, one CasimirResult each; odd
+    orders in d >= 2 share one table of tanh-sinh levels (module docstring)."""
+    table: list[tuple] = []
+
+    def shared(j: int) -> tuple:
+        if j == len(table):  # thicknesses ask for levels in order
+            w, t, scale = _dos_level(d, j)
+            table.append((w, t, scale, _kz_average(spec, t)))
+        return table[j]
+
+    kz_nodes = spec.s // 2 + 1 if spec.s % 2 == 0 else 1
+    rows = []
+    for nz in nzs:
+        cost = _mode_count(bc, nz) + kz_nodes
+        if not _first_level_fits(spec, d, cost):
+            rows.append(_row(spec, d, nz, _unreached(np.empty((0, 2)))))
+            continue
+        modes = generate_modes(bc, nz)
+
+        def f(t: np.ndarray, kz: np.ndarray) -> np.ndarray:
+            mode_part = _mode_sum(spec, modes, t)
+            int_part = (0.5 * nz) * kz
+            return np.stack([mode_part - int_part, int_part], axis=1)
+
+        if spec.s % 2 == 0 or d == 1:
+            r = _transverse_average(spec, lambda t: f(t, _kz_average(spec, t)), d, cfg)
+        else:
+            r = _transverse_average(spec, f, d, cfg, cost, shared)
+        rows.append(_row(spec, d, nz, r))
+    return rows
+
+
+def _row(spec: DispersionSpec, d: int, nz: int, r: MultiQuadResult) -> CasimirResult:
+    """The CasimirResult of thickness nz from the average of (e_cas, e0_int) / g."""
+    e_cas = spec.g * float(r.values[0])
+    e0_int = spec.g * float(r.values[1])
+    alpha = (d - 1) + spec.s
+    try:
+        coeff = float(nz**alpha) * e_cas
+    except OverflowError:  # nz**alpha passes the float range
+        coeff = math.inf * e_cas if e_cas else 0.0
+    quad_error = spec.g * float(r.errors[0])
+    return CasimirResult(nz, e0_int + e_cas, e0_int, e_cas, coeff, quad_error, r.converged)
+
+
 def casimir_energy(
     spec: DispersionSpec,
     geom: Geometry,
@@ -239,22 +339,4 @@ def casimir_energy(
     is raised, the caller decides.
     """
     _check(spec, geom)
-    modes = generate_modes(bc, geom.nz)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        mode_part = _mode_sum(spec, modes, t)
-        int_part = (0.5 * geom.nz) * _kz_average(spec, t)
-        return np.stack([mode_part - int_part, int_part], axis=1)
-
-    r = _transverse_average(spec, f, geom.d, cfg)
-    e_cas = spec.g * float(r.values[0])
-    e0_int = spec.g * float(r.values[1])
-    e0_sum = e0_int + e_cas
-    alpha = (geom.d - 1) + spec.s
-    try:
-        coeff = float(geom.nz**alpha) * e_cas
-    except OverflowError:  # nz**alpha passes the float range
-        coeff = math.inf * e_cas if e_cas else 0.0
-    quad_error = spec.g * float(r.errors[0])
-    return CasimirResult(geom.nz, e0_sum, e0_int, e_cas, coeff, quad_error, r.converged)
-
+    return _casimir_rows(spec, geom.d, bc, [geom.nz], cfg)[0]

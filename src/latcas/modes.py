@@ -68,6 +68,11 @@ def _wrap(x: float) -> float:
     return r + _TWO_PI if r < 0 else r
 
 
+def _mode_count(bc: BoundaryCondition, nz: int) -> int:
+    """Number of modes generate_modes(bc, nz) gives, without generating them."""
+    return 2 * nz if bc.kind is BoundaryKind.PHENOMENOLOGICAL else nz
+
+
 def generate_modes(bc: BoundaryCondition, nz: int) -> ModeSet:
     """Mode set for a slab of thickness nz.
 

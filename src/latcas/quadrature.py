@@ -3,13 +3,18 @@
 MultiQuadResult is the one result type: a scalar integrand is a
 one-component result, and every component shares one verdict. Two refined
 rules feed it through one convergence loop, which stops when successive
-levels agree to tolerance and reports their difference as the error:
+levels agree to tolerance, or to the rounding floor of _ROUNDING_ULPS ulps
+of the largest component, and reports their difference as the error:
 
 - _tanh_sinh integrates over (0, 1) by the double-exponential rule
   (Takahasi & Mori, Publ. RIMS 9, 1974), halving the step each level and
   evaluating only the new nodes. It converges exponentially even with
   algebraic or logarithmic singularities at the endpoints, which is where
-  the transverse density of states puts all of them (see casimir).
+  the transverse density of states puts all of them (see casimir). The
+  rule is split in two: _tanh_sinh_nodes gives a level's nodes and
+  weights, and _tanh_sinh takes the integrand level by level, so a caller
+  that integrates several functions over the same nodes can build each
+  level once.
 - integrate_bz_multi averages over the uniform periodic grid of the
   transverse Brillouin zone, (1/2pi)^n int_[0,2pi)^n f, doubling the grid
   each level. On a periodic domain the uniform n-point rule is exact for
@@ -22,9 +27,11 @@ levels agree to tolerance and reports their difference as the error:
 _exact_grid takes one grid average as exact, for integrands that a finite
 grid integrates exactly (even dispersion orders, see casimir).
 
-Every call hands its integrand at most _MAX_POINTS points in total: a level
-that would pass the budget does not run, and the result is then not
-converged. Non-finite values never count as converged.
+Every call hands its integrand at most _MAX_POINTS points in total, each
+point counted cost times where the integrand does cost units of work per
+point (_tanh_sinh): a level that would pass the budget does not run, and
+the result is then not converged. Non-finite values never count as
+converged.
 """
 from __future__ import annotations
 
@@ -48,6 +55,8 @@ _TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 18  # grid points evaluated per batch
 _MAX_POINTS = 1 << 20  # points one call may hand its integrand, all levels together
 _TS_REACH = 3.5  # tanh-sinh nodes at |u| <= _TS_REACH; the weights beyond are below 1e-20
+_EPS = float(np.finfo(float).eps)
+_ROUNDING_ULPS = 16  # error floor, in ulps of the largest component
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,8 @@ class QuadratureConfig:
     max_refinements caps the number of refinements after the first level:
     step halvings of the tanh-sinh rule that casimir uses for odd orders,
     or grid doublings of integrate_bz_multi. rel_tol and abs_tol set the
-    agreement that two successive levels need. base_points is the first
+    agreement that two successive levels need; a change within the rounding
+    floor of the values always passes. base_points is the first
     grid of integrate_bz_multi and feeds nothing else.
     """
 
@@ -151,6 +161,12 @@ def _exact_grid(f: Callable[[np.ndarray], np.ndarray], ndim: int, n: int) -> Mul
     return _exact_result(_grid_average(f, ndim, n), n)
 
 
+def _rounding_floor(values: np.ndarray) -> float:
+    """_ROUNDING_ULPS ulps of the largest component: the accuracy that values
+    summed or differenced at that size can have; NaN for a NaN value."""
+    return _ROUNDING_ULPS * _EPS * float(np.max(np.abs(values)))
+
+
 def _converge(levels: Iterator[tuple[np.ndarray, int]], cfg: QuadratureConfig) -> MultiQuadResult:
     """Take (values, points_per_axis) from levels until two successive levels
     agree within tolerance, for at most cfg.max_refinements refinements.
@@ -160,8 +176,8 @@ def _converge(levels: Iterator[tuple[np.ndarray, int]], cfg: QuadratureConfig) -
     cur, delta = prev, np.full_like(prev, math.inf)  # unverified without a refinement
     for _, (cur, n) in zip(range(cfg.max_refinements), levels):
         delta = np.abs(cur - prev)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur))
-        if np.all(delta <= tol):  # False for any NaN
+        tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur)), _rounding_floor(cur))
+        if np.all(delta <= tol) and np.all(np.isfinite(cur)):  # an inf value makes tol inf
             return MultiQuadResult(cur, delta, True, n)
         prev = cur
     return MultiQuadResult(cur, np.where(np.isfinite(cur), delta, math.inf), False, n)
@@ -184,44 +200,57 @@ def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureCon
     return _converge(_grid_levels(f, ndim, cfg.base_points), cfg)
 
 
-def _tanh_sinh_levels(f, width: int) -> Iterator[tuple[np.ndarray, int]]:
-    """Nested tanh-sinh estimates of int_0^1 f and their node counts, within
-    _MAX_POINTS points, where each node costs width points.
+def _tanh_sinh_size(level: int) -> int:
+    """Number of nodes that tanh-sinh level `level` adds (see _tanh_sinh_nodes)."""
+    top = int(_TS_REACH * 2**level)
+    return 2 * top + 1 if level == 0 else 2 * ((top + 1) // 2)
+
+
+def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes that tanh-sinh level `level` on (0, 1) adds: x, their
+    complements xc = 1 - x and their weights w.
 
     Node u = k h maps to x = (1 + tanh(pi/2 sinh u)) / 2 with weight
     dx/du = pi cosh(u) x (1 - x). Both distances to the endpoints, lo = 1 - x
     and hi = x for u >= 0 (mirrored for -u), come from e = exp(-pi sinh u)
-    without cancellation, and f(x, xc) receives each node with its
-    complement xc = 1 - x, so no node rounds onto an endpoint. Level j has
-    step h = 2^-j and evaluates only the odd multiples of it.
+    without cancellation, so no node rounds onto an endpoint. Level j has
+    step h = 2^-j and adds the odd multiples of it, out to |u| <= _TS_REACH.
+    """
+    h = math.ldexp(1.0, -level)
+    top = int(_TS_REACH / h)
+    u = (np.arange(0, top + 1) if level == 0 else np.arange(1, top + 1, 2)) * h
+    e = np.exp(-math.pi * np.sinh(u))
+    lo, hi = e / (1.0 + e), 1.0 / (1.0 + e)
+    w = math.pi * np.cosh(u) * lo * hi
+    side = u > 0  # u = 0 is one node
+    return np.concatenate([hi, lo[side]]), np.concatenate([lo, hi[side]]), np.concatenate([w, w[side]])
+
+
+def _tanh_sinh_levels(at: Callable[[int], tuple], width: int, cost: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Nested tanh-sinh estimates of int_0^1 f and their node counts, within
+    _MAX_POINTS points, where each node costs width * cost points.
+
+    at(level) returns (w, values): the weights of _tanh_sinh_nodes(level)
+    and f at its nodes, one value or row per node. It is called only for
+    levels that fit the budget.
     """
     nodes, total = 0, None
     for level in itertools.count():
-        h = math.ldexp(1.0, -level)
-        ks = range(0, int(_TS_REACH / h) + 1) if level == 0 else range(1, int(_TS_REACH / h) + 1, 2)
-        new = 2 * len(ks) - (ks[0] == 0)  # u = 0 is one node
-        if (nodes + new) * width > _MAX_POINTS:
+        new = _tanh_sinh_size(level)
+        if (nodes + new) * width * cost > _MAX_POINTS:
             return
         nodes += new
-        u = np.arange(ks.start, ks.stop, ks.step) * h
-        e = np.exp(-math.pi * np.sinh(u))
-        lo, hi = e / (1.0 + e), 1.0 / (1.0 + e)
-        w = math.pi * np.cosh(u) * lo * hi
-        side = u > 0
-        x, xc = np.concatenate([hi, lo[side]]), np.concatenate([lo, hi[side]])
-        part = h * (np.concatenate([w, w[side]]) @ _rows(f(x, xc), x.size))
+        w, vals = at(level)
+        part = math.ldexp(1.0, -level) * (w @ _rows(vals, w.size))
         total = part if total is None else 0.5 * total + part
         yield total, nodes
 
 
-def _tanh_sinh(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], cfg: QuadratureConfig, width: int = 1
-) -> MultiQuadResult:
-    """int_0^1 f(x) dx by tanh-sinh levels under cfg; f(x, xc) takes the
-    nodes and their complements 1 - x and returns one value or row per node.
-    width is the number of points f evaluates per node, which the budget
-    counts."""
-    return _converge(_tanh_sinh_levels(f, width), cfg)
+def _tanh_sinh(at: Callable[[int], tuple], cfg: QuadratureConfig, width: int = 1, cost: int = 1) -> MultiQuadResult:
+    """int_0^1 f(x) dx by tanh-sinh levels under cfg, f given level by level
+    through at (see _tanh_sinh_levels). width is the number of points f
+    evaluates per node and cost the work per point, which the budget counts."""
+    return _converge(_tanh_sinh_levels(at, width, cost), cfg)
 
 
 def integrate_bz_multi(

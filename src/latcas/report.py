@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .casimir import _kz_average, casimir_energy
+from .casimir import _casimir_rows, _check, _kz_average
 from .model import CasimirResult, DispersionSpec, Geometry, _kernel, eval_from_kernel_sum
 from .modes import BoundaryCondition, generate_modes
 from .quadrature import QuadratureConfig
@@ -69,15 +69,20 @@ def sweep(
 ) -> list[CasimirResult]:
     """One Casimir evaluation per thickness; rows keep ascending unique nz.
 
-    A non-converged row is recorded like any other (its quad_error and
-    converged flag tell the story) and the sweep continues.
+    Each row is the casimir_energy result of its thickness, bit for bit. For
+    odd orders the thicknesses share each tanh-sinh level's nodes, values of
+    t, density of states and kz average, which do not depend on nz, so
+    those are computed once per sweep. A non-converged row is recorded like
+    any other (its quad_error and converged flag tell the story) and the
+    sweep continues.
     """
     nzs = [int(nz) for nz in nz_range]
     if not nzs:
         raise ValueError("nz_range must be nonempty")
     if sorted(set(nzs)) != nzs:
         raise ValueError("nz_range must be strictly ascending")
-    return [casimir_energy(spec, Geometry(d, nz), bc, cfg) for nz in nzs]
+    _check(spec, Geometry(d, nzs[0]))  # the smallest nz; the others are larger
+    return _casimir_rows(spec, d, bc, nzs, cfg)
 
 
 def rectangle_decomposition(

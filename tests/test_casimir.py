@@ -371,10 +371,11 @@ def test_dos_average_matches_the_direct_grid() -> None:
 
 
 def test_point_budget_ends_in_nonconvergence() -> None:
-    # an unreachable tolerance with 60 halvings allowed stops at the budget
+    # 60 halvings allowed, but each value of t costs nz + 1 dispersion
+    # evaluations, so at nz = 20000 the budget admits two levels, which differ
     cfg = QuadratureConfig(max_refinements=60, rel_tol=1e-16, abs_tol=1e-300)
     t0 = time.perf_counter()
-    r = casimir_energy(DispersionSpec(1), Geometry(3, 2), PER, cfg)
+    r = casimir_energy(DispersionSpec(1), Geometry(3, 20000), PER, cfg)
     assert time.perf_counter() - t0 < 10.0
     assert not r.converged and math.isfinite(r.e_cas) and r.quad_error > 0.0
     seen = []
@@ -389,6 +390,44 @@ def test_point_budget_ends_in_nonconvergence() -> None:
         r = _transverse_average(DispersionSpec(1), f, d, cfg)
         assert not r.converged
         assert sum(seen) == width * r.points_per_axis <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
+
+
+def test_levels_that_agree_at_the_rounding_floor_converge() -> None:
+    # the e_cas level changes are rounding noise below 16 ulps of |e0_int|,
+    # so the convergence test accepts them at that floor, which is the error
+    eps = np.finfo(float).eps
+    tight = QuadratureConfig(max_refinements=60, rel_tol=1e-16, abs_tol=1e-300)
+    for spec, geom, cfg in (
+        (DispersionSpec(9), Geometry(3, 14), CFG),
+        (DispersionSpec(9), Geometry(2, 14), CFG),
+        (DispersionSpec(1), Geometry(3, 2), tight),
+    ):
+        r = casimir_energy(spec, geom, PER, cfg)
+        assert r.converged, (spec, geom)
+        assert r.quad_error == 16 * eps * abs(r.e0_int), (spec, geom)
+
+
+@pytest.mark.parametrize(
+    "spec, geom", [(DispersionSpec(2 * 10**5), Geometry(2, 1)), (DispersionSpec(1), Geometry(3, 10**9))]
+)
+def test_work_per_point_is_charged_to_the_budget(monkeypatch, spec, geom) -> None:
+    # s/2 + 1 kz nodes or nz modes per value of t pass the budget on the first
+    # level: refused before any mode is generated or any point evaluated
+    import tracemalloc
+
+    import latcas.casimir as casimir
+
+    monkeypatch.setattr(casimir, "generate_modes", lambda *a: pytest.fail("modes generated"))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with np.errstate(all="ignore"):
+            r = casimir_energy(spec, geom, PER, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0 and peak < 1 << 20
+    assert not r.converged and math.isnan(r.e_cas) and r.quad_error == math.inf
 
 
 def test_even_grid_past_the_point_budget_is_not_converged() -> None:

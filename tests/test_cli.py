@@ -149,9 +149,18 @@ def test_nonconvergence_exits_two(capsys) -> None:
 
 
 def test_point_budget_exits_two(capsys) -> None:
-    argv = ["compute", "--s", "1", "--d", "3", "--nz", "2", "--max-refinements", "60",
+    # nz + 1 dispersion evaluations per value of t: the budget admits two levels
+    argv = ["compute", "--s", "1", "--d", "3", "--nz", "20000", "--max-refinements", "60",
             "--rel-tol", "1e-16", "--abs-tol", "1e-300"]
     assert run(argv) == 2
+    assert "converged  = no" in _grab(capsys)[0]
+
+
+@pytest.mark.parametrize("argv", [["--s", "200000", "--d", "2", "--nz", "1"],
+                                  ["--s", "1", "--d", "3", "--nz", "1000000000"]])
+def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
+    with np.errstate(all="ignore"):
+        assert run(["compute", *argv]) == 2
     assert "converged  = no" in _grab(capsys)[0]
 
 

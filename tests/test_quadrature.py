@@ -91,6 +91,12 @@ def test_nonfinite_integrand_is_not_converged() -> None:
     for d in (1, 2):
         r = integrate_bz_multi(lambda k: np.full(k.shape[0], math.nan), d=d, cfg=CFG)
         assert not r.converged and math.isinf(r.errors[0]), d
+    # a pole on a node of the second grid only: the value turns inf, and an
+    # inf value must not pass as agreement with the finite first level
+    pole = 2.0 * math.pi / 128
+    with np.errstate(all="ignore"):
+        r = integrate_bz_multi(lambda k: 1.0 / np.abs(np.sin(k[:, 0] - pole)), 2, QuadratureConfig(64, 2))
+    assert math.isinf(r.values[0]) and not r.converged and math.isinf(r.errors[0])
 
 
 def test_one_level_exact_for_subresolution_harmonics() -> None:

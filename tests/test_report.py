@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -26,9 +27,41 @@ CFG = QuadratureConfig()
 
 
 def test_sweep_rows_are_the_casimir_results() -> None:
+    # bit for bit (repr, so NaN and signed zeros count too), although the
+    # odd-order thicknesses share their tanh-sinh levels
     assert SweepRow is CasimirResult
-    rows = sweep(DispersionSpec(4), 3, PER, [1, 3], CFG)
-    assert rows == [casimir_energy(DispersionSpec(4), Geometry(3, nz), PER, CFG) for nz in (1, 3)]
+    nzs = [1, 2, 3, 5, 8]
+    specs = (DispersionSpec(4), DispersionSpec(1), DispersionSpec(1, am=2.0), DispersionSpec(3))
+    bcs = (PER, BoundaryCondition.antiperiodic(), BoundaryCondition.phenomenological())
+    for spec, d, bc in itertools.product(specs, (2, 3), bcs):
+        rows = sweep(spec, d, bc, nzs, CFG)
+        alone = [casimir_energy(spec, Geometry(d, nz), bc, CFG) for nz in nzs]
+        assert repr(rows) == repr(alone), (spec, d, bc)
+
+
+def test_odd_sweep_takes_one_kz_average_per_level(monkeypatch) -> None:
+    # the kz average does not depend on nz: one call per tanh-sinh level that
+    # the deepest thickness visits, however many thicknesses read it
+    import latcas.casimir as casimir
+
+    calls = []
+    kz_average = casimir._kz_average
+
+    def counted(spec, t):
+        calls.append(t.size)
+        return kz_average(spec, t)
+
+    monkeypatch.setattr(casimir, "_kz_average", counted)
+    alone = []
+    for nz in range(1, 13):
+        calls.clear()
+        casimir_energy(DispersionSpec(1), Geometry(3, nz), PER, CFG)
+        alone.append(len(calls))
+    calls.clear()
+    rows = sweep(DispersionSpec(1), 3, PER, range(1, 13), CFG)
+    assert all(r.converged for r in rows)
+    assert len(calls) == max(alone) < sum(alone)
+    assert len(set(calls)) == len(calls)  # each level once
 
 
 def test_sweep_quadratic_column() -> None:
