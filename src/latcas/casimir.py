@@ -33,23 +33,38 @@ Both parities report at least a rounding floor of 16 ulps of the largest
 integrated term, because the pointwise difference rounds at that size, and
 level changes within that floor count as converged.
 
+Even orders vanish by structure past the support (the aliasing identity):
+every mode family is a uniform rule in kz, the antiperiodic one shifted,
+and a uniform rule of more than s/2 nodes integrates the degree-s/2
+trigonometric polynomial exactly. So once a thickness has more than s/2
+modes (nz > s/2 periodic or antiperiodic, 2nz > s/2 phenomenological) its
+mode sum is the continuum term at every transverse point. Such a row is
+answered without modes: e_cas, coeff and quad_error are exactly 0.0, as
+there is no cancellation, and e0_sum = e0_int = g (nz/2) A, where A is the
+transverse average of the kz average, one exact grid shared by all such
+rows of a call.
+
 Each value of t costs the mode sum and the kz average: the thickness's
 modes plus s/2+1 kz nodes (one closed form for odd s) in dispersion
-evaluations. The point budget of quadrature charges that cost, and a
-thickness whose first level would pass it is refused before its modes are
-generated. One kernel, _casimir_rows, computes a list of thicknesses, and
+evaluations; the shared grid of A costs the kz nodes alone. The point
+budget of quadrature charges that cost, zero_point_sum and zero_point_int
+included, and work whose first level would pass it is refused before any
+mode is generated.
+
+One kernel, _casimir_rows, computes a list of thicknesses, and
 casimir_energy is its one-thickness case. The odd-order levels do not
 depend on nz, so the thicknesses of one call share them: each level's
 nodes, weights, values of t, density-of-states scale and kz average are
-built once, when the first thickness needs the level. The table lives for
-that call only. Every thickness still takes its own mode sum, pointwise
-difference, budget and convergence test, so a sweep row is bit for bit
-the casimir_energy result of its thickness.
+built once, when the first thickness needs the level. The table, like A,
+lives for that call only. Every other thickness still takes its own mode
+sum, pointwise difference, budget and convergence test, so a sweep row is
+bit for bit the casimir_energy result of its thickness.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +76,7 @@ from .quadrature import (
     MultiQuadResult,
     QuadratureConfig,
     _exact_grid,
+    _exact_result,
     _rounding_floor,
     _rows,
     _tanh_sinh,
@@ -214,10 +230,15 @@ def _transverse_average(
     return replace(r, errors=np.fmax(r.errors, _rounding_floor(r.values)))
 
 
-def _bare_value(spec: DispersionSpec, f, d: int, cfg: QuadratureConfig, what: str) -> float:
-    """g times the transverse average of the scalar integrand f; raises
-    QuadratureNonConvergence with the best value when not converged."""
-    r = _transverse_average(spec, f, d, cfg)
+def _bare_value(spec: DispersionSpec, d: int, cost: int, cfg: QuadratureConfig, what: str, make_f) -> float:
+    """g times the transverse average of the scalar integrand make_f(), at
+    cost dispersion evaluations per value of t; make_f runs only once the
+    budget admits the first level. Raises QuadratureNonConvergence with the
+    best value (NaN, error inf for refused work) when not converged."""
+    if _first_level_fits(spec, d, cost):
+        r = _transverse_average(spec, make_f(), d, cfg, cost)
+    else:
+        r = _unreached(np.empty((0, 1)))
     value, error = spec.g * float(r.values[0]), spec.g * float(r.errors[0])
     if not r.converged:
         raise QuadratureNonConvergence(
@@ -241,12 +262,12 @@ def zero_point_sum(
 ) -> float:
     """Mode-sum zero-point energy per transverse site, g * <(1/2) sum_l w omega>."""
     _check(spec, geom)
-    modes = generate_modes(bc, geom.nz)
 
-    def f(t: np.ndarray) -> np.ndarray:
-        return _mode_sum(spec, modes, t)
+    def make_f():
+        modes = generate_modes(bc, geom.nz)
+        return lambda t: _mode_sum(spec, modes, t)
 
-    return _bare_value(spec, f, geom.d, cfg, "mode-sum")
+    return _bare_value(spec, geom.d, _mode_count(bc, geom.nz), cfg, "mode-sum", make_f)
 
 
 def zero_point_int(
@@ -265,7 +286,7 @@ def zero_point_int(
     def f(t: np.ndarray) -> np.ndarray:
         return (0.5 * geom.nz) * _kz_average(spec, t)
 
-    return _bare_value(spec, f, geom.d, cfg, "kz-average")
+    return _bare_value(spec, geom.d, _kz_nodes(spec), cfg, "kz-average", lambda: f)
 
 
 def _first_level_fits(spec: DispersionSpec, d: int, cost: int) -> bool:
@@ -278,11 +299,26 @@ def _first_level_fits(spec: DispersionSpec, d: int, cost: int) -> bool:
     return first * cost <= _MAX_POINTS
 
 
+def _kz_nodes(spec: DispersionSpec) -> int:
+    """Dispersion evaluations of one kz average: s/2+1 nodes, or one closed form for odd s."""
+    return spec.s // 2 + 1 if spec.s % 2 == 0 else 1
+
+
 def _casimir_rows(
     spec: DispersionSpec, d: int, bc: BoundaryCondition, nzs, cfg: QuadratureConfig
 ) -> list[CasimirResult]:
-    """Casimir energies at the thicknesses nzs, one CasimirResult each; odd
-    orders in d >= 2 share one table of tanh-sinh levels (module docstring)."""
+    """Casimir energies at the thicknesses nzs, one CasimirResult each.
+
+    Even orders past the support, more modes than s/2, are structural
+    zeros by the aliasing identity: e_cas, coeff and quad_error are exactly
+    0.0 and e0_sum = e0_int = g (nz/2) A, where A is the transverse average
+    of the kz average, built once per call on the exact grid and only when
+    such a row asks for it. Those rows generate no modes and take no mode
+    sum; if A is refused by the budget or not finite, they are not
+    converged with quad_error inf. Every other row takes the pointwise
+    route, and odd orders in d >= 2 share one table of tanh-sinh levels
+    (module docstring).
+    """
     table: list[tuple] = []
 
     def shared(j: int) -> tuple:
@@ -291,10 +327,22 @@ def _casimir_rows(
             table.append((w, t, scale, _kz_average(spec, t)))
         return table[j]
 
-    kz_nodes = spec.s // 2 + 1 if spec.s % 2 == 0 else 1
+    even = spec.s % 2 == 0
+    kz_nodes = _kz_nodes(spec)
+    continuum = None  # even orders: A, built when the first row past the support asks
     rows = []
     for nz in nzs:
-        cost = _mode_count(bc, nz) + kz_nodes
+        n = _mode_count(bc, nz)
+        if even and n > spec.s // 2:
+            if continuum is None:
+                continuum = math.nan  # unless the budget admits the grid
+                if _first_level_fits(spec, d, kz_nodes):
+                    continuum = float(_transverse_average(spec, partial(_kz_average, spec), d, cfg).values[0])
+            e0 = (0.5 * nz) * continuum
+            zero = 0.0 if math.isfinite(e0) else math.nan  # non-finite: inf error, not converged
+            rows.append(_row(spec, d, nz, _exact_result(np.array([zero, e0]), 1)))
+            continue
+        cost = n + kz_nodes
         if not _first_level_fits(spec, d, cost):
             rows.append(_row(spec, d, nz, _unreached(np.empty((0, 2)))))
             continue
@@ -305,7 +353,7 @@ def _casimir_rows(
             int_part = (0.5 * nz) * kz
             return np.stack([mode_part - int_part, int_part], axis=1)
 
-        if spec.s % 2 == 0 or d == 1:
+        if even or d == 1:
             r = _transverse_average(spec, lambda t: f(t, _kz_average(spec, t)), d, cfg)
         else:
             r = _transverse_average(spec, f, d, cfg, cost, shared)

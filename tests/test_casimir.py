@@ -430,6 +430,34 @@ def test_work_per_point_is_charged_to_the_budget(monkeypatch, spec, geom) -> Non
     assert not r.converged and math.isnan(r.e_cas) and r.quad_error == math.inf
 
 
+@pytest.mark.parametrize(
+    "fn, spec, geom, cfg",
+    [
+        (zero_point_sum, DispersionSpec(1), Geometry(2, 200000), QuadratureConfig(max_refinements=2)),
+        (zero_point_sum, DispersionSpec(1), Geometry(2, 10**9), CFG),
+        (zero_point_int, DispersionSpec(2 * 10**5), Geometry(2, 1), CFG),
+    ],
+)
+def test_bare_values_charge_their_work_per_point(monkeypatch, fn, spec, geom, cfg) -> None:
+    # the modes of the thickness, or the s/2 + 1 kz nodes, per value of t pass
+    # the budget on the first level: refused before any mode is generated
+    import tracemalloc
+
+    import latcas.casimir as casimir
+
+    monkeypatch.setattr(casimir, "generate_modes", lambda *a: pytest.fail("modes generated"))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with np.errstate(all="ignore"), pytest.raises(QuadratureNonConvergence) as info:
+            fn(spec, geom, PER, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0 and peak < 1 << 20
+    assert math.isnan(info.value.value) and info.value.error == math.inf
+
+
 def test_even_grid_past_the_point_budget_is_not_converged() -> None:
     # 2^20 + 1 points per axis in d=2: refused before any point is evaluated
     with np.errstate(all="ignore"):

@@ -140,3 +140,20 @@ def test_quartic_remnant_with_reduced_quadrature() -> None:
     c = classify_behavior(DispersionSpec(4), 3, PER, nz_max=10, cfg=cfg)
     assert c.kind is BehaviorKind.REMNANT
     assert c.n_max == 2
+
+
+@pytest.mark.parametrize("s", range(2, 15, 2))
+@pytest.mark.parametrize(
+    "bc", [PER, BoundaryCondition.antiperiodic(), BoundaryCondition.phenomenological()], ids=lambda bc: bc.kind.value
+)
+def test_even_orders_in_three_dimensions_are_remnants(s: int, bc: BoundaryCondition) -> None:
+    # the tail past the support is exactly zero: rounding noise there reaches
+    # 5e-9 at s=14, above eps_zero, and would leave the sweep Unclassified;
+    # the phenomenological support is 2nz <= s/2, empty for s=2
+    n_max = s // 4 if bc == BoundaryCondition.phenomenological() else s // 2
+    c = classify_behavior(DispersionSpec(s), 3, bc, 32)
+    if n_max == 0:
+        assert c.kind is BehaviorKind.NO_EFFECT
+    else:
+        assert (c.kind, c.n_max) == (BehaviorKind.REMNANT, n_max)
+    assert all(r.e_cas == 0.0 for r in c.rows[n_max:])

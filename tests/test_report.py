@@ -64,6 +64,43 @@ def test_odd_sweep_takes_one_kz_average_per_level(monkeypatch) -> None:
     assert len(set(calls)) == len(calls)  # each level once
 
 
+@pytest.mark.parametrize(
+    "bc, support",
+    [(PER, {1, 2}), (BoundaryCondition.antiperiodic(), {1, 2}), (BoundaryCondition.phenomenological(), {1})],
+    ids=["periodic", "antiperiodic", "phenomenological"],
+)
+def test_even_sweep_answers_the_tail_from_one_continuum_grid(monkeypatch, bc, support) -> None:
+    # past nz = s/2 modes (2nz for phenomenological) the mode sum equals the
+    # continuum term: those rows take no modes, and one grid serves them all
+    import latcas.casimir as casimir
+
+    spec = DispersionSpec(4)
+    generated, kz_grids = [], []
+    generate = casimir.generate_modes
+    kz_average = casimir._kz_average
+
+    def counted_modes(bc, nz):
+        generated.append(nz)
+        return generate(bc, nz)
+
+    def counted_kz(spec, t):
+        kz_grids.append(t.size)
+        return kz_average(spec, t)
+
+    monkeypatch.setattr(casimir, "generate_modes", counted_modes)
+    monkeypatch.setattr(casimir, "_kz_average", counted_kz)
+    rows = sweep(spec, 3, bc, range(1, 33), CFG)
+    assert set(generated) == support and len(generated) == len(support)
+    assert len(kz_grids) == len(support) + 1  # each in-support row, then the shared grid
+    monkeypatch.undo()
+    for r in rows:
+        if r.nz in support:
+            assert repr(r) == repr(casimir_energy(spec, Geometry(3, r.nz), bc, CFG))
+        else:
+            assert (r.e_cas, r.coeff, r.quad_error, r.converged) == (0.0, 0.0, 0.0, True)
+            assert r.e0_sum == r.e0_int
+
+
 def test_sweep_quadratic_column() -> None:
     rows = sweep(DispersionSpec(2), 3, PER, range(1, 6), CFG)
     assert [r.nz for r in rows] == [1, 2, 3, 4, 5]
