@@ -14,15 +14,19 @@ rule integrates it exactly. For odd s it is a closed form in the complete
 elliptic integrals K and E, evaluated by the arithmetic-geometric mean.
 
 Every transverse integrand depends on the transverse momentum only through
-the kernel sum t = sum_i (2 - 2 cos k_i), so the integrands take t. The
-transverse average splits by parity as well. For even s the integrand is
-of degree s/2 on every transverse axis too, so one uniform grid of s/2+1
-points per axis is exact: no refinement and no QuadratureConfig. For odd s
-the zone average is the one-dimensional integral of F(t) against the
-lattice density of states, by tanh-sinh levels under QuadratureConfig with
-the change between the last two levels as the error:
+the kernel sum t = sum_i (2 - 2 cos k_i), so the integrands take t and its
+kz average. Each call builds one transverse rule, a table of levels that
+hold the values of t and the kz average at each, filled as the first
+thickness asks; both parities, every thickness of the call and the
+continuum term of even orders read it. Its levels split by parity. For
+even s the integrand is of degree s/2 on every transverse axis too, so one
+exact level, the uniform grid of s/2+1 points per axis, suffices: no
+refinement and no QuadratureConfig. For odd s the zone average is the
+one-dimensional integral of F(t) against the lattice density of states, by
+tanh-sinh levels under QuadratureConfig with the change between the last
+two levels as the error:
 
-- d=1 has the single point t = 0;
+- d=1 has the single point t = 0, one exact level;
 - d=2 averages kx over [0, pi] with t = 4 sin^2(kx/2);
 - d=3 uses the square-lattice density rho(t) = K(m) / (2 pi^2) on [0, 8],
   sqrt(1-m) = |t-4|/4 (Economou, Green's Functions in Quantum Physics),
@@ -41,22 +45,17 @@ modes (nz > s/2 periodic or antiperiodic, 2nz > s/2 phenomenological) its
 mode sum is the continuum term at every transverse point. Such a row is
 answered without modes: e_cas, coeff and quad_error are exactly 0.0, as
 there is no cancellation, and e0_sum = e0_int = g (nz/2) A, where A is the
-transverse average of the kz average, one exact grid shared by all such
-rows of a call.
+rule's average of the kz average, taken once per call.
 
-Each value of t costs the mode sum and the kz average: the thickness's
-modes plus s/2+1 kz nodes (one closed form for odd s) in dispersion
-evaluations; the shared grid of A costs the kz nodes alone. The point
-budget of quadrature charges that cost, zero_point_sum and zero_point_int
-included, and work whose first level would pass it is refused before any
-mode is generated.
+Each value of t costs the kz average, s/2+1 kz nodes (one closed form for
+odd s) in dispersion evaluations, plus the modes of the thickness where
+the mode sum is taken. The point budget of quadrature charges that cost,
+zero_point_sum and zero_point_int included, and work whose first level
+would pass it is refused before any mode is generated or any level built.
 
 One kernel, _casimir_rows, computes a list of thicknesses, and
-casimir_energy is its one-thickness case. The odd-order levels do not
-depend on nz, so the thicknesses of one call share them: each level's
-nodes, weights, values of t, density-of-states scale and kz average are
-built once, when the first thickness needs the level. The table, like A,
-lives for that call only. Every other thickness still takes its own mode
+casimir_energy is its one-thickness case. The rule does not depend on nz
+and lives for that call only. Every thickness still takes its own mode
 sum, pointwise difference, budget and convergence test, so a sweep row is
 bit for bit the casimir_energy result of its thickness.
 """
@@ -64,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,7 +74,6 @@ from .quadrature import (
     _MAX_POINTS,
     MultiQuadResult,
     QuadratureConfig,
-    _exact_grid,
     _exact_result,
     _rounding_floor,
     _rows,
@@ -198,45 +196,85 @@ def _dos_level(d: int, level: int) -> tuple:
     return w, np.concatenate([4.0 * x, 4.0 + 4.0 * x]), math.pi * a
 
 
-def _transverse_average(
-    spec: DispersionSpec, f, d: int, cfg: QuadratureConfig, cost: int = 1, levels=None
-) -> MultiQuadResult:
-    """Transverse BZ average of f(t), t the transverse kernel sum.
+class _Rule(NamedTuple):
+    """The transverse rule of one call (module docstring); _rule builds it."""
 
-    Even s: one uniform grid of s/2+1 points per axis, exact for the
-    degree-s/2 trigonometric polynomial; cfg is not consulted. Odd s:
-    tanh-sinh levels over the density of states of t under cfg, with the
-    change between the last two levels as the error, each value of t
-    charged cost points against the budget. levels(j) gives level j as
-    _dos_level does, possibly with extra per-t arrays that f takes after t;
-    by default it is _dos_level itself. Either way the error is at least the
-    rounding floor of the largest component, which for the Casimir integrand
-    is at least |e0_int|, the size of the terms that cancel pointwise.
+    level: Callable[[int], tuple]  # level j as (w, t, scale, kz)
+    n: int  # points per axis of the one exact level; 0 for tanh-sinh levels
+    first: int  # values of t of level 0, which callers check against the budget
+    kz_nodes: int  # dispersion evaluations of the kz average at one t
+
+
+def _rule(spec: DispersionSpec, d: int) -> _Rule:
+    """The transverse rule of spec in d dimensions.
+
+    level(j) gives level j of a table filled as callers first ask for it:
+    the weights, the values of t, the d=3 scale (None elsewhere) and
+    _kz_average at each t. The one exact level of even s, and of odd s in
+    d=1 (t = 0), is the uniform grid without weights, in _grid_average's
+    row-major order; odd s in d = 2, 3 take the _dos_level tanh-sinh levels.
     """
-    if spec.s % 2 == 0 or d == 1:  # d=1 is the single point t = 0
-        n = spec.s // 2 + 1 if spec.s % 2 == 0 else 1
-        r = _exact_grid(lambda k: f(_kernel(k).sum(axis=1)), d - 1, n)
+    even = spec.s % 2 == 0
+    n = spec.s // 2 + 1 if even else int(d == 1)
+    table: list[tuple] = []
+
+    def level(j: int) -> tuple:
+        if j == len(table):  # callers ask for levels in order
+            if n:
+                k, t, w, scale = _node_kernels(n), np.zeros(1), None, None
+                for _ in range(d - 1):
+                    t = (t[:, None] + k).ravel()
+            else:
+                w, t, scale = _dos_level(d, j)
+            table.append((w, t, scale, _kz_average(spec, t)))
+        return table[j]
+
+    first = n ** (d - 1) if n else (d - 1) * _tanh_sinh_size(0)
+    return _Rule(level, n, first, n if even else 1)  # odd: one closed form
+
+
+def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, cost: int = 1) -> MultiQuadResult:
+    """Transverse BZ average of f(t, kz) over the levels of rule (see _rule),
+    t the transverse kernel sum and kz its kz average.
+
+    One exact level is its mean, summed in extended precision as
+    _grid_average sums, with no refinement; cfg is not consulted. Tanh-sinh
+    levels run under cfg with the change between the last two levels as the
+    error, each value of t charged cost points against the budget. Either
+    way the error is at least the rounding floor of the largest component,
+    which for the Casimir integrand is at least |e0_int|, the size of the
+    terms that cancel pointwise.
+    """
+    level, n, first, _ = rule
+    if n:
+        _, t, _, kz = level(0)
+        total = _rows(f(t, kz), t.size).sum(axis=0, dtype=np.longdouble)
+        r = _exact_result(total.astype(float) / t.size, n)
     else:
 
         def at(j: int) -> tuple:
-            w, t, scale, *extra = levels(j) if levels else _dos_level(d, j)
-            vals = _rows(f(t, *extra), t.size)
+            w, t, scale, kz = level(j)
+            vals = _rows(f(t, kz), t.size)
             if scale is not None:  # d=3: fold the two values of t of each node
                 vals = (vals / scale[:, None]).reshape(2, w.size, -1).sum(axis=0)
             return w, vals
 
-        r = _tanh_sinh(at, cfg, width=d - 1, cost=cost)  # one value of t per node in d=2, two in d=3
+        # one value of t per node in d=2, two in d=3
+        r = _tanh_sinh(at, cfg, width=first // _tanh_sinh_size(0), cost=cost)
     # fmax: a NaN floor keeps the inf error
     return replace(r, errors=np.fmax(r.errors, _rounding_floor(r.values)))
 
 
 def _bare_value(spec: DispersionSpec, d: int, cost: int, cfg: QuadratureConfig, what: str, make_f) -> float:
-    """g times the transverse average of the scalar integrand make_f(), at
-    cost dispersion evaluations per value of t; make_f runs only once the
+    """g times the transverse average of the scalar integrand make_f(), a
+    function of (t, kz), at cost dispersion evaluations per value of t
+    besides the kz average that the rule builds; make_f runs only once the
     budget admits the first level. Raises QuadratureNonConvergence with the
     best value (NaN, error inf for refused work) when not converged."""
-    if _first_level_fits(spec, d, cost):
-        r = _transverse_average(spec, make_f(), d, cfg, cost)
+    rule = _rule(spec, d)
+    cost += rule.kz_nodes
+    if rule.first * cost <= _MAX_POINTS:
+        r = _transverse_average(rule, make_f(), cfg, cost)
     else:
         r = _unreached(np.empty((0, 1)))
     value, error = spec.g * float(r.values[0]), spec.g * float(r.errors[0])
@@ -265,7 +303,7 @@ def zero_point_sum(
 
     def make_f():
         modes = generate_modes(bc, geom.nz)
-        return lambda t: _mode_sum(spec, modes, t)
+        return lambda t, kz: _mode_sum(spec, modes, t)
 
     return _bare_value(spec, geom.d, _mode_count(bc, geom.nz), cfg, "mode-sum", make_f)
 
@@ -282,26 +320,7 @@ def zero_point_int(
     signature symmetry and ignored.
     """
     _check(spec, geom)
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return (0.5 * geom.nz) * _kz_average(spec, t)
-
-    return _bare_value(spec, geom.d, _kz_nodes(spec), cfg, "kz-average", lambda: f)
-
-
-def _first_level_fits(spec: DispersionSpec, d: int, cost: int) -> bool:
-    """Whether the first level of the transverse rule stays within the point
-    budget at cost dispersion evaluations per value of t."""
-    if spec.s % 2 == 0 or d == 1:
-        first = (spec.s // 2 + 1 if spec.s % 2 == 0 else 1) ** (d - 1)
-    else:
-        first = (d - 1) * _tanh_sinh_size(0)
-    return first * cost <= _MAX_POINTS
-
-
-def _kz_nodes(spec: DispersionSpec) -> int:
-    """Dispersion evaluations of one kz average: s/2+1 nodes, or one closed form for odd s."""
-    return spec.s // 2 + 1 if spec.s % 2 == 0 else 1
+    return _bare_value(spec, geom.d, 0, cfg, "kz-average", lambda: lambda t, kz: (0.5 * geom.nz) * kz)
 
 
 def _casimir_rows(
@@ -309,41 +328,32 @@ def _casimir_rows(
 ) -> list[CasimirResult]:
     """Casimir energies at the thicknesses nzs, one CasimirResult each.
 
+    Every row reads the one transverse rule of the call, so each level's
+    values of t and kz average are built once, when the first row asks.
     Even orders past the support, more modes than s/2, are structural
     zeros by the aliasing identity: e_cas, coeff and quad_error are exactly
-    0.0 and e0_sum = e0_int = g (nz/2) A, where A is the transverse average
-    of the kz average, built once per call on the exact grid and only when
-    such a row asks for it. Those rows generate no modes and take no mode
-    sum; if A is refused by the budget or not finite, they are not
-    converged with quad_error inf. Every other row takes the pointwise
-    route, and odd orders in d >= 2 share one table of tanh-sinh levels
-    (module docstring).
+    0.0 and e0_sum = e0_int = g (nz/2) A, where A is the rule's average of
+    the kz average, taken once and only when such a row asks for it. Those
+    rows generate no modes and take no mode sum; if A is refused by the
+    budget or not finite, they are not converged with quad_error inf. Every
+    other row takes the pointwise route (module docstring).
     """
-    table: list[tuple] = []
-
-    def shared(j: int) -> tuple:
-        if j == len(table):  # thicknesses ask for levels in order
-            w, t, scale = _dos_level(d, j)
-            table.append((w, t, scale, _kz_average(spec, t)))
-        return table[j]
-
-    even = spec.s % 2 == 0
-    kz_nodes = _kz_nodes(spec)
-    continuum = None  # even orders: A, built when the first row past the support asks
+    rule = _rule(spec, d)
+    continuum = None  # even orders: A, taken when the first row past the support asks
     rows = []
     for nz in nzs:
         n = _mode_count(bc, nz)
-        if even and n > spec.s // 2:
+        if spec.s % 2 == 0 and n > spec.s // 2:
             if continuum is None:
-                continuum = math.nan  # unless the budget admits the grid
-                if _first_level_fits(spec, d, kz_nodes):
-                    continuum = float(_transverse_average(spec, partial(_kz_average, spec), d, cfg).values[0])
+                continuum = math.nan  # unless the budget admits the level
+                if rule.first * rule.kz_nodes <= _MAX_POINTS:
+                    continuum = float(_transverse_average(rule, lambda t, kz: kz, cfg, rule.kz_nodes).values[0])
             e0 = (0.5 * nz) * continuum
             zero = 0.0 if math.isfinite(e0) else math.nan  # non-finite: inf error, not converged
             rows.append(_row(spec, d, nz, _exact_result(np.array([zero, e0]), 1)))
             continue
-        cost = n + kz_nodes
-        if not _first_level_fits(spec, d, cost):
+        cost = n + rule.kz_nodes
+        if rule.first * cost > _MAX_POINTS:
             rows.append(_row(spec, d, nz, _unreached(np.empty((0, 2)))))
             continue
         modes = generate_modes(bc, nz)
@@ -353,11 +363,7 @@ def _casimir_rows(
             int_part = (0.5 * nz) * kz
             return np.stack([mode_part - int_part, int_part], axis=1)
 
-        if even or d == 1:
-            r = _transverse_average(spec, lambda t: f(t, _kz_average(spec, t)), d, cfg)
-        else:
-            r = _transverse_average(spec, f, d, cfg, cost, shared)
-        rows.append(_row(spec, d, nz, r))
+        rows.append(_row(spec, d, nz, _transverse_average(rule, f, cfg, cost)))
     return rows
 
 

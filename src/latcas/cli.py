@@ -21,7 +21,7 @@ import numpy as np
 from .casimir import casimir_energy
 from .classify import ClassifyThresholds, classify_behavior
 from .continuum import ContinuumParams, continuum_casimir
-from .massexp import convergence_check, remnant_partial_sums
+from .massexp import DEFAULT_ORDERS, convergence_check, remnant_partial_sums
 from .model import CasimirResult, DispersionSpec, Geometry
 from .modes import BoundaryCondition, BoundaryKind, PhenOffset
 from .quadrature import QuadratureConfig
@@ -50,12 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_quadrature_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-refinements", type=int, default=6,
-                   help="tanh-sinh step halvings allowed for odd orders (default 6)")
-    p.add_argument("--rel-tol", type=float, default=1e-10,
-                   help="relative tolerance on the integral (default 1e-10)")
-    p.add_argument("--abs-tol", type=float, default=1e-12,
-                   help="absolute tolerance floor (default 1e-12)")
+    cfg = QuadratureConfig()  # the library's defaults
+    p.add_argument("--max-refinements", type=int, default=cfg.max_refinements,
+                   help="tanh-sinh step halvings allowed for odd orders (default %(default)s)")
+    p.add_argument("--rel-tol", type=float, default=cfg.rel_tol,
+                   help="relative tolerance on the integral (default %(default)s)")
+    p.add_argument("--abs-tol", type=float, default=cfg.abs_tol,
+                   help="absolute tolerance floor (default %(default)s)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -226,7 +227,8 @@ def build_parser() -> _Parser:
     p.add_argument("--bc", choices=sorted(_BC_CHOICES), default="periodic")
     p.add_argument("--phen-offset", choices=sorted(_OFFSET_CHOICES), default="one-to-2nz")
     p.add_argument("--nz", type=int, required=True)
-    p.add_argument("--orders", type=int, default=6, help="number of expansion terms")
+    p.add_argument("--orders", type=int, default=DEFAULT_ORDERS,
+                   help="number of expansion terms (default %(default)s)")
     _add_quadrature_flags(p)
     p.set_defaults(handler=_cmd_mass_expansion)
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .model import _is_int
+
 __all__ = ["ContinuumParams", "GammaPoleError", "gamma_fn", "zeta_fn", "continuum_casimir"]
 
 
@@ -32,15 +34,15 @@ class ContinuumParams:
     g: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 1:
+        if not _is_int(self.s) or self.s < 1:
             raise ValueError(f"s must be a positive integer, got {self.s!r}")
-        if not isinstance(self.d, int) or self.d < 1:
+        if not _is_int(self.d) or self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d!r}")
         if self.d + self.s < 2:
             raise ValueError("d + s must be at least 2 for a convergent zeta argument")
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L!r}")
-        if not isinstance(self.g, int) or self.g < 1:
+        if isinstance(self.L, bool) or not 0 < self.L < math.inf:
+            raise ValueError(f"L must be finite and positive, got {self.L!r}")
+        if not _is_int(self.g) or self.g < 1:
             raise ValueError(f"g must be a positive integer, got {self.g!r}")
 
 

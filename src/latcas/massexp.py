@@ -7,11 +7,12 @@ so the reconstruction is a weighted sum of massless even-order energies.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 from .casimir import casimir_energy
-from .model import DispersionSpec, Geometry
+from .model import DispersionSpec, Geometry, _is_int
 from .modes import BoundaryCondition
 from .quadrature import QuadratureConfig
 
@@ -45,15 +46,20 @@ class ConvergenceReport:
     margin: float
 
 
+def _check_mass(am) -> None:
+    # the masses DispersionSpec accepts for a massive branch
+    if isinstance(am, bool) or not 0 < am < math.inf:
+        raise ValueError(f"am must be positive and finite, got {am!r}")
+
+
 def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
     """Terms n = 1..orders; c_n = binom(1/2, n) * am**(1 - 2n).
 
     The binomial coefficients follow the recurrence
     binom(1/2, n) = binom(1/2, n-1) * (3/2 - n) / n, avoiding factorials.
     """
-    if not am > 0:
-        raise ValueError(f"the expansion requires am > 0, got {am!r}")
-    if not isinstance(orders, int) or orders < 1:
+    _check_mass(am)
+    if not _is_int(orders) or orders < 1:
         raise ValueError(f"orders must be a positive integer, got {orders!r}")
     terms = []
     binom = 1.0
@@ -65,9 +71,8 @@ def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
 
 def convergence_check(am: float, d: int) -> ConvergenceReport:
     """Whether the expansion converges on the whole zone: max k~^2 = 4d < am^2."""
-    if not am > 0:
-        raise ValueError(f"am must be positive, got {am!r}")
-    if d not in (1, 2, 3):
+    _check_mass(am)
+    if not _is_int(d) or d not in (1, 2, 3):
         raise ValueError(f"d must be 1, 2, or 3, got {d!r}")
     ratio = 4.0 * d / (am * am)
     return ConvergenceReport(ratio < 1.0, 1.0 - ratio)

@@ -7,6 +7,8 @@ from enum import Enum
 
 import numpy as np
 
+from .model import _is_int
+
 __all__ = ["BoundaryKind", "PhenOffset", "BoundaryCondition", "ModeSet", "generate_modes"]
 
 _TWO_PI = 2.0 * math.pi
@@ -83,7 +85,7 @@ def generate_modes(bc: BoundaryCondition, nz: int) -> ModeSet:
                       weight nz as the other families, so zero-point sums stay
                       comparable at one normalization.
     """
-    if not isinstance(nz, int) or nz < 1:
+    if not _is_int(nz) or nz < 1:
         raise ValueError(f"nz must be a positive integer, got {nz!r}")
     if bc.kind is BoundaryKind.PERIODIC:
         pairs = [(_wrap(2.0 * l * math.pi / nz), 1.0) for l in range(nz)]

@@ -24,9 +24,6 @@ of the largest component, and reports their difference as the error:
   are combined with math.fsum, so results are bit-stable run to run
   regardless of internal evaluation batching.
 
-_exact_grid takes one grid average as exact, for integrands that a finite
-grid integrates exactly (even dispersion orders, see casimir).
-
 Every call hands its integrand at most _MAX_POINTS points in total, each
 point counted cost times where the integrand does cost units of work per
 point (_tanh_sinh): a level that would pass the budget does not run, and
@@ -153,14 +150,6 @@ def _unreached(empty) -> MultiQuadResult:
     return _exact_result(np.full(_rows(empty, 0).shape[1], math.nan), 0)
 
 
-def _exact_grid(f: Callable[[np.ndarray], np.ndarray], ndim: int, n: int) -> MultiQuadResult:
-    """Mean of f over the uniform grid of n points per axis, for an f that
-    this grid integrates exactly: one level, no refinement."""
-    if n**ndim > _MAX_POINTS:
-        return _unreached(f(np.empty((0, ndim))))
-    return _exact_result(_grid_average(f, ndim, n), n)
-
-
 def _rounding_floor(values: np.ndarray) -> float:
     """_ROUNDING_ULPS ulps of the largest component: the accuracy that values
     summed or differenced at that size can have; NaN for a NaN value."""
@@ -194,7 +183,7 @@ def _grid_levels(f, ndim: int, n: int) -> Iterator[tuple[np.ndarray, int]]:
 
 def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureConfig) -> MultiQuadResult:
     if ndim == 0:
-        return _exact_grid(f, 0, 1)
+        return _exact_result(_grid_average(f, 0, 1), 1)
     if cfg.base_points**ndim > _MAX_POINTS:
         return _unreached(f(np.empty((0, ndim))))
     return _converge(_grid_levels(f, ndim, cfg.base_points), cfg)

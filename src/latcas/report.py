@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,9 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .casimir import _casimir_rows, _check, _kz_average
-from .model import CasimirResult, DispersionSpec, Geometry, _kernel, eval_from_kernel_sum
-from .modes import BoundaryCondition, generate_modes
-from .quadrature import QuadratureConfig
+from .model import CasimirResult, DispersionSpec, Geometry, _is_int, _kernel, eval_from_kernel_sum
+from .modes import BoundaryCondition, _mode_count, generate_modes
+from .quadrature import _MAX_POINTS, QuadratureConfig
 
 __all__ = [
     "SweepRow",
@@ -69,14 +70,19 @@ def sweep(
 ) -> list[CasimirResult]:
     """One Casimir evaluation per thickness; rows keep ascending unique nz.
 
-    Each row is the casimir_energy result of its thickness, bit for bit. For
-    odd orders the thicknesses share each tanh-sinh level's nodes, values of
-    t, density of states and kz average, which do not depend on nz, so
-    those are computed once per sweep. A non-converged row is recorded like
+    Thicknesses are integers (numpy integers too; not bool or float). Each
+    row is the casimir_energy result of its thickness, bit for bit. The
+    thicknesses share each transverse level's values of t, density of
+    states and kz average, which do not depend on nz, so those are computed
+    once per sweep, for both parities. A non-converged row is recorded like
     any other (its quad_error and converged flag tell the story) and the
     sweep continues.
     """
-    nzs = [int(nz) for nz in nz_range]
+    nzs = []
+    for nz in nz_range:
+        if isinstance(nz, bool):  # an int subclass, but not a thickness
+            raise TypeError(f"thicknesses must be integers, got {nz!r}")
+        nzs.append(operator.index(nz))  # a float raises instead of truncating
     if not nzs:
         raise ValueError("nz_range must be nonempty")
     if sorted(set(nzs)) != nzs:
@@ -95,10 +101,16 @@ def rectangle_decomposition(
     """Rectangles and curve for the 1D view at fixed transverse momentum.
 
     The default k_perp = () is the 1D illustration (no transverse kernel).
+    The samples and the modes are each bounded by the quadrature point budget.
     """
-    if samples < 64:
-        raise ValueError(f"samples must be at least 64, got {samples!r}")
-    t_perp = float(np.sum(_kernel(np.asarray(k_perp, dtype=float))))
+    if not _is_int(samples) or not 64 <= samples <= _MAX_POINTS:
+        raise ValueError(f"samples must be an integer in [64, {_MAX_POINTS}], got {samples!r}")
+    k_perp = np.asarray(k_perp, dtype=float)
+    if not np.all(np.isfinite(k_perp)):
+        raise ValueError("momentum components must be finite")
+    if _is_int(nz) and _mode_count(bc, nz) > _MAX_POINTS:
+        raise ValueError(f"nz = {nz} gives more than {_MAX_POINTS} modes")
+    t_perp = float(np.sum(_kernel(k_perp)))
     modes = generate_modes(bc, nz)
     widths = modes.weights * _TWO_PI / nz
     heights = eval_from_kernel_sum(spec, t_perp + _kernel(modes.akz))

@@ -25,7 +25,7 @@ from latcas import (
     zero_point_int,
     zero_point_sum,
 )
-from latcas.casimir import _kz_average, _mode_sum, _transverse_average
+from latcas.casimir import _kz_average, _mode_sum, _rule, _transverse_average
 from latcas.model import _kernel
 from latcas.quadrature import _MAX_POINTS
 
@@ -98,12 +98,12 @@ def test_even_orders_use_one_exact_grid(s: int, d: int) -> None:
     # s/2+1 points per axis, no refinement, whatever the config says
     seen = []
 
-    def f(t: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray, kz: np.ndarray) -> np.ndarray:
         seen.append(t.size)
         return np.ones(t.size)
 
     cfg = QuadratureConfig(base_points=4, max_refinements=0)
-    r = _transverse_average(DispersionSpec(s), f, d, cfg)
+    r = _transverse_average(_rule(DispersionSpec(s), d), f, cfg)
     assert r.points_per_axis == s // 2 + 1
     assert seen == [(s // 2 + 1) ** (d - 1)]
     assert r.converged and r.values[0] == 1.0
@@ -358,7 +358,7 @@ def test_dos_average_matches_the_direct_grid() -> None:
     def f(t: np.ndarray) -> np.ndarray:
         return _mode_sum(spec, modes, t) - (0.5 * nz) * _kz_average(spec, t)
 
-    dos = _transverse_average(spec, f, 3, CFG)
+    dos = _transverse_average(_rule(spec, 3), lambda t, kz: f(t), CFG)
     assert dos.converged
     grids = [
         integrate_bz_multi(lambda pts: f(_kernel(pts).sum(axis=1)), 3, QuadratureConfig(n, 0)).values[0]
@@ -380,14 +380,14 @@ def test_point_budget_ends_in_nonconvergence() -> None:
     assert not r.converged and math.isfinite(r.e_cas) and r.quad_error > 0.0
     seen = []
 
-    def f(t: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray, kz: np.ndarray) -> np.ndarray:
         seen.append(t.size)
         return np.sin(1e6 * t)  # tanh-sinh levels never agree on this
 
     # the budget counts the values of t: one per node in d=2, two in d=3
     for d, width in ((2, 1), (3, 2)):
         seen.clear()
-        r = _transverse_average(DispersionSpec(1), f, d, cfg)
+        r = _transverse_average(_rule(DispersionSpec(1), d), f, cfg)
         assert not r.converged
         assert sum(seen) == width * r.points_per_axis <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
 

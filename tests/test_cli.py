@@ -13,7 +13,10 @@ import pytest
 
 import latcas.cli
 import latcas.massexp
+import latcas.report
+from latcas import QuadratureConfig
 from latcas.cli import run
+from latcas.massexp import DEFAULT_ORDERS
 
 
 def _grab(capsys):
@@ -162,6 +165,34 @@ def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
     with np.errstate(all="ignore"):
         assert run(["compute", *argv]) == 2
     assert "converged  = no" in _grab(capsys)[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rectangles", "--nz", "4", "--samples", "1000000000000"],
+        ["rectangles", "--nz", "1000000000000"],
+        ["rectangles", "--nz", "4", "--k-perp", "nan"],
+        ["reference", "--s", "1", "--L", "inf"],
+    ],
+    ids=["samples-huge", "nz-huge", "k-perp-nan", "L-inf"],
+)
+def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> None:
+    # a MemoryError traceback, NaN areas and a printed -0 before
+    monkeypatch.setattr(latcas.report, "generate_modes", lambda *a: pytest.fail("modes generated"))
+    assert run(argv) == 1
+    out, err = _grab(capsys)
+    assert out == "" and err.startswith("error: ")
+
+
+def test_parser_defaults_are_the_library_defaults() -> None:
+    cfg = QuadratureConfig()
+    parser = latcas.cli.build_parser()
+    for argv in (["compute", "--nz", "1"], ["sweep"], ["classify"], ["mass-expansion", "--am", "5", "--nz", "1"]):
+        args = parser.parse_args(argv)
+        assert (args.max_refinements, args.rel_tol, args.abs_tol) == (
+            cfg.max_refinements, cfg.rel_tol, cfg.abs_tol), argv
+    assert parser.parse_args(["mass-expansion", "--am", "5", "--nz", "1"]).orders == DEFAULT_ORDERS
 
 
 def test_nonfinite_result_exits_two(capsys) -> None:

@@ -99,3 +99,14 @@ def test_params_validation() -> None:
         ContinuumParams(s=1, d=3, L=0.0)
     with pytest.raises(ValueError):
         ContinuumParams(s=1, d=3, g=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"s": True}, {"d": True}, {"g": True}, {"L": math.inf}, {"L": math.nan}, {"L": True}],
+    ids=["s-bool", "d-bool", "g-bool", "L-inf", "L-nan", "L-bool"],
+)
+def test_params_reject_bools_and_nonfinite_lengths(kwargs) -> None:
+    # L = inf used to give -0.0 and s = True passed as s = 1
+    with pytest.raises(ValueError):
+        ContinuumParams(**{"s": 1, "d": 3, **kwargs})

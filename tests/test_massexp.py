@@ -63,6 +63,24 @@ def test_rejects_bad_inputs() -> None:
         convergence_check(-1.0, 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: expansion_coefficients(5.0, True),
+        lambda: expansion_coefficients(math.inf, 2),
+        lambda: expansion_coefficients(True, 2),
+        lambda: convergence_check(math.inf, 3),
+        lambda: convergence_check(5.0, True),
+        lambda: remnant_partial_sums(5.0, Geometry(1, 1), PER, orders=True),
+    ],
+    ids=["orders-bool", "coeff-am-inf", "coeff-am-bool", "check-am-inf", "check-d-bool", "sums-orders-bool"],
+)
+def test_rejects_what_dispersion_spec_rejects(call) -> None:
+    # a bool count and a mass that DispersionSpec(1, am=...) would refuse
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_convergence_domain() -> None:
     r = convergence_check(5.0, 3)
     assert r.converges

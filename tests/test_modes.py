@@ -86,3 +86,10 @@ def test_pure_harmonics_below_nz_average_to_zero() -> None:
 def test_rejects_nz_zero() -> None:
     with pytest.raises(ValueError):
         generate_modes(BoundaryCondition.periodic(), 0)
+
+
+@pytest.mark.parametrize("nz", [True, 2.0, -1])
+def test_rejects_non_integer_thickness(nz) -> None:
+    # True is an int subclass but not a thickness
+    with pytest.raises(ValueError):
+        generate_modes(BoundaryCondition.periodic(), nz)

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from latcas import (
@@ -20,6 +21,7 @@ from latcas import (
     sweep,
     zero_point_sum,
 )
+from latcas.quadrature import _MAX_POINTS
 from latcas.report import CSV_COLUMNS
 
 PER = BoundaryCondition.periodic()
@@ -91,7 +93,7 @@ def test_even_sweep_answers_the_tail_from_one_continuum_grid(monkeypatch, bc, su
     monkeypatch.setattr(casimir, "_kz_average", counted_kz)
     rows = sweep(spec, 3, bc, range(1, 33), CFG)
     assert set(generated) == support and len(generated) == len(support)
-    assert len(kz_grids) == len(support) + 1  # each in-support row, then the shared grid
+    assert len(kz_grids) == 1  # one level, read by the in-support rows and the shared grid
     monkeypatch.undo()
     for r in rows:
         if r.nz in support:
@@ -128,6 +130,19 @@ def test_sweep_validation() -> None:
         sweep(DispersionSpec(2), 3, PER, [3, 2, 1], CFG)
     with pytest.raises(ValueError):
         sweep(DispersionSpec(2), 3, PER, [1, 1, 2], CFG)
+
+
+@pytest.mark.parametrize("nzs", [[1.9, 2.5], [True, 2], [1, 2.0]], ids=["floats", "bool", "integral-float"])
+def test_sweep_rejects_non_integer_thicknesses(nzs) -> None:
+    # [1.9, 2.5] used to give the rows of nz 1 and 2
+    with pytest.raises(TypeError):
+        sweep(DispersionSpec(2), 3, PER, nzs, CFG)
+
+
+def test_sweep_accepts_numpy_integers() -> None:
+    rows = sweep(DispersionSpec(2), 3, PER, np.arange(1, 4), CFG)
+    assert rows == sweep(DispersionSpec(2), 3, PER, range(1, 4), CFG)
+    assert all(type(r.nz) is int for r in rows)
 
 
 def test_rectangles_quadratic_two_sites() -> None:
@@ -196,6 +211,31 @@ def test_rectangles_curve_sampling() -> None:
     assert xs[-1] < 2.0 * math.pi
     with pytest.raises(ValueError):
         rectangle_decomposition(DispersionSpec(2), 2, PER, samples=32)
+
+
+@pytest.mark.parametrize(
+    "nz, kwargs",
+    [
+        (4, {"samples": 10**12}),
+        (4, {"samples": _MAX_POINTS + 1}),
+        (4, {"samples": 64.5}),
+        (4, {"samples": True}),
+        (10**12, {}),
+        (_MAX_POINTS // 2 + 1, {"bc": BoundaryCondition.phenomenological()}),
+        (4, {"k_perp": (math.nan,)}),
+        (4, {"k_perp": (0.5, math.inf)}),
+    ],
+    ids=["samples-huge", "samples-over-budget", "samples-float", "samples-bool", "nz-huge",
+         "phen-modes-over-budget", "k-perp-nan", "k-perp-inf"],
+)
+def test_rectangles_reject_unbounded_or_invalid_input(monkeypatch, nz, kwargs) -> None:
+    # refused before any mode or sample is allocated
+    import latcas.report as report
+
+    monkeypatch.setattr(report, "generate_modes", lambda *a: pytest.fail("modes generated"))
+    kwargs = {"bc": PER, **kwargs}
+    with pytest.raises(ValueError):
+        rectangle_decomposition(DispersionSpec(2), nz, **kwargs)
 
 
 def test_csv_header_and_roundtrip(tmp_path) -> None:
