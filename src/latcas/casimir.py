@@ -55,20 +55,29 @@ would pass it is refused before any mode is generated or any level built.
 
 One kernel, _casimir_rows, computes a list of thicknesses, and
 casimir_energy is its one-thickness case. The rule does not depend on nz
-and lives for that call only. Every thickness still takes its own mode
-sum, pointwise difference, budget and convergence test, so a sweep row is
-bit for bit the casimir_energy result of its thickness.
+and lives for that call only. The thicknesses of the pointwise route
+refine level by level together: each level takes one dispersion call over
+the joined mode kernels of the thicknesses still refining, and one
+vectorised convergence test. Each thickness still sums its own modes,
+keeps its own budget and gets its own verdict, and retires when it
+converges, reaches max_refinements or cannot afford its next level, so a
+sweep row is bit for bit the casimir_energy result of its thickness. The
+thicknesses go in groups whose joined modes take at most _MAT_BUDGET values
+on the first level, and each dispersion call stays within that budget, so
+memory does not grow with the sum of the thicknesses.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .model import CasimirResult, DispersionSpec, Geometry, _kernel, _omega_inplace
-from .modes import BoundaryCondition, ModeSet, generate_modes, _mode_count
+from .modes import BoundaryCondition, generate_modes, _mode_count
 from .quadrature import (
     _EPS,
     _MAX_POINTS,
@@ -76,7 +85,6 @@ from .quadrature import (
     QuadratureConfig,
     _exact_result,
     _rounding_floor,
-    _rows,
     _tanh_sinh,
     _tanh_sinh_nodes,
     _tanh_sinh_size,
@@ -90,7 +98,9 @@ __all__ = [
     "casimir_energy",
 ]
 
-_MAT_BUDGET = 1 << 24  # elements per temporary (rows of t, nodes) block
+# elements per (values of t, joined mode kernels) temporary; the point budget
+# already keeps one thickness's level, values of t times modes, within it
+_MAT_BUDGET = _MAX_POINTS
 _AGM_MAX_ITER = 64  # convergence is quadratic; the cap bounds NaN or inf input
 
 
@@ -104,25 +114,49 @@ class QuadratureNonConvergence(RuntimeError):
         self.error = error
 
 
-def _node_sum(spec: DispersionSpec, t: np.ndarray, tz: np.ndarray) -> np.ndarray:
-    """sum_j omega(t + tz[j]) for every entry of t.
+def _node_sum(spec: DispersionSpec, t: np.ndarray, joined: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """sum_j omega(t + k[j]) for every entry of t and every kernel k, the
+    columns bounds[i]:bounds[i+1] of joined, as a (len(bounds)-1, t.size)
+    array.
 
-    Rows of t go in blocks, so the (rows, nodes) temporary stays within
-    _MAT_BUDGET elements, or one row when there are more nodes than that;
-    each row is one numpy pairwise sum, so the result is deterministic.
+    Consecutive kernels share one dispersion call while their (t.size,
+    nodes) temporary stays within _MAT_BUDGET elements; a kernel too large
+    for that goes alone, its rows of t in blocks, or one row when it has
+    more nodes than that. Each kernel sums its own columns, one numpy
+    pairwise sum per row, so a sum does not depend on the blocking or on
+    the other kernels.
     """
-    out = np.empty_like(t)
-    step = max(1, _MAT_BUDGET // tz.size)
-    for i in range(0, t.size, step):
-        out[i : i + step] = _omega_inplace(spec, t[i : i + step, None] + tz).sum(axis=1)
+    out = np.empty((len(bounds) - 1, t.size))
+    width = _MAT_BUDGET // t.size  # nodes that one call over every value of t may take
+    k = 0
+    while k < len(out):
+        a = bounds[k]
+        e = bisect.bisect_right(bounds, a + width, k + 2) - 1  # kernels k..e-1 share the call
+        cols = joined[a : bounds[e]]
+        step = max(1, _MAT_BUDGET // cols.size)
+        for i in range(0, t.size, step):
+            v = _omega_inplace(spec, t[i : i + step, None] + cols)
+            for j in range(k, e):
+                out[j, i : i + step] = v[:, bounds[j] - a : bounds[j + 1] - a].sum(axis=1)
+            del v  # before the next block is allocated
+        k = e
     return out
 
 
-def _mode_sum(spec: DispersionSpec, modes: ModeSet, t: np.ndarray) -> np.ndarray:
-    """(1/2) w sum_l omega(t + kernel(akz_l)) for every entry of t; every
-    generate_modes family has one uniform weight w."""
-    w = modes.weights[0]
-    return 0.5 * (w * _node_sum(spec, t, _kernel(modes.akz)))
+def _join(kernels: Sequence[np.ndarray]) -> tuple:
+    """(joined, bounds) of _node_sum for a list of kernels; one kernel is not copied."""
+    bounds = [0, *itertools.accumulate(k.size for k in kernels)]
+    return (kernels[0] if len(kernels) == 1 else np.concatenate(kernels)), bounds
+
+
+def _mode_sum(
+    spec: DispersionSpec, joined: np.ndarray, bounds: Sequence[int], w: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """(1/2) w_i sum_l omega(t + k_i[l]) for every entry of t, one row per
+    thickness i, with k_i its mode kernels, the columns of joined that
+    bounds gives it (see _node_sum); every generate_modes family has one
+    uniform weight w_i, here a column."""
+    return 0.5 * (w * _node_sum(spec, t, joined, bounds))
 
 
 def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
@@ -140,7 +174,7 @@ def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
     s = spec.s
     if s % 2 == 0:
         m = s // 2 + 1
-        return _node_sum(spec, t, _node_kernels(m)) / m
+        return _node_sum(spec, t, _node_kernels(m), (0, m))[0] / m
     v = t + spec.am * spec.am if spec.am else t
     w = v + 4.0
     q = 4.0 / w
@@ -169,7 +203,7 @@ def _agm(b: np.ndarray, tail):
         a, b = 0.5 * (a + b), np.sqrt(a * b)
         scale *= 2.0
         tail = tail + scale * (c * c)
-        if np.all(np.abs(c) <= _EPS * a):
+        if (np.abs(c) <= _EPS * a).all():
             break
     return a, tail
 
@@ -233,48 +267,53 @@ def _rule(spec: DispersionSpec, d: int) -> _Rule:
     return _Rule(level, n, first, n if even else 1)  # odd: one closed form
 
 
-def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, cost: int = 1) -> MultiQuadResult:
-    """Transverse BZ average of f(t, kz) over the levels of rule (see _rule),
-    t the transverse kernel sum and kz its kz average.
+def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int] = (1,)) -> list[MultiQuadResult]:
+    """Transverse BZ averages of the rows of f over the levels of rule (see
+    _rule), one result per entry of costs.
 
-    One exact level is its mean, summed in extended precision as
+    f(t, kz, rows) gives the integrands of the rows asked for, an index
+    array, at the level's values of t (the transverse kernel sum) and kz
+    (its kz average), as a (rows.size, t.size, ncomp) array. One exact
+    level is the mean of each row, summed in extended precision as
     _grid_average sums, with no refinement; cfg is not consulted. Tanh-sinh
-    levels run under cfg with the change between the last two levels as the
-    error, each value of t charged cost points against the budget. Either
-    way the error is at least the rounding floor of the largest component,
-    which for the Casimir integrand is at least |e0_int|, the size of the
-    terms that cancel pointwise.
+    levels refine the rows together under cfg, each value of t charged
+    costs[i] points against the budget of row i, and each row stops on its
+    own verdict with the change between its last two levels as the error.
+    Either way the error is at least the rounding floor of the largest
+    component, which for the Casimir integrand is at least |e0_int|, the
+    size of the terms that cancel pointwise.
     """
     level, n, first, _ = rule
     if n:
         _, t, _, kz = level(0)
-        total = _rows(f(t, kz), t.size).sum(axis=0, dtype=np.longdouble)
-        r = _exact_result(total.astype(float) / t.size, n)
+        vals = f(t, kz, np.arange(len(costs)))
+        rs = [_exact_result(v.sum(axis=0, dtype=np.longdouble).astype(float) / t.size, n) for v in vals]
     else:
 
-        def at(j: int) -> tuple:
+        def at(j: int, live: np.ndarray) -> tuple:
             w, t, scale, kz = level(j)
-            vals = _rows(f(t, kz), t.size)
+            vals = f(t, kz, live)
             if scale is not None:  # d=3: fold the two values of t of each node
-                vals = (vals / scale[:, None]).reshape(2, w.size, -1).sum(axis=0)
+                vals = (vals / scale[:, None]).reshape(live.size, 2, w.size, -1).sum(axis=1)
             return w, vals
 
         # one value of t per node in d=2, two in d=3
-        r = _tanh_sinh(at, cfg, width=first // _tanh_sinh_size(0), cost=cost)
+        rs = _tanh_sinh(at, cfg, width=first // _tanh_sinh_size(0), costs=costs)
     # fmax: a NaN floor keeps the inf error
-    return replace(r, errors=np.fmax(r.errors, _rounding_floor(r.values)))
+    return [replace(r, errors=np.fmax(r.errors, _rounding_floor(r.values))) for r in rs]
 
 
 def _bare_value(spec: DispersionSpec, d: int, cost: int, cfg: QuadratureConfig, what: str, make_f) -> float:
-    """g times the transverse average of the scalar integrand make_f(), a
-    function of (t, kz), at cost dispersion evaluations per value of t
-    besides the kz average that the rule builds; make_f runs only once the
-    budget admits the first level. Raises QuadratureNonConvergence with the
-    best value (NaN, error inf for refused work) when not converged."""
+    """g times the transverse average of the scalar integrand make_f(), one
+    row of one component as _transverse_average takes it, at cost
+    dispersion evaluations per value of t besides the kz average that the
+    rule builds; make_f runs only once the budget admits the first level.
+    Raises QuadratureNonConvergence with the best value (NaN, error inf for
+    refused work) when not converged."""
     rule = _rule(spec, d)
     cost += rule.kz_nodes
     if rule.first * cost <= _MAX_POINTS:
-        r = _transverse_average(rule, make_f(), cfg, cost)
+        r = _transverse_average(rule, make_f(), cfg, [cost])[0]
     else:
         r = _unreached(np.empty((0, 1)))
     value, error = spec.g * float(r.values[0]), spec.g * float(r.errors[0])
@@ -303,7 +342,8 @@ def zero_point_sum(
 
     def make_f():
         modes = generate_modes(bc, geom.nz)
-        return lambda t, kz: _mode_sum(spec, modes, t)
+        k, w = _kernel(modes.akz), modes.weights[:1]
+        return lambda t, kz, rows: _mode_sum(spec, k, (0, k.size), w[:, None], t)[:, :, None]
 
     return _bare_value(spec, geom.d, _mode_count(bc, geom.nz), cfg, "mode-sum", make_f)
 
@@ -320,7 +360,8 @@ def zero_point_int(
     signature symmetry and ignored.
     """
     _check(spec, geom)
-    return _bare_value(spec, geom.d, 0, cfg, "kz-average", lambda: lambda t, kz: (0.5 * geom.nz) * kz)
+    half_nz = 0.5 * geom.nz
+    return _bare_value(spec, geom.d, 0, cfg, "kz-average", lambda: lambda t, kz, rows: half_nz * kz[None, :, None])
 
 
 def _casimir_rows(
@@ -335,36 +376,69 @@ def _casimir_rows(
     0.0 and e0_sum = e0_int = g (nz/2) A, where A is the rule's average of
     the kz average, taken once and only when such a row asks for it. Those
     rows generate no modes and take no mode sum; if A is refused by the
-    budget or not finite, they are not converged with quad_error inf. Every
-    other row takes the pointwise route (module docstring).
+    budget or not finite, they are not converged with quad_error inf. The
+    other rows take the pointwise route together (module docstring), in
+    groups of consecutive rows whose joined modes times the first level's
+    values of t stay within _MAT_BUDGET, so memory does not grow with the
+    sum of the thicknesses. A row the point budget admits fits a group
+    alone.
     """
     rule = _rule(spec, d)
     continuum = None  # even orders: A, taken when the first row past the support asks
-    rows = []
-    for nz in nzs:
+    rows: list = [None] * len(nzs)
+    groups: list[list[int]] = []  # indices of the rows of the pointwise route
+    joined = 0  # modes of the last group
+    for i, nz in enumerate(nzs):
         n = _mode_count(bc, nz)
         if spec.s % 2 == 0 and n > spec.s // 2:
             if continuum is None:
                 continuum = math.nan  # unless the budget admits the level
                 if rule.first * rule.kz_nodes <= _MAX_POINTS:
-                    continuum = float(_transverse_average(rule, lambda t, kz: kz, cfg, rule.kz_nodes).values[0])
+                    avg = _transverse_average(rule, lambda t, kz, _: kz[None, :, None], cfg, [rule.kz_nodes])
+                    continuum = float(avg[0].values[0])
             e0 = (0.5 * nz) * continuum
             zero = 0.0 if math.isfinite(e0) else math.nan  # non-finite: inf error, not converged
-            rows.append(_row(spec, d, nz, _exact_result(np.array([zero, e0]), 1)))
-            continue
-        cost = n + rule.kz_nodes
-        if rule.first * cost > _MAX_POINTS:
-            rows.append(_row(spec, d, nz, _unreached(np.empty((0, 2)))))
-            continue
-        modes = generate_modes(bc, nz)
-
-        def f(t: np.ndarray, kz: np.ndarray) -> np.ndarray:
-            mode_part = _mode_sum(spec, modes, t)
-            int_part = (0.5 * nz) * kz
-            return np.stack([mode_part - int_part, int_part], axis=1)
-
-        rows.append(_row(spec, d, nz, _transverse_average(rule, f, cfg, cost)))
+            rows[i] = _row(spec, d, nz, _exact_result(np.array([zero, e0]), 1))
+        elif rule.first * (n + rule.kz_nodes) > _MAX_POINTS:
+            rows[i] = _row(spec, d, nz, _unreached(np.empty((0, 2))))
+        else:
+            if not groups or (joined + n) * rule.first > _MAT_BUDGET:
+                groups.append([])
+                joined = 0
+            groups[-1].append(i)
+            joined += n
+    for group in groups:
+        for i, r in zip(group, _pointwise(spec, rule, bc, [nzs[i] for i in group], cfg)):
+            rows[i] = _row(spec, d, nzs[i], r)
     return rows
+
+
+def _pointwise(
+    spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: list, cfg: QuadratureConfig
+) -> list[MultiQuadResult]:
+    """Averages of (e_cas, e0_int) / g at the thicknesses nzs, refined
+    together in one _transverse_average. The mode kernels are built once,
+    and joined again only when a row retires."""
+    kernels, wh = [], []
+    for nz in nzs:  # keep the kernels and weights, not the modes
+        modes = generate_modes(bc, nz)
+        kernels.append(_kernel(modes.akz))
+        wh.append((modes.weights[0], 0.5 * nz))
+    wh = np.array(wh)  # the weight and nz/2 of each row
+    # the live rows only shrink, so their number names them
+    joins = {len(nzs): (*_join(kernels), wh[:, :1], wh[:, 1:])}
+
+    def f(t: np.ndarray, kz: np.ndarray, live: np.ndarray) -> np.ndarray:
+        if live.size not in joins:
+            joins.clear()
+            joins[live.size] = (*_join([kernels[k] for k in live]), wh[live, :1], wh[live, 1:])
+        joined, bounds, w_live, half_live = joins[live.size]
+        vals = np.empty((live.size, t.size, 2))  # (e_cas, e0_int) / g
+        int_part = np.multiply(half_live, kz, out=vals[..., 1])
+        np.subtract(_mode_sum(spec, joined, bounds, w_live, t), int_part, out=vals[..., 0])
+        return vals
+
+    return _transverse_average(rule, f, cfg, [k.size + rule.kz_nodes for k in kernels])
 
 
 def _row(spec: DispersionSpec, d: int, nz: int, r: MultiQuadResult) -> CasimirResult:

@@ -163,9 +163,7 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
 
 
 def _cmd_rectangles(args: argparse.Namespace) -> int:
-    dec = rectangle_decomposition(
-        _spec(args), args.nz, _bc(args), tuple(args.k_perp), args.samples
-    )
+    dec = rectangle_decomposition(_spec(args), args.nz, _bc(args), tuple(args.k_perp), args.samples, args.d)
     if args.format == "table":
         print(f"{'left':>22} {'width':>22} {'height':>22}")
         for left, width, height in dec.rects:

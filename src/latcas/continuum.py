@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import _is_int
+from .model import _is_int, _store_ints
 
 __all__ = ["ContinuumParams", "GammaPoleError", "gamma_fn", "zeta_fn", "continuum_casimir"]
 
@@ -44,6 +44,7 @@ class ContinuumParams:
             raise ValueError(f"L must be finite and positive, got {self.L!r}")
         if not _is_int(self.g) or self.g < 1:
             raise ValueError(f"g must be a positive integer, got {self.g!r}")
+        _store_ints(self, "s", "d", "g")
 
 
 # Lanczos approximation, g=7 with 9 coefficients.

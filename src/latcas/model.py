@@ -7,6 +7,7 @@ a*k, masses a*m. The lattice constant never appears as a runtime parameter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,16 @@ __all__ = [
 
 
 def _is_int(x) -> bool:
-    # bool is an int subclass, but True is not a dispersion order or a size
-    return isinstance(x, int) and not isinstance(x, bool)
+    # numpy integers count; bool is an int subclass, but neither True nor
+    # numpy's True_ is a dispersion order or a size
+    return isinstance(x, numbers.Integral) and not isinstance(x, (bool, np.bool_))
+
+
+def _store_ints(obj, *names: str) -> None:
+    """Store the validated integer fields of a frozen dataclass as int, so
+    that a numpy integer never reaches arithmetic where it could wrap."""
+    for name in names:
+        object.__setattr__(obj, name, int(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,7 @@ class DispersionSpec:
             raise ValueError("a nonzero mass is only supported for the linear branch (s=1)")
         if not _is_int(self.g) or self.g < 1:
             raise ValueError(f"degeneracy g must be a positive integer, got {self.g!r}")
+        _store_ints(self, "s", "g")
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ class Geometry:
             raise ValueError(f"spatial dimension d must be 1, 2, or 3, got {self.d!r}")
         if not _is_int(self.nz) or self.nz < 1:
             raise ValueError(f"nz must be a positive integer, got {self.nz!r}")
+        _store_ints(self, "d", "nz")
 
 
 @dataclass(frozen=True)

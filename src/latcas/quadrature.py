@@ -4,7 +4,10 @@ MultiQuadResult is the one result type: a scalar integrand is a
 one-component result, and every component shares one verdict. Two refined
 rules feed it through one convergence loop, which stops when successive
 levels agree to tolerance, or to the rounding floor of _ROUNDING_ULPS ulps
-of the largest component, and reports their difference as the error:
+of the largest component, and reports their difference as the error. The
+loop refines rows, integrands over the same levels, together: each row
+takes its own convergence test and budget, and stops on its own, so a row
+has the bits it would have alone.
 
 - _tanh_sinh integrates over (0, 1) by the double-exponential rule
   (Takahasi & Mori, Publ. RIMS 9, 1974), halving the step each level and
@@ -12,7 +15,7 @@ of the largest component, and reports their difference as the error:
   algebraic or logarithmic singularities at the endpoints, which is where
   the transverse density of states puts all of them (see casimir). The
   rule is split in two: _tanh_sinh_nodes gives a level's nodes and
-  weights, and _tanh_sinh takes the integrand level by level, so a caller
+  weights, and _tanh_sinh takes the integrands level by level, so a caller
   that integrates several functions over the same nodes can build each
   level once.
 - integrate_bz_multi averages over the uniform periodic grid of the
@@ -24,22 +27,22 @@ of the largest component, and reports their difference as the error:
   are combined with math.fsum, so results are bit-stable run to run
   regardless of internal evaluation batching.
 
-Every call hands its integrand at most _MAX_POINTS points in total, each
+Every call hands each integrand at most _MAX_POINTS points in total, each
 point counted cost times where the integrand does cost units of work per
-point (_tanh_sinh): a level that would pass the budget does not run, and
-the result is then not converged. Non-finite values never count as
-converged.
+point (_tanh_sinh): a level that would pass the budget does not run for
+that integrand, and its result is then not converged. Non-finite values
+never count as converged.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import _is_int
+from .model import _is_int, _store_ints
 
 __all__ = [
     "QuadratureConfig",
@@ -84,6 +87,7 @@ class QuadratureConfig:
             tol = getattr(self, name)
             if isinstance(tol, bool) or not 0 < tol < math.inf:
                 raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
+        _store_ints(self, "base_points", "max_refinements")
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ def _grid_average(f: Callable[[np.ndarray], np.ndarray], ndim: int, n: int) -> n
 def _exact_result(values: np.ndarray, n: int) -> MultiQuadResult:
     """Result of one rule that is exact up to rounding; non-finite values
     are never converged and get an infinite error."""
-    if np.all(np.isfinite(values)):
+    if np.isfinite(values).all():
         return MultiQuadResult(values, np.zeros_like(values), True, n)
     return MultiQuadResult(values, np.full_like(values, math.inf), False, n)
 
@@ -150,43 +154,62 @@ def _unreached(empty) -> MultiQuadResult:
     return _exact_result(np.full(_rows(empty, 0).shape[1], math.nan), 0)
 
 
-def _rounding_floor(values: np.ndarray) -> float:
-    """_ROUNDING_ULPS ulps of the largest component: the accuracy that values
-    summed or differenced at that size can have; NaN for a NaN value."""
-    return _ROUNDING_ULPS * _EPS * float(np.max(np.abs(values)))
+def _rounding_floor(values: np.ndarray) -> np.ndarray:
+    """_ROUNDING_ULPS ulps of the largest component of each row (the last
+    axis): the accuracy that values summed or differenced at that size can
+    have; NaN for a row with a NaN value."""
+    return _ROUNDING_ULPS * _EPS * np.abs(values).max(axis=-1)
 
 
-def _converge(levels: Iterator[tuple[np.ndarray, int]], cfg: QuadratureConfig) -> MultiQuadResult:
-    """Take (values, points_per_axis) from levels until two successive levels
-    agree within tolerance, for at most cfg.max_refinements refinements.
-    levels yields at least one level; when it stops early (the next level
-    would pass _MAX_POINTS) the result is not converged."""
-    prev, n = next(levels)
-    cur, delta = prev, np.full_like(prev, math.inf)  # unverified without a refinement
-    for _, (cur, n) in zip(range(cfg.max_refinements), levels):
-        delta = np.abs(cur - prev)
-        tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur)), _rounding_floor(cur))
-        if np.all(delta <= tol) and np.all(np.isfinite(cur)):  # an inf value makes tol inf
-            return MultiQuadResult(cur, delta, True, n)
+def _converge(
+    level: Callable[..., tuple], size: Callable[[int], int], costs: Sequence[int], cfg: QuadratureConfig
+) -> list[MultiQuadResult]:
+    """Rows refined together, one result and one verdict each.
+
+    level(j, live, prev) gives (values, points_per_axis) of level j for the
+    rows live, an index array, with values of shape (live.size, ncomp);
+    prev holds their values at level j-1 (None for level 0). Level j takes
+    size(j) points, each costing costs[i] for row i. A row stops at the
+    first level that agrees with the one before within tolerance. It also
+    stops, not converged, after cfg.max_refinements refinements or when its
+    next level would take it past _MAX_POINTS. Every row must afford level 0.
+    """
+    costs = np.asarray(costs)
+    out: list = [None] * costs.size
+    live, prev, used = np.arange(costs.size), None, 0
+    for j in itertools.count():
+        cur, n = level(j, live, prev)
+        used += size(j)
+        if prev is None:  # unverified without a refinement
+            delta, ok = np.full_like(cur, math.inf), np.zeros(live.size, dtype=bool)
+        else:
+            delta = np.abs(cur - prev)
+            tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur)), _rounding_floor(cur)[:, None])
+            ok = ((delta <= tol) & np.isfinite(cur)).all(axis=1)  # an inf value makes tol inf
+        done = ok | (j == cfg.max_refinements) | ((used + size(j + 1)) * costs > _MAX_POINTS)
+        if done.any():
+            errors = np.where(np.isfinite(cur), delta, math.inf)
+            for k in np.flatnonzero(done):
+                out[live[k]] = MultiQuadResult(cur[k], errors[k], bool(ok[k]), n)
+            if done.all():
+                return out
+            keep = ~done
+            live, costs, cur = live[keep], costs[keep], cur[keep]
         prev = cur
-    return MultiQuadResult(cur, np.where(np.isfinite(cur), delta, math.inf), False, n)
-
-
-def _grid_levels(f, ndim: int, n: int) -> Iterator[tuple[np.ndarray, int]]:
-    """Grid averages at n, 2n, 4n, ... points per axis, within _MAX_POINTS."""
-    used = 0
-    while used + n**ndim <= _MAX_POINTS:
-        used += n**ndim
-        yield _grid_average(f, ndim, n), n
-        n *= 2
 
 
 def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureConfig) -> MultiQuadResult:
+    """Grid averages at n, 2n, 4n, ... points per axis, n = cfg.base_points."""
     if ndim == 0:
         return _exact_result(_grid_average(f, 0, 1), 1)
     if cfg.base_points**ndim > _MAX_POINTS:
         return _unreached(f(np.empty((0, ndim))))
-    return _converge(_grid_levels(f, ndim, cfg.base_points), cfg)
+
+    def grid(j: int, live: np.ndarray, prev) -> tuple:
+        n = cfg.base_points << j
+        return _grid_average(f, ndim, n)[None], n
+
+    return _converge(grid, lambda j: (cfg.base_points << j) ** ndim, [1], cfg)[0]
 
 
 def _tanh_sinh_size(level: int) -> int:
@@ -215,31 +238,28 @@ def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([hi, lo[side]]), np.concatenate([lo, hi[side]]), np.concatenate([w, w[side]])
 
 
-def _tanh_sinh_levels(at: Callable[[int], tuple], width: int, cost: int) -> Iterator[tuple[np.ndarray, int]]:
-    """Nested tanh-sinh estimates of int_0^1 f and their node counts, within
-    _MAX_POINTS points, where each node costs width * cost points.
+def _tanh_sinh(
+    at: Callable[[int, np.ndarray], tuple], cfg: QuadratureConfig, width: int, costs: Sequence[int]
+) -> list[MultiQuadResult]:
+    """int_0^1 f_i(x) dx for rows i, by nested tanh-sinh levels refined
+    together under cfg (see _converge).
 
-    at(level) returns (w, values): the weights of _tanh_sinh_nodes(level)
-    and f at its nodes, one value or row per node. It is called only for
-    levels that fit the budget.
+    at(level, live) returns (w, values): the weights of
+    _tanh_sinh_nodes(level) and the integrands of the rows live at its
+    nodes, shape (live.size, nodes, ncomp). It is called only for levels
+    that a live row affords. width is the number of points f evaluates per
+    node and costs[i] the work per point of row i, which the budget counts.
     """
-    nodes, total = 0, None
-    for level in itertools.count():
-        new = _tanh_sinh_size(level)
-        if (nodes + new) * width * cost > _MAX_POINTS:
-            return
-        nodes += new
-        w, vals = at(level)
-        part = math.ldexp(1.0, -level) * (w @ _rows(vals, w.size))
-        total = part if total is None else 0.5 * total + part
-        yield total, nodes
+    nodes = 0
 
+    def level(j: int, live: np.ndarray, prev) -> tuple:
+        nonlocal nodes
+        nodes += _tanh_sinh_size(j)
+        w, vals = at(j, live)
+        part = math.ldexp(1.0, -j) * (w @ vals)  # stacked: each row gets the bits of its own w @ vals[i]
+        return (part if prev is None else 0.5 * prev + part), nodes
 
-def _tanh_sinh(at: Callable[[int], tuple], cfg: QuadratureConfig, width: int = 1, cost: int = 1) -> MultiQuadResult:
-    """int_0^1 f(x) dx by tanh-sinh levels under cfg, f given level by level
-    through at (see _tanh_sinh_levels). width is the number of points f
-    evaluates per node and cost the work per point, which the budget counts."""
-    return _converge(_tanh_sinh_levels(at, width, cost), cfg)
+    return _converge(level, lambda j: width * _tanh_sinh_size(j), costs, cfg)
 
 
 def integrate_bz_multi(

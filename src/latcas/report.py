@@ -74,9 +74,12 @@ def sweep(
     row is the casimir_energy result of its thickness, bit for bit. The
     thicknesses share each transverse level's values of t, density of
     states and kz average, which do not depend on nz, so those are computed
-    once per sweep, for both parities. A non-converged row is recorded like
-    any other (its quad_error and converged flag tell the story) and the
-    sweep continues.
+    once per sweep, for both parities. The odd-order thicknesses also
+    refine level by level together: one dispersion call per level covers
+    the modes of every thickness still refining, and each keeps its own
+    convergence test, budget and verdict. A non-converged row is recorded
+    like any other (its quad_error and converged flag tell the story) and
+    the sweep continues.
     """
     nzs = []
     for nz in nz_range:
@@ -97,18 +100,23 @@ def rectangle_decomposition(
     bc: BoundaryCondition,
     k_perp: Sequence[float] = (),
     samples: int = 512,
+    d: int = 3,
 ) -> RectangleDecomposition:
     """Rectangles and curve for the 1D view at fixed transverse momentum.
 
-    The default k_perp = () is the 1D illustration (no transverse kernel).
-    The samples and the modes are each bounded by the quadrature point budget.
+    The default k_perp = () is the 1D illustration (no transverse kernel);
+    a slab in d dimensions has at most d - 1 transverse components. The
+    samples and the modes are each bounded by the quadrature point budget.
     """
     if not _is_int(samples) or not 64 <= samples <= _MAX_POINTS:
         raise ValueError(f"samples must be an integer in [64, {_MAX_POINTS}], got {samples!r}")
+    Geometry(d, nz)  # rejects a bad d or nz
     k_perp = np.asarray(k_perp, dtype=float)
+    if k_perp.size > d - 1:
+        raise ValueError(f"a slab in d = {d} has at most {d - 1} transverse momentum components, got {k_perp.size}")
     if not np.all(np.isfinite(k_perp)):
         raise ValueError("momentum components must be finite")
-    if _is_int(nz) and _mode_count(bc, nz) > _MAX_POINTS:
+    if _mode_count(bc, nz) > _MAX_POINTS:
         raise ValueError(f"nz = {nz} gives more than {_MAX_POINTS} modes")
     t_perp = float(np.sum(_kernel(k_perp)))
     modes = generate_modes(bc, nz)

@@ -22,6 +22,7 @@ from latcas import (
     integrate_bz_multi,
     remnant_partial_sums,
     richardson_extrapolate,
+    sweep,
     zero_point_int,
     zero_point_sum,
 )
@@ -98,12 +99,12 @@ def test_even_orders_use_one_exact_grid(s: int, d: int) -> None:
     # s/2+1 points per axis, no refinement, whatever the config says
     seen = []
 
-    def f(t: np.ndarray, kz: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray, kz: np.ndarray, rows: np.ndarray) -> np.ndarray:
         seen.append(t.size)
-        return np.ones(t.size)
+        return np.ones((rows.size, t.size, 1))
 
     cfg = QuadratureConfig(base_points=4, max_refinements=0)
-    r = _transverse_average(_rule(DispersionSpec(s), d), f, cfg)
+    [r] = _transverse_average(_rule(DispersionSpec(s), d), f, cfg)
     assert r.points_per_axis == s // 2 + 1
     assert seen == [(s // 2 + 1) ** (d - 1)]
     assert r.converged and r.values[0] == 1.0
@@ -356,9 +357,10 @@ def test_dos_average_matches_the_direct_grid() -> None:
     modes = generate_modes(PER, nz)
 
     def f(t: np.ndarray) -> np.ndarray:
-        return _mode_sum(spec, modes, t) - (0.5 * nz) * _kz_average(spec, t)
+        k = _kernel(modes.akz)
+        return _mode_sum(spec, k, (0, k.size), modes.weights[:1, None], t)[0] - (0.5 * nz) * _kz_average(spec, t)
 
-    dos = _transverse_average(_rule(spec, 3), lambda t, kz: f(t), CFG)
+    [dos] = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG)
     assert dos.converged
     grids = [
         integrate_bz_multi(lambda pts: f(_kernel(pts).sum(axis=1)), 3, QuadratureConfig(n, 0)).values[0]
@@ -380,14 +382,14 @@ def test_point_budget_ends_in_nonconvergence() -> None:
     assert not r.converged and math.isfinite(r.e_cas) and r.quad_error > 0.0
     seen = []
 
-    def f(t: np.ndarray, kz: np.ndarray) -> np.ndarray:
+    def f(t: np.ndarray, kz: np.ndarray, rows: np.ndarray) -> np.ndarray:
         seen.append(t.size)
-        return np.sin(1e6 * t)  # tanh-sinh levels never agree on this
+        return np.sin(1e6 * t)[None, :, None]  # tanh-sinh levels never agree on this
 
     # the budget counts the values of t: one per node in d=2, two in d=3
     for d, width in ((2, 1), (3, 2)):
         seen.clear()
-        r = _transverse_average(_rule(DispersionSpec(1), d), f, cfg)
+        [r] = _transverse_average(_rule(DispersionSpec(1), d), f, cfg)
         assert not r.converged
         assert sum(seen) == width * r.points_per_axis <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
 
@@ -474,13 +476,56 @@ def test_node_sum_blocking_is_bit_identical(monkeypatch) -> None:
         (DispersionSpec(1, am=0.5), Geometry(2, 3), ANTI),
         (DispersionSpec(4), Geometry(3, 3), PER),
     ]
+    sweeps = [
+        # nz 1 and 2 share a group and, on the first levels, a call; nz 3..8
+        # go alone, their values of t in blocks
+        (DispersionSpec(1, am=0.5), 3, PER, range(1, 9)),
+        (DispersionSpec(3), 2, PHEN, [1, 2]),  # one group; the kernels part once the levels grow
+        (DispersionSpec(8), 3, ANTI, range(1, 7)),  # in-support rows, one group each, read the exact level
+    ]
     want = [casimir_energy(*case, FAST) for case in cases]
+    want_rows = [sweep(*case, FAST) for case in sweeps]
     monkeypatch.setattr(casimir, "_MAT_BUDGET", 50)
     assert [casimir_energy(*case, FAST) for case in cases] == want
+    assert [sweep(*case, FAST) for case in sweeps] == want_rows
+
+
+def test_long_odd_sweep_keeps_its_memory_bounded(monkeypatch) -> None:
+    # each dispersion call stays within _MAT_BUDGET elements and the rows go
+    # in groups of joined modes within it on the first level, so memory does
+    # not grow with the sum of the thicknesses: taking all 45,150 modes of
+    # nz 1..300 in one call per level peaked at 43 MiB
+    import tracemalloc
+
+    import latcas.casimir as casimir
+
+    tracemalloc.start()
+    try:
+        rows = sweep(DispersionSpec(1), 3, PER, range(1, 301))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.converged for r in rows)
+    assert peak < 2 * 8 * casimir._MAT_BUDGET  # two float temporaries
+
+    groups = []
+    pointwise = casimir._pointwise
+
+    def recorded(spec, rule, bc, nzs, cfg):
+        groups.append((rule.first, nzs))
+        return pointwise(spec, rule, bc, nzs, cfg)
+
+    monkeypatch.setattr(casimir, "_pointwise", recorded)
+    monkeypatch.setattr(casimir, "_MAT_BUDGET", 1 << 12)
+    assert sweep(DispersionSpec(1), 3, PER, range(1, 301)) == rows
+    assert [nz for _, nzs in groups for nz in nzs] == list(range(1, 301))
+    # periodic: nz modes; a row too large to share goes alone
+    assert all(len(nzs) == 1 or first * sum(nzs) <= 1 << 12 for first, nzs in groups)
+    assert 1 < len(groups) < 300
 
 
 def test_heavier_mass_flattens_the_band() -> None:
-    light = casimir_energy(DispersionSpec(1, am=5.0), Geometry(3, 1), PER, FAST)
+    light =casimir_energy(DispersionSpec(1, am=5.0), Geometry(3, 1), PER, FAST)
     heavy = casimir_energy(DispersionSpec(1, am=100.0), Geometry(3, 1), PER, FAST)
     assert abs(heavy.e_cas) < abs(light.e_cas)
 
@@ -541,8 +586,8 @@ def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
     import latcas.casimir as casimir
     from latcas.quadrature import _exact_result
 
-    def fake(spec, f, d, cfg):
-        return _exact_result(np.array([e_cas, 1.0]), 1)
+    def fake(rule, f, cfg, costs):
+        return [_exact_result(np.array([e_cas, 1.0]), 1)]
 
     monkeypatch.setattr(casimir, "_transverse_average", fake)
     r = casimir_energy(DispersionSpec(1100), Geometry(1, 2), PER, CFG)

@@ -185,6 +185,19 @@ def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> No
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--d", "1", "--k-perp", "1", "2", "3", "4", "5"], ["--d", "2", "--k-perp", "0.5", "0.5"], ["--d", "4"]],
+    ids=["d1-five-components", "d2-two-components", "d4"],
+)
+def test_rectangles_honour_d(capsys, argv) -> None:
+    # --d was read by nothing: a 1D slab took five transverse components
+    assert run(["rectangles", "--s", "2", "--nz", "1", *argv]) == 1
+    out, err = _grab(capsys)
+    assert out == "" and err.startswith("error: ")
+    assert run(["rectangles", "--s", "2", "--nz", "1", "--d", "2", "--k-perp", "0.5"]) == 0
+
+
 def test_parser_defaults_are_the_library_defaults() -> None:
     cfg = QuadratureConfig()
     parser = latcas.cli.build_parser()

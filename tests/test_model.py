@@ -48,8 +48,9 @@ def test_rejects_invalid_specs() -> None:
         with pytest.raises(ValueError):
             DispersionSpec(s=1, am=am)
     for field in ("s", "g"):
-        with pytest.raises(ValueError):
-            DispersionSpec(**{"s": 1, field: True})
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError):
+                DispersionSpec(**{"s": 1, field: flag})
 
 
 def test_rejects_nonfinite_momenta() -> None:
@@ -63,9 +64,19 @@ def test_geometry_validation() -> None:
         Geometry(4, 1)
     with pytest.raises(ValueError):
         Geometry(2, 0)
-    for d, nz in ((True, 1), (3, True), (2.0, 1)):
+    for d, nz in ((True, 1), (3, True), (2.0, 1), (np.True_, 1), (3, np.True_), (3, np.float64(4.0))):
         with pytest.raises(ValueError):
             Geometry(d, nz)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integers_are_stored_as_int(kind) -> None:
+    # as sweep takes np.arange thicknesses; stored as int, so no integer
+    # arithmetic downstream (nz**alpha, JSON output) sees a numpy integer
+    geom = Geometry(kind(3), kind(4))
+    spec = DispersionSpec(kind(2), g=kind(2))
+    assert geom == Geometry(3, 4) and spec == DispersionSpec(2, g=2)
+    assert all(type(v) is int for v in (geom.d, geom.nz, spec.s, spec.g))
 
 
 def test_periodicity_to_machine_precision() -> None:

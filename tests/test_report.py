@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -64,6 +65,56 @@ def test_odd_sweep_takes_one_kz_average_per_level(monkeypatch) -> None:
     assert all(r.converged for r in rows)
     assert len(calls) == max(alone) < sum(alone)
     assert len(set(calls)) == len(calls)  # each level once
+
+
+@pytest.mark.parametrize("cap, small", [(3, (False, 3)), (4, (True, 4))], ids=["cap-3", "cap-4"])
+def test_odd_sweep_rows_retire_on_their_own(monkeypatch, cap, small) -> None:
+    # the thicknesses refine together, but each stops on its own verdict:
+    # nz <= 16 needs four levels, so cap 3 cuts them unconverged; nz 200 and
+    # 1000 converge at level 3, before cap 4; nz = 20000 affords levels 0 and
+    # 1 only. Each row is still the casimir_energy result of its thickness.
+    import latcas.casimir as casimir
+
+    levels = collections.Counter()
+    mode_sum = casimir._mode_sum
+
+    def counted(spec, joined, bounds, w, t):
+        levels.update(b - a for a, b in zip(bounds, bounds[1:]))  # periodic: nz modes
+        return mode_sum(spec, joined, bounds, w, t)
+
+    monkeypatch.setattr(casimir, "_mode_sum", counted)
+    spec, cfg = DispersionSpec(1, am=0.5), QuadratureConfig(max_refinements=cap)
+    nzs = [1, 2, 4, 8, 16, 200, 1000, 20000]
+    rows = sweep(spec, 3, PER, nzs, cfg)
+    got = {r.nz: (r.converged, levels[r.nz] - 1) for r in rows}
+    assert got == {**dict.fromkeys(nzs[:5], small), 200: (True, 3), 1000: (True, 3), 20000: (False, 1)}
+    monkeypatch.undo()
+    for r in rows:
+        assert repr(r) == repr(casimir_energy(spec, Geometry(3, r.nz), PER, cfg)), r.nz
+
+
+@pytest.mark.parametrize("s, d", [(1, 2), (3, 3)])
+def test_odd_sweep_takes_one_dispersion_call_per_level(monkeypatch, s, d) -> None:
+    # the live thicknesses share each level's dispersion call over their
+    # joined mode kernels, where each thickness used to take its own
+    import latcas.casimir as casimir
+
+    omega_calls, levels = [], []
+    omega, dos_level = casimir._omega_inplace, casimir._dos_level
+
+    def counted_omega(spec, v):
+        omega_calls.append(v.shape)
+        return omega(spec, v)
+
+    def counted_level(d, level):
+        levels.append(level)
+        return dos_level(d, level)
+
+    monkeypatch.setattr(casimir, "_omega_inplace", counted_omega)
+    monkeypatch.setattr(casimir, "_dos_level", counted_level)
+    rows = sweep(DispersionSpec(s), d, BoundaryCondition.phenomenological(), range(1, 13), CFG)
+    assert all(r.converged for r in rows)
+    assert len(omega_calls) == len(levels) < len(rows)
 
 
 @pytest.mark.parametrize(
@@ -145,6 +196,15 @@ def test_sweep_accepts_numpy_integers() -> None:
     assert all(type(r.nz) is int for r in rows)
 
 
+def test_rectangles_take_up_to_d_minus_one_components() -> None:
+    # d only bounds the transverse components; it does not change the numbers
+    three = rectangle_decomposition(DispersionSpec(2), 3, PER, (0.7, 1.1))
+    assert rectangle_decomposition(DispersionSpec(2), 3, PER, (0.7, 1.1), d=3) == three
+    one = rectangle_decomposition(DispersionSpec(2), 3, PER, (0.7,), d=2)
+    assert one.int_area == pytest.approx(2 * math.pi * (2 - 2 * math.cos(0.7) + 2), rel=1e-14)
+    assert rectangle_decomposition(DispersionSpec(2), 3, PER, (), d=1).int_area == pytest.approx(4 * math.pi)
+
+
 def test_rectangles_quadratic_two_sites() -> None:
     dec = rectangle_decomposition(DispersionSpec(2), 2, PER)
     heights = sorted(h for _, _, h in dec.rects)
@@ -224,9 +284,14 @@ def test_rectangles_curve_sampling() -> None:
         (_MAX_POINTS // 2 + 1, {"bc": BoundaryCondition.phenomenological()}),
         (4, {"k_perp": (math.nan,)}),
         (4, {"k_perp": (0.5, math.inf)}),
+        (4, {"d": 1, "k_perp": (0.5,)}),
+        (4, {"d": 2, "k_perp": (0.5, 0.5)}),
+        (4, {"d": 4}),
+        (4, {"d": True}),
     ],
     ids=["samples-huge", "samples-over-budget", "samples-float", "samples-bool", "nz-huge",
-         "phen-modes-over-budget", "k-perp-nan", "k-perp-inf"],
+         "phen-modes-over-budget", "k-perp-nan", "k-perp-inf", "k-perp-past-d1", "k-perp-past-d2",
+         "d-4", "d-bool"],
 )
 def test_rectangles_reject_unbounded_or_invalid_input(monkeypatch, nz, kwargs) -> None:
     # refused before any mode or sample is allocated
