@@ -6,94 +6,52 @@ for dispersions w = |k~|^s on the nearest-neighbor kernel, under periodic,
 antiperiodic, and phenomenological mode families. Includes the continuum
 closed form, the massive-branch expansion into even orders, behavior
 classification over thickness sweeps, and CSV/JSON reporting.
+
+The public names load on first use (PEP 562): `import latcas` reads this
+file only, and the first access to any name of __all__ imports every module
+that holds one, numpy with them.
 """
-from .casimir import (
-    QuadratureNonConvergence,
-    casimir_energy,
-    zero_point_int,
-    zero_point_sum,
-)
-from .classify import (
-    BehaviorKind,
-    Classification,
-    ClassifyThresholds,
-    classify_behavior,
-    classify_rows,
-)
-from .continuum import ContinuumParams, GammaPoleError, continuum_casimir, gamma_fn, zeta_fn
-from .massexp import (
-    ConvergenceReport,
-    DivergentExpansionWarning,
-    ExpansionTerm,
-    convergence_check,
-    expansion_coefficients,
-    remnant_partial_sums,
-)
-from .model import (
-    CasimirResult,
-    DispersionSpec,
-    Geometry,
-    eval_from_kernel_sum,
-    eval_lattice_dispersion,
-)
-from .modes import BoundaryCondition, BoundaryKind, ModeSet, PhenOffset, generate_modes
-from .quadrature import (
-    MultiQuadResult,
-    QuadratureConfig,
-    integrate_bz_multi,
-    richardson_extrapolate,
-)
-from .report import (
-    CSV_COLUMNS,
-    RectangleDecomposition,
-    SweepRow,
-    emit,
-    rectangle_decomposition,
-    sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BehaviorKind",
-    "BoundaryCondition",
-    "BoundaryKind",
-    "CSV_COLUMNS",
-    "CasimirResult",
-    "Classification",
-    "ClassifyThresholds",
-    "ContinuumParams",
-    "ConvergenceReport",
-    "DispersionSpec",
-    "DivergentExpansionWarning",
-    "ExpansionTerm",
-    "GammaPoleError",
-    "Geometry",
-    "ModeSet",
-    "MultiQuadResult",
-    "PhenOffset",
-    "QuadratureConfig",
-    "QuadratureNonConvergence",
-    "RectangleDecomposition",
-    "SweepRow",
-    "casimir_energy",
-    "classify_behavior",
-    "classify_rows",
-    "continuum_casimir",
-    "convergence_check",
-    "emit",
-    "eval_from_kernel_sum",
-    "eval_lattice_dispersion",
-    "expansion_coefficients",
-    "gamma_fn",
-    "generate_modes",
-    "integrate_bz_multi",
-    "rectangle_decomposition",
-    "remnant_partial_sums",
-    "richardson_extrapolate",
-    "sweep",
-    "zeta_fn",
-    "zero_point_int",
-    "zero_point_sum",
-    "__version__",
-]
+# module -> the public names it holds
+_EXPORTS = {
+    "casimir": (
+        "QuadratureNonConvergence",
+        "casimir_energy",
+        "eval_from_kernel_sum",
+        "eval_lattice_dispersion",
+        "zero_point_int",
+        "zero_point_sum",
+    ),
+    "classify": ("BehaviorKind", "Classification", "ClassifyThresholds", "classify_behavior", "classify_rows"),
+    "continuum": ("ContinuumParams", "GammaPoleError", "continuum_casimir", "gamma_fn", "zeta_fn"),
+    "massexp": (
+        "ConvergenceReport",
+        "DivergentExpansionWarning",
+        "ExpansionTerm",
+        "convergence_check",
+        "expansion_coefficients",
+        "remnant_partial_sums",
+    ),
+    "model": ("CasimirResult", "DispersionSpec", "Geometry", "QuadratureConfig"),
+    "modes": ("BoundaryCondition", "BoundaryKind", "ModeSet", "PhenOffset", "generate_modes"),
+    "quadrature": ("MultiQuadResult", "integrate_bz_multi", "richardson_extrapolate"),
+    "report": ("CSV_COLUMNS", "RectangleDecomposition", "SweepRow", "emit", "rectangle_decomposition", "sweep"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module, names in _EXPORTS.items():
+        mod = importlib.import_module(f".{module}", __name__)
+        globals().update((n, getattr(mod, n)) for n in names)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,4 +1,5 @@
-"""Zero-point energies and Casimir energy of a slab.
+"""Zero-point energies and Casimir energy of a slab, and the one
+nearest-neighbor kernel and dispersion evaluator every energy is built on.
 
 The Casimir energy is the mode-sum zero-point energy minus the continuum
 one at equal thickness. The two are combined pointwise in the transverse
@@ -76,13 +77,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import CasimirResult, DispersionSpec, Geometry, _kernel, _omega_inplace
+from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig
 from .modes import BoundaryCondition, generate_modes, _mode_count
 from .quadrature import (
     _EPS,
     _MAX_POINTS,
     MultiQuadResult,
-    QuadratureConfig,
     _exact_result,
     _rounding_floor,
     _tanh_sinh,
@@ -96,6 +96,8 @@ __all__ = [
     "zero_point_sum",
     "zero_point_int",
     "casimir_energy",
+    "eval_lattice_dispersion",
+    "eval_from_kernel_sum",
 ]
 
 # elements per (values of t, joined mode kernels) temporary; the point budget
@@ -112,6 +114,52 @@ class QuadratureNonConvergence(RuntimeError):
         super().__init__(message)
         self.value = value
         self.error = error
+
+
+def _kernel(ak: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor kernel 2 - 2 cos ak, elementwise."""
+    return 2.0 - 2.0 * np.cos(ak)
+
+
+def _omega_inplace(spec: DispersionSpec, v: np.ndarray) -> np.ndarray:
+    """Turn kernel sums v into dispersion values in place and return v.
+
+    Integer powers are computed as exact polynomial powers so that even-order
+    dispersions stay trigonometric polynomials of the momenta.
+    """
+    if spec.am:
+        v += spec.am * spec.am
+    s = spec.s
+    if s == 0:
+        v[...] = 1.0
+    elif s == 1:
+        np.sqrt(v, out=v)
+    elif s == 2:
+        pass
+    elif s % 2 == 0:
+        np.power(v, s // 2, out=v)
+    else:
+        root = np.sqrt(v)
+        np.power(v, s // 2, out=v)
+        v *= root
+    return v
+
+
+def eval_from_kernel_sum(spec: DispersionSpec, t: np.ndarray | float) -> np.ndarray | float:
+    """Dispersion value from the summed kernel t = sum_i (2 - 2 cos ak_i)."""
+    out = _omega_inplace(spec, np.array(t, dtype=float))
+    return out if out.ndim else float(out)
+
+
+def eval_lattice_dispersion(spec: DispersionSpec, ak) -> np.ndarray | float:
+    """Evaluate a*w at lattice momentum ak (the last axis holds the d components).
+
+    Returns [sum_i (2 - 2 cos ak_i) + (am)^2]^(s/2); a flat band (s=0) is 1.
+    """
+    ak = np.asarray(ak, dtype=float)
+    if not np.all(np.isfinite(ak)):
+        raise ValueError("momentum components must be finite")
+    return eval_from_kernel_sum(spec, _kernel(ak).sum(axis=-1))
 
 
 def _node_sum(spec: DispersionSpec, t: np.ndarray, joined: np.ndarray, bounds: Sequence[int]) -> np.ndarray:

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import CasimirResult, DispersionSpec
+from .model import CasimirResult, DispersionSpec, QuadratureConfig
 from .modes import BoundaryCondition
-from .quadrature import QuadratureConfig
 from .report import sweep
 
 __all__ = ["BehaviorKind", "ClassifyThresholds", "Classification", "classify_rows", "classify_behavior"]

@@ -4,40 +4,36 @@ Every subcommand is a thin adapter over the library; identical parameters
 give identical results. There is no randomness anywhere, so repeated
 invocations are byte-identical.
 
-Exit codes: 0 success, 1 invalid arguments, 2 quadrature non-convergence.
+Exit codes: 0 success, 1 invalid arguments, 2 quadrature non-convergence
+or a non-finite reference value.
 Result rows print in the columns of report.CSV_COLUMNS in every format, so
 a non-converged row says so in the table, CSV and JSON alike. Non-finite
 results are named in one stderr line instead of raw numpy warnings.
+
+The module imports no numpy: each command that computes on arrays imports
+the numeric layers when it runs, so reference, --help and usage errors
+answer without loading them.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .casimir import casimir_energy
-from .classify import ClassifyThresholds, classify_behavior
 from .continuum import ContinuumParams, continuum_casimir
 from .massexp import DEFAULT_ORDERS, convergence_check, remnant_partial_sums
-from .model import CasimirResult, DispersionSpec, Geometry
-from .modes import BoundaryCondition, BoundaryKind, PhenOffset
-from .quadrature import QuadratureConfig
-from .report import CSV_COLUMNS, _row_values, emit, rectangle_decomposition, sweep
+from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig
+
+if TYPE_CHECKING:
+    from .modes import BoundaryCondition
 
 __all__ = ["run", "main"]
 
-_BC_CHOICES = {
-    "periodic": BoundaryKind.PERIODIC,
-    "antiperiodic": BoundaryKind.ANTIPERIODIC,
-    "phenomenological": BoundaryKind.PHENOMENOLOGICAL,
-}
-_OFFSET_CHOICES = {
-    "one-to-2nz": PhenOffset.ONE_TO_2NZ,
-    "zero-to-2nz-minus-1": PhenOffset.ZERO_TO_2NZ_MINUS_1,
-}
+# the values of BoundaryKind, and the PhenOffset names in lower case with - for _
+_BC_CHOICES = ("antiperiodic", "periodic", "phenomenological")
+_OFFSET_CHOICES = ("one-to-2nz", "zero-to-2nz-minus-1")
 
 
 class _UsageError(Exception):
@@ -69,9 +65,10 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
 
 
 def _bc(args: argparse.Namespace) -> BoundaryCondition:
-    kind = _BC_CHOICES[args.bc]
-    offset = _OFFSET_CHOICES[getattr(args, "phen_offset", "one-to-2nz")]
-    return BoundaryCondition(kind, offset)
+    from .modes import BoundaryCondition, BoundaryKind, PhenOffset
+
+    offset = getattr(args, "phen_offset", "one-to-2nz")
+    return BoundaryCondition(BoundaryKind(args.bc), PhenOffset[offset.upper().replace("-", "_")])
 
 
 def _spec(args: argparse.Namespace) -> DispersionSpec:
@@ -99,6 +96,8 @@ def _table_cell(v, width: int, spec: str) -> str:
 
 
 def _rows_table(rows: Sequence[CasimirResult]) -> str:
+    from .report import CSV_COLUMNS, _row_values
+
     lines = [" ".join(_table_cell(name, w, "") for name, (w, _) in zip(CSV_COLUMNS, _TABLE_CELLS))]
     for r in rows:
         lines.append(" ".join(_table_cell(v, *cell) for v, cell in zip(_row_values(r), _TABLE_CELLS)))
@@ -107,6 +106,8 @@ def _rows_table(rows: Sequence[CasimirResult]) -> str:
 
 def _exit_code(rows: Sequence[CasimirResult]) -> int:
     """0 when every row converged, else 2; non-finite fields are named on stderr."""
+    from .report import CSV_COLUMNS, _row_values
+
     values = [_row_values(r) for r in rows]
     bad = [name for i, name in enumerate(CSV_COLUMNS) if not all(math.isfinite(v[i]) for v in values)]
     if bad:
@@ -114,7 +115,25 @@ def _exit_code(rows: Sequence[CasimirResult]) -> int:
     return 0 if all(r.converged for r in rows) else 2
 
 
+def _numeric(handler):
+    """Run a command that computes on arrays with numpy's floating-point
+    warnings off; its non-finite results are reported by _exit_code."""
+
+    @functools.wraps(handler)
+    def run_quietly(args: argparse.Namespace) -> int:
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return handler(args)
+
+    return run_quietly
+
+
+@_numeric
 def _cmd_compute(args: argparse.Namespace) -> int:
+    from .casimir import casimir_energy
+    from .report import emit
+
     spec = _spec(args)
     r = casimir_energy(spec, Geometry(args.d, args.nz), _bc(args), _quad_config(args))
     if args.format == "table":
@@ -124,7 +143,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return _exit_code([r])
 
 
+@_numeric
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .report import emit, sweep
+
     rows = sweep(_spec(args), args.d, _bc(args), range(args.nz_min, args.nz_max + 1), _quad_config(args))
     if args.format == "table":
         print(_rows_table(rows))
@@ -133,7 +155,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _exit_code(rows)
 
 
+@_numeric
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .classify import ClassifyThresholds, classify_behavior
+
     thresholds = ClassifyThresholds(args.eps_zero, args.eps_nonzero, args.delta_tail)
     c = classify_behavior(_spec(args), args.d, _bc(args), args.nz_max, _quad_config(args), thresholds)
     if c.n_max is not None:
@@ -146,7 +171,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return _exit_code(c.rows)
 
 
+@_numeric
 def _cmd_mass_expansion(args: argparse.Namespace) -> int:
+    from .casimir import casimir_energy
+
     report = convergence_check(args.am, args.d)  # rejects am <= 0 before any energy
     geom = Geometry(args.d, args.nz)
     bc = _bc(args)
@@ -162,7 +190,10 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     return _exit_code([massive])
 
 
+@_numeric
 def _cmd_rectangles(args: argparse.Namespace) -> int:
+    from .report import emit, rectangle_decomposition
+
     dec = rectangle_decomposition(_spec(args), args.nz, _bc(args), tuple(args.k_perp), args.samples, args.d)
     if args.format == "table":
         print(f"{'left':>22} {'width':>22} {'height':>22}")
@@ -178,6 +209,9 @@ def _cmd_rectangles(args: argparse.Namespace) -> int:
 def _cmd_reference(args: argparse.Namespace) -> int:
     value = continuum_casimir(ContinuumParams(s=args.s, d=args.d, L=args.L, g=args.g))
     print(format(value, ".17g"))
+    if not math.isfinite(value):
+        print("warning: non-finite reference", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -190,8 +224,8 @@ def build_parser() -> _Parser:
         p.add_argument("--am", type=float, default=0.0, help="mass in lattice units (s=1 only)")
         p.add_argument("--g", type=int, default=1, help="branch degeneracy multiplier")
         p.add_argument("--d", type=int, default=3, help="spatial dimension (1-3)")
-        p.add_argument("--bc", choices=sorted(_BC_CHOICES), default="periodic")
-        p.add_argument("--phen-offset", choices=sorted(_OFFSET_CHOICES), default="one-to-2nz",
+        p.add_argument("--bc", choices=_BC_CHOICES, default="periodic")
+        p.add_argument("--phen-offset", choices=_OFFSET_CHOICES, default="one-to-2nz",
                        help="index range of the phenomenological modes")
 
     p = sub.add_parser("compute", help="one Casimir energy")
@@ -222,8 +256,8 @@ def build_parser() -> _Parser:
     p.add_argument("--am", type=float, required=True)
     p.add_argument("--g", type=int, default=1)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--bc", choices=sorted(_BC_CHOICES), default="periodic")
-    p.add_argument("--phen-offset", choices=sorted(_OFFSET_CHOICES), default="one-to-2nz")
+    p.add_argument("--bc", choices=_BC_CHOICES, default="periodic")
+    p.add_argument("--phen-offset", choices=_OFFSET_CHOICES, default="one-to-2nz")
     p.add_argument("--nz", type=int, required=True)
     p.add_argument("--orders", type=int, default=DEFAULT_ORDERS,
                    help="number of expansion terms (default %(default)s)")
@@ -253,14 +287,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        if getattr(args, "format", None) == "table" and args.out != "-":
+            parser.error("--out takes --format csv or json; the table prints to stdout")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
-        with np.errstate(all="ignore"):  # non-finite results are reported by _exit_code
-            return args.handler(args)
+        return args.handler(args)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ accuracy with a wide margin on that range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,6 +96,7 @@ _BERNOULLI = {
 }
 _EM_FACTORS = {j: float(b / math.factorial(j)) for j, b in _BERNOULLI.items()}
 _EM_CUTOFF = 18
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def zeta_fn(x: float) -> float:
@@ -116,17 +118,32 @@ def continuum_casimir(p: ContinuumParams) -> float:
     """Continuum Casimir energy for order s in d spatial dimensions, period L.
 
     Even s hits a gamma pole in the denominator, so the energy is returned as
-    exactly zero (detected symbolically, not via overflow).
+    exactly zero (detected symbolically, not via overflow). A value past the
+    float range is the signed inf, and one below it the signed 0.0; the sign
+    is that of gamma(-s/2), negative for s = 1 mod 4.
     """
     if p.s % 2 == 0:
         return 0.0
     alpha = (p.d - 1) + p.s
-    value = (
-        p.g
-        / (4.0 * math.pi) ** ((p.d - 1) / 2.0)
-        * (gamma_fn((p.d + p.s) / 2.0) * zeta_fn(float(p.d + p.s)))
-        / (math.sqrt(math.pi) * gamma_fn(-p.s / 2.0))
-        * 2.0**alpha
-        / p.L**alpha
-    )
-    return value
+    try:
+        return (
+            p.g
+            / (4.0 * math.pi) ** ((p.d - 1) / 2.0)
+            * (gamma_fn((p.d + p.s) / 2.0) * zeta_fn(float(p.d + p.s)))
+            / (math.sqrt(math.pi) * gamma_fn(-p.s / 2.0))
+            * 2.0**alpha
+            / p.L**alpha
+        )
+    except (OverflowError, ZeroDivisionError):
+        # a factor left the float range: take the same product in logarithms
+        log_abs = (
+            math.log(p.g)
+            - (p.d - 1) / 2.0 * math.log(4.0 * math.pi)
+            + math.lgamma((p.d + p.s) / 2.0)
+            + math.log(zeta_fn(float(p.d + p.s)))
+            - 0.5 * math.log(math.pi)
+            - math.lgamma(-p.s / 2.0)
+            + alpha * (math.log(2.0) - math.log(p.L))
+        )
+        magnitude = math.exp(log_abs) if log_abs < _LOG_FLOAT_MAX else math.inf
+        return -magnitude if p.s % 4 == 1 else magnitude

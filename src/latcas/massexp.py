@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .casimir import casimir_energy
-from .model import DispersionSpec, Geometry, _is_int
-from .modes import BoundaryCondition
-from .quadrature import QuadratureConfig
+from .model import DispersionSpec, Geometry, QuadratureConfig, _is_int
+
+if TYPE_CHECKING:
+    from .modes import BoundaryCondition
 
 __all__ = [
     "ExpansionTerm",
@@ -90,6 +91,8 @@ def remnant_partial_sums(
     Terms whose massless energy vanishes (order below the remnant support)
     contribute exactly zero; no support rule is imposed by hand.
     """
+    from .casimir import casimir_energy  # numpy loads with the first energy, not with this module
+
     report = convergence_check(am, geom.d)
     if not report.converges:
         warnings.warn(

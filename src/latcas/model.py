@@ -1,5 +1,9 @@
-"""Domain types for dispersions, slab geometry, and results, plus the one
-nearest-neighbor kernel and dispersion evaluator every energy is built on.
+"""Domain types for dispersions, slab geometry, quadrature settings and
+results, and the integer checks of the input boundary.
+
+The module needs no numpy, so the CLI can parse and validate its input, and
+answer the commands that compute no array, without loading it. The one
+dispersion evaluator lives in casimir.
 
 All quantities are dimensionless lattice units: energies are a*E, momenta
 a*k, masses a*m. The lattice constant never appears as a runtime parameter.
@@ -10,21 +14,18 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "DispersionSpec",
     "Geometry",
+    "QuadratureConfig",
     "CasimirResult",
-    "eval_lattice_dispersion",
-    "eval_from_kernel_sum",
 ]
 
 
 def _is_int(x) -> bool:
-    # numpy integers count; bool is an int subclass, but neither True nor
-    # numpy's True_ is a dispersion order or a size
-    return isinstance(x, numbers.Integral) and not isinstance(x, (bool, np.bool_))
+    # numpy integers count; bool is an int subclass, but True is not a
+    # dispersion order or a size (numpy's True_ is no Integral at all)
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _store_ints(obj, *names: str) -> None:
@@ -78,6 +79,37 @@ class Geometry:
 
 
 @dataclass(frozen=True)
+class QuadratureConfig:
+    """Refinement settings for integrands that no finite rule integrates
+    exactly (odd dispersion orders); even orders use one exact grid and do
+    not consult them.
+
+    max_refinements caps the number of refinements after the first level:
+    step halvings of the tanh-sinh rule that casimir uses for odd orders,
+    or grid doublings of integrate_bz_multi. rel_tol and abs_tol set the
+    agreement that two successive levels need; a change within the rounding
+    floor of the values always passes. base_points is the first
+    grid of integrate_bz_multi and feeds nothing else.
+    """
+
+    base_points: int = 64
+    max_refinements: int = 6
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+
+    def __post_init__(self) -> None:
+        if not _is_int(self.base_points) or self.base_points < 4:
+            raise ValueError(f"base_points must be an integer >= 4, got {self.base_points!r}")
+        if not _is_int(self.max_refinements) or self.max_refinements < 0:
+            raise ValueError(f"max_refinements must be a nonnegative integer, got {self.max_refinements!r}")
+        for name in ("rel_tol", "abs_tol"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not 0 < tol < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
+        _store_ints(self, "base_points", "max_refinements")
+
+
+@dataclass(frozen=True)
 class CasimirResult:
     """Zero-point energies per transverse site and their difference at
     thickness nz: one row of a sweep table, and of CSV and JSON output.
@@ -95,49 +127,3 @@ class CasimirResult:
     coeff: float
     quad_error: float
     converged: bool = True
-
-
-def _kernel(ak: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor kernel 2 - 2 cos ak, elementwise."""
-    return 2.0 - 2.0 * np.cos(ak)
-
-
-def _omega_inplace(spec: DispersionSpec, v: np.ndarray) -> np.ndarray:
-    """Turn kernel sums v into dispersion values in place and return v.
-
-    Integer powers are computed as exact polynomial powers so that even-order
-    dispersions stay trigonometric polynomials of the momenta.
-    """
-    if spec.am:
-        v += spec.am * spec.am
-    s = spec.s
-    if s == 0:
-        v[...] = 1.0
-    elif s == 1:
-        np.sqrt(v, out=v)
-    elif s == 2:
-        pass
-    elif s % 2 == 0:
-        np.power(v, s // 2, out=v)
-    else:
-        root = np.sqrt(v)
-        np.power(v, s // 2, out=v)
-        v *= root
-    return v
-
-
-def eval_from_kernel_sum(spec: DispersionSpec, t: np.ndarray | float) -> np.ndarray | float:
-    """Dispersion value from the summed kernel t = sum_i (2 - 2 cos ak_i)."""
-    out = _omega_inplace(spec, np.array(t, dtype=float))
-    return out if out.ndim else float(out)
-
-
-def eval_lattice_dispersion(spec: DispersionSpec, ak) -> np.ndarray | float:
-    """Evaluate a*w at lattice momentum ak (the last axis holds the d components).
-
-    Returns [sum_i (2 - 2 cos ak_i) + (am)^2]^(s/2); a flat band (s=0) is 1.
-    """
-    ak = np.asarray(ak, dtype=float)
-    if not np.all(np.isfinite(ak)):
-        raise ValueError("momentum components must be finite")
-    return eval_from_kernel_sum(spec, _kernel(ak).sum(axis=-1))

@@ -42,10 +42,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import _is_int, _store_ints
+from .model import QuadratureConfig
 
 __all__ = [
-    "QuadratureConfig",
     "MultiQuadResult",
     "integrate_bz_multi",
     "richardson_extrapolate",
@@ -57,37 +56,6 @@ _MAX_POINTS = 1 << 20  # points one call may hand its integrand, all levels toge
 _TS_REACH = 3.5  # tanh-sinh nodes at |u| <= _TS_REACH; the weights beyond are below 1e-20
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_ULPS = 16  # error floor, in ulps of the largest component
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Refinement settings for integrands that no finite rule integrates
-    exactly (odd dispersion orders); even orders use one exact grid and do
-    not consult them.
-
-    max_refinements caps the number of refinements after the first level:
-    step halvings of the tanh-sinh rule that casimir uses for odd orders,
-    or grid doublings of integrate_bz_multi. rel_tol and abs_tol set the
-    agreement that two successive levels need; a change within the rounding
-    floor of the values always passes. base_points is the first
-    grid of integrate_bz_multi and feeds nothing else.
-    """
-
-    base_points: int = 64
-    max_refinements: int = 6
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.base_points) or self.base_points < 4:
-            raise ValueError(f"base_points must be an integer >= 4, got {self.base_points!r}")
-        if not _is_int(self.max_refinements) or self.max_refinements < 0:
-            raise ValueError(f"max_refinements must be a nonnegative integer, got {self.max_refinements!r}")
-        for name in ("rel_tol", "abs_tol"):
-            tol = getattr(self, name)
-            if isinstance(tol, bool) or not 0 < tol < math.inf:
-                raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
-        _store_ints(self, "base_points", "max_refinements")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .casimir import _casimir_rows, _check, _kz_average
-from .model import CasimirResult, DispersionSpec, Geometry, _is_int, _kernel, eval_from_kernel_sum
+from .casimir import _casimir_rows, _check, _kernel, _kz_average, eval_from_kernel_sum
+from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _is_int
 from .modes import BoundaryCondition, _mode_count, generate_modes
-from .quadrature import _MAX_POINTS, QuadratureConfig
+from .quadrature import _MAX_POINTS
 
 __all__ = [
     "SweepRow",

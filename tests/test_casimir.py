@@ -26,8 +26,7 @@ from latcas import (
     zero_point_int,
     zero_point_sum,
 )
-from latcas.casimir import _kz_average, _mode_sum, _rule, _transverse_average
-from latcas.model import _kernel
+from latcas.casimir import _kernel, _kz_average, _mode_sum, _rule, _transverse_average
 from latcas.quadrature import _MAX_POINTS
 
 import moment_oracle as mo

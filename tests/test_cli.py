@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import latcas.cli
-import latcas.massexp
+import latcas.casimir
 import latcas.report
 from latcas import QuadratureConfig
 from latcas.cli import run
@@ -101,8 +101,7 @@ def test_mass_expansion_rejects_zero_mass_before_any_energy(monkeypatch, capsys)
         calls.append(args)
         raise AssertionError("no energy may be computed for am <= 0")
 
-    monkeypatch.setattr(latcas.cli, "casimir_energy", spy)
-    monkeypatch.setattr(latcas.massexp, "casimir_energy", spy)
+    monkeypatch.setattr(latcas.casimir, "casimir_energy", spy)
     code = run(["mass-expansion", "--am", "0", "--nz", "1"])
     _, err = _grab(capsys)
     assert code == 1
@@ -183,6 +182,44 @@ def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> No
     assert run(argv) == 1
     out, err = _grab(capsys)
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code, value",
+    [
+        (["--L", "1e-320"], 2, -math.inf),
+        (["--L", "1e300"], 0, -0.0),
+        (["--s", "100000001"], 2, -math.inf),
+        (["--s", "201"], 2, -math.inf),
+    ],
+    ids=["L-underflows", "L-overflows", "s-huge", "s-201"],
+)
+def test_reference_past_the_float_range(capsys, argv, code, value) -> None:
+    # a ZeroDivisionError, two OverflowError tracebacks and an -inf with exit 0 before
+    assert run(["reference", "--s", "1", "--d", "3", *argv]) == code
+    out, err = _grab(capsys)
+    assert math.copysign(1.0, float(out)) == math.copysign(1.0, value) and float(out) == value
+    assert err == ("warning: non-finite reference\n" if code else "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--s", "1", "--d", "3", "--nz", "2"],
+        ["sweep", "--s", "2", "--nz-max", "2"],
+        ["rectangles", "--s", "2", "--nz", "1"],
+    ],
+    ids=["compute", "sweep", "rectangles"],
+)
+def test_out_with_the_table_format_is_refused(tmp_path, monkeypatch, capsys, argv) -> None:
+    # the table went to stdout and --out wrote no file
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", "r.txt"]) == 1
+    out, err = _grab(capsys)
+    assert out == "" and err.startswith("error: ") and "--out" in err
+    assert not (tmp_path / "r.txt").exists()
+    assert run([*argv, "--out", "r.txt", "--format", "csv"]) == 0
+    assert (tmp_path / "r.txt").read_text()
 
 
 @pytest.mark.parametrize(

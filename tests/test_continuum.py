@@ -90,6 +90,26 @@ def test_power_law_scaling() -> None:
             assert val * L**alpha == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kwargs, want",
+    [
+        ({"s": 1, "L": 1e-320}, -math.inf),
+        ({"s": 1, "L": 1e300}, -0.0),
+        ({"s": 3, "L": 1e300}, 0.0),
+        ({"s": 100000001}, -math.inf),
+        ({"s": 100000003}, math.inf),
+        ({"s": 1, "L": 1e140, "g": 10**400}, -math.pi**2 / 90.0 * 1e-20),
+    ],
+    ids=["L-underflows", "L-overflows", "L-overflows-s3", "s-huge", "s-huge-s3", "g-huge"],
+)
+def test_values_past_the_float_range_keep_their_sign(kwargs, want) -> None:
+    # these raised ZeroDivisionError or OverflowError; the last is finite
+    # although g itself passes the float range
+    got = continuum_casimir(ContinuumParams(d=3, **kwargs))
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_params_validation() -> None:
     with pytest.raises(ValueError):
         ContinuumParams(s=0, d=3)
