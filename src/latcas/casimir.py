@@ -16,16 +16,16 @@ elliptic integrals K and E, evaluated by the arithmetic-geometric mean.
 
 Every transverse integrand depends on the transverse momentum only through
 the kernel sum t = sum_i (2 - 2 cos k_i), so the integrands take t and its
-kz average. Each call builds one transverse rule, a table of levels that
+kz average. Every call reads one transverse rule, a table of levels that
 hold the values of t and the kz average at each, filled as the first
-thickness asks; both parities, every thickness of the call and the
-continuum term of even orders read it. Its levels split by parity. For
-even s the integrand is of degree s/2 on every transverse axis too, so one
-exact level, the uniform grid of s/2+1 points per axis, suffices: no
-refinement and no QuadratureConfig. For odd s the zone average is the
-one-dimensional integral of F(t) against the lattice density of states, by
-tanh-sinh levels under QuadratureConfig with the change between the last
-two levels as the error:
+thickness asks; both parities, every thickness and the continuum term of
+even orders read it. Its levels split by parity. For even s the integrand
+is of degree s/2 on every transverse axis too, so one exact level, the
+uniform grid of s/2+1 points per axis, suffices: no refinement and no
+QuadratureConfig. For odd s the zone average is the one-dimensional
+integral of F(t) against the lattice density of states, by tanh-sinh
+levels under QuadratureConfig with the change between the last two levels
+as the error:
 
 - d=1 has the single point t = 0, one exact level;
 - d=2 averages kx over [0, pi] with t = 4 sin^2(kx/2);
@@ -46,19 +46,27 @@ modes (nz > s/2 periodic or antiperiodic, 2nz > s/2 phenomenological) its
 mode sum is the continuum term at every transverse point. Such a row is
 answered without modes: e_cas, coeff and quad_error are exactly 0.0, as
 there is no cancellation, and e0_sum = e0_int = g (nz/2) A, where A is the
-rule's average of the kz average, taken once per call.
+rule's average of the kz average, taken once and kept with the rule.
 
 Each value of t costs the kz average, s/2+1 kz nodes (one closed form for
 odd s) in dispersion evaluations, plus the modes of the thickness where
 the mode sum is taken. The point budget of quadrature charges that cost,
-zero_point_sum and zero_point_int included, and work whose first level
-would pass it is refused before any mode is generated or any level built.
+zero_point_sum and zero_point_int included, for a level an earlier call
+built as for a new one, and work whose first level would pass it is
+refused before any mode is generated or any level built.
+
+The rule depends on s, am and d only, not on nz, g or the call, so it
+lives across calls: the calls of a process with the same (s, am, d) read
+and extend one table, and each result has the bits it would have from a
+table of its own. The tables stay in a least-recently-used store that
+holds at most _HELD_BYTES (8 MiB) of level arrays besides the table used
+last, so its memory beyond 8 MiB is one call's table, which the point
+budget bounds.
 
 One kernel, _casimir_rows, computes a list of thicknesses, and
-casimir_energy is its one-thickness case. The rule does not depend on nz
-and lives for that call only. The thicknesses of the pointwise route
-refine level by level together: each level takes one dispersion call over
-the joined mode kernels of the thicknesses still refining, and one
+casimir_energy is its one-thickness case. The thicknesses of the pointwise
+route refine level by level together: each level takes one dispersion call
+over the joined mode kernels of the thicknesses still refining, and one
 vectorised convergence test. Each thickness still sums its own modes,
 keeps its own budget and gets its own verdict, and retires when it
 converges, reaches max_refinements or cannot afford its next level, so a
@@ -73,7 +81,7 @@ import bisect
 import itertools
 import math
 from dataclasses import replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -278,41 +286,73 @@ def _dos_level(d: int, level: int) -> tuple:
     return w, np.concatenate([4.0 * x, 4.0 + 4.0 * x]), math.pi * a
 
 
-class _Rule(NamedTuple):
-    """The transverse rule of one call (module docstring); _rule builds it."""
+class _Rule:
+    """The transverse rule of (s, am) in d dimensions (module docstring): a
+    table of levels, filled in order as callers first ask for them, that
+    _rule keeps across calls."""
 
-    level: Callable[[int], tuple]  # level j as (w, t, scale, kz)
-    n: int  # points per axis of the one exact level; 0 for tanh-sinh levels
-    first: int  # values of t of level 0, which callers check against the budget
-    kz_nodes: int  # dispersion evaluations of the kz average at one t
+    def __init__(self, spec: DispersionSpec, d: int):
+        even = spec.s % 2 == 0
+        self.spec, self.d = spec, d
+        # points per axis of the one exact level; 0 for tanh-sinh levels
+        self.n = spec.s // 2 + 1 if even else int(d == 1)
+        # values of t of level 0, which callers check against the budget
+        self.first = self.n ** (d - 1) if self.n else (d - 1) * _tanh_sinh_size(0)
+        # dispersion evaluations of the kz average at one t; odd: one closed form
+        self.kz_nodes = self.n if even else 1
+        self.levels: list[tuple] = []
+        self.nbytes = 0  # of the level arrays
+        self.continuum: float | None = None  # even s: A, once a row past the support asks
+
+    def level(self, j: int) -> tuple:
+        """Level j as (w, t, scale, kz), read-only arrays: the weights, the
+        values of t, the d=3 scale (None elsewhere) and _kz_average at each
+        t. The one exact level of even s, and of odd s in d=1 (t = 0), is
+        the uniform grid without weights, in _grid_average's row-major
+        order; odd s in d = 2, 3 take the _dos_level tanh-sinh levels."""
+        if j == len(self.levels):  # callers ask for levels in order
+            if self.n:
+                k, t, w, scale = _node_kernels(self.n), np.zeros(1), None, None
+                for _ in range(self.d - 1):
+                    t = (t[:, None] + k).ravel()
+            else:
+                w, t, scale = _dos_level(self.d, j)
+            arrays = (w, t, scale, _kz_average(self.spec, t))
+            for a in arrays:
+                if a is not None:
+                    a.flags.writeable = False
+                    self.nbytes += a.nbytes
+            self.levels.append(arrays)
+        return self.levels[j]
+
+
+# the rules of earlier calls by (s, type(am), am, d), least recently used first;
+# g does not enter a rule, and the type of am keeps values that compare equal
+# but compute differently (a float32 mass, say) apart
+_RULES: dict[tuple, _Rule] = {}
+_HELD_BYTES = 8 << 20  # level arrays kept besides those of the most recently used rule
 
 
 def _rule(spec: DispersionSpec, d: int) -> _Rule:
-    """The transverse rule of spec in d dimensions.
-
-    level(j) gives level j of a table filled as callers first ask for it:
-    the weights, the values of t, the d=3 scale (None elsewhere) and
-    _kz_average at each t. The one exact level of even s, and of odd s in
-    d=1 (t = 0), is the uniform grid without weights, in _grid_average's
-    row-major order; odd s in d = 2, 3 take the _dos_level tanh-sinh levels.
+    """The transverse rule of spec in d dimensions, with the levels that
+    earlier calls built. Rules live across calls, least recently used
+    evicted first, so that the level arrays of all but the most recently
+    used hold at most _HELD_BYTES; a rule larger than that alone goes as
+    soon as another is asked for. A stored level gives the bits it gave
+    when it was built, and callers charge the point budget for it all the
+    same, so each result is the same whether its rule was stored or not.
     """
-    even = spec.s % 2 == 0
-    n = spec.s // 2 + 1 if even else int(d == 1)
-    table: list[tuple] = []
-
-    def level(j: int) -> tuple:
-        if j == len(table):  # callers ask for levels in order
-            if n:
-                k, t, w, scale = _node_kernels(n), np.zeros(1), None, None
-                for _ in range(d - 1):
-                    t = (t[:, None] + k).ravel()
-            else:
-                w, t, scale = _dos_level(d, j)
-            table.append((w, t, scale, _kz_average(spec, t)))
-        return table[j]
-
-    first = n ** (d - 1) if n else (d - 1) * _tanh_sinh_size(0)
-    return _Rule(level, n, first, n if even else 1)  # odd: one closed form
+    key = (spec.s, type(spec.am), spec.am, d)
+    rule = _RULES.pop(key, None) or _Rule(spec, d)
+    if _RULES:  # only the rule used last can have grown since the bound was kept
+        last = next(reversed(_RULES))
+        if _RULES[last].nbytes > _HELD_BYTES:  # too large to keep alone
+            del _RULES[last]
+    held = sum(r.nbytes for r in _RULES.values())
+    while held > _HELD_BYTES:
+        held -= _RULES.pop(next(iter(_RULES))).nbytes
+    _RULES[key] = rule  # most recently used last
+    return rule
 
 
 def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int] = (1,)) -> list[MultiQuadResult]:
@@ -331,22 +371,21 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     component, which for the Casimir integrand is at least |e0_int|, the
     size of the terms that cancel pointwise.
     """
-    level, n, first, _ = rule
-    if n:
-        _, t, _, kz = level(0)
+    if rule.n:
+        _, t, _, kz = rule.level(0)
         vals = f(t, kz, np.arange(len(costs)))
-        rs = [_exact_result(v.sum(axis=0, dtype=np.longdouble).astype(float) / t.size, n) for v in vals]
+        rs = [_exact_result(v.sum(axis=0, dtype=np.longdouble).astype(float) / t.size, rule.n) for v in vals]
     else:
 
         def at(j: int, live: np.ndarray) -> tuple:
-            w, t, scale, kz = level(j)
+            w, t, scale, kz = rule.level(j)
             vals = f(t, kz, live)
             if scale is not None:  # d=3: fold the two values of t of each node
                 vals = (vals / scale[:, None]).reshape(live.size, 2, w.size, -1).sum(axis=1)
             return w, vals
 
         # one value of t per node in d=2, two in d=3
-        rs = _tanh_sinh(at, cfg, width=first // _tanh_sinh_size(0), costs=costs)
+        rs = _tanh_sinh(at, cfg, width=rule.first // _tanh_sinh_size(0), costs=costs)
     # fmax: a NaN floor keeps the inf error
     return [replace(r, errors=np.fmax(r.errors, _rounding_floor(r.values))) for r in rs]
 
@@ -417,12 +456,14 @@ def _casimir_rows(
 ) -> list[CasimirResult]:
     """Casimir energies at the thicknesses nzs, one CasimirResult each.
 
-    Every row reads the one transverse rule of the call, so each level's
-    values of t and kz average are built once, when the first row asks.
-    Even orders past the support, more modes than s/2, are structural
-    zeros by the aliasing identity: e_cas, coeff and quad_error are exactly
-    0.0 and e0_sum = e0_int = g (nz/2) A, where A is the rule's average of
-    the kz average, taken once and only when such a row asks for it. Those
+    Every row reads the one stored transverse rule of (s, am, d) (_rule),
+    so each level's values of t and kz average are built once per process,
+    when the first row of any call asks, and every row charges them to its
+    budget whether this call built them or an earlier one. Even orders past
+    the support, more modes than s/2, are structural zeros by the aliasing
+    identity: e_cas, coeff and quad_error are exactly 0.0 and e0_sum =
+    e0_int = g (nz/2) A, where A is the rule's average of the kz average,
+    taken when the first such row asks and stored with the rule. Those
     rows generate no modes and take no mode sum; if A is refused by the
     budget or not finite, they are not converged with quad_error inf. The
     other rows take the pointwise route together (module docstring), in
@@ -432,19 +473,19 @@ def _casimir_rows(
     alone.
     """
     rule = _rule(spec, d)
-    continuum = None  # even orders: A, taken when the first row past the support asks
     rows: list = [None] * len(nzs)
     groups: list[list[int]] = []  # indices of the rows of the pointwise route
     joined = 0  # modes of the last group
     for i, nz in enumerate(nzs):
         n = _mode_count(bc, nz)
         if spec.s % 2 == 0 and n > spec.s // 2:
-            if continuum is None:
-                continuum = math.nan  # unless the budget admits the level
+            if rule.continuum is None:
+                a = math.nan  # unless the budget admits the level
                 if rule.first * rule.kz_nodes <= _MAX_POINTS:
-                    avg = _transverse_average(rule, lambda t, kz, _: kz[None, :, None], cfg, [rule.kz_nodes])
-                    continuum = float(avg[0].values[0])
-            e0 = (0.5 * nz) * continuum
+                    [r] = _transverse_average(rule, lambda t, kz, _: kz[None, :, None], cfg, [rule.kz_nodes])
+                    a = float(r.values[0])
+                rule.continuum = a
+            e0 = (0.5 * nz) * rule.continuum
             zero = 0.0 if math.isfinite(e0) else math.nan  # non-finite: inf error, not converged
             rows[i] = _row(spec, d, nz, _exact_result(np.array([zero, e0]), 1))
         elif rule.first * (n + rule.kz_nodes) > _MAX_POINTS:

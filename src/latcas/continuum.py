@@ -21,12 +21,17 @@ class GammaPoleError(ValueError):
     """Argument of gamma_fn sits on a pole (a nonpositive integer)."""
 
 
+_MAX_ORDER = 2**53  # the largest s and d; floats hold the integers up to it exactly
+
+
 @dataclass(frozen=True)
 class ContinuumParams:
     """Inputs of the zeta-regularized formula for period length L.
 
     The two-branch normalization corresponds to g=2; g=1 matches the lattice
-    single-branch counting used everywhere else in this package.
+    single-branch counting used everywhere else in this package. s and d
+    are at most 2**53: the formula is evaluated in floats, which past that
+    round -s/2 onto a pole of gamma.
     """
 
     s: int
@@ -39,6 +44,8 @@ class ContinuumParams:
             raise ValueError(f"s must be a positive integer, got {self.s!r}")
         if not _is_int(self.d) or self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        if max(self.s, self.d) > _MAX_ORDER:  # no value in the message: it may not print
+            raise ValueError("s and d must be at most 2**53, the integers that floats hold exactly")
         if self.d + self.s < 2:
             raise ValueError("d + s must be at least 2 for a convergent zeta argument")
         if isinstance(self.L, bool) or not 0 < self.L < math.inf:

@@ -73,8 +73,11 @@ def sweep(
     Thicknesses are integers (numpy integers too; not bool or float). Each
     row is the casimir_energy result of its thickness, bit for bit. The
     thicknesses share each transverse level's values of t, density of
-    states and kz average, which do not depend on nz, so those are computed
-    once per sweep, for both parities. The odd-order thicknesses also
+    states and kz average, which do not depend on nz or g, so those are
+    computed once per process for each (s, am, d), for both parities, and
+    kept for later calls in a store bounded to 8 MiB besides the table used
+    last; every row charges them to its point budget all the same, so a
+    row does not depend on what ran before. The odd-order thicknesses also
     refine level by level together: one dispersion call per level covers
     the modes of every thickness still refining, and each keeps its own
     convergence test, budget and verdict. A non-converged row is recorded

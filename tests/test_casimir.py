@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import threading
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -11,10 +14,12 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+import latcas.casimir as casimir
 from latcas import (
     BoundaryCondition,
     DispersionSpec,
     Geometry,
+    PhenOffset,
     QuadratureConfig,
     QuadratureNonConvergence,
     casimir_energy,
@@ -591,3 +596,145 @@ def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
     monkeypatch.setattr(casimir, "_transverse_average", fake)
     r = casimir_energy(DispersionSpec(1100), Geometry(1, 2), PER, CFG)
     assert r.coeff == want or (math.isnan(want) and math.isnan(r.coeff))
+
+
+# the store of transverse rules (casimir._rule) that calls share
+
+
+def test_stored_rules_give_the_bits_of_cold_ones() -> None:
+    # max_refinements 2, then 6, then 4: a later, deeper call extends a
+    # table that a shallower one built, and a shallower one reads it
+    fams = (PER, ANTI, PHEN, BoundaryCondition.phenomenological(PhenOffset.ZERO_TO_2NZ_MINUS_1))
+    specs = [DispersionSpec(s) for s in range(8)] + [DispersionSpec(1, am=am) for am in (0.5, 2.0)]
+    calls = []
+    for cap, spec, g, d, bc in itertools.product((2, 6, 4), specs, (1, 3), (1, 2, 3), fams):
+        calls.append((replace(spec, g=g), d, bc, QuadratureConfig(max_refinements=cap)))
+
+    def energies(spec, d, bc, cfg) -> str:
+        return repr(sweep(spec, d, bc, [1, 2, 5], cfg))
+
+    cold = []
+    for call in calls:
+        casimir._RULES.clear()
+        cold.append(energies(*call))
+    casimir._RULES.clear()
+    assert [energies(*call) for call in calls] == cold
+    order = random.Random(13).sample(range(len(calls)), len(calls))
+    assert [energies(*calls[i]) for i in order] == [cold[i] for i in order]
+
+
+def test_a_stored_rule_is_charged_to_the_budget_like_a_cold_one() -> None:
+    # a table six levels deep does not let nz = 20000 past level 1
+    spec, cfg = DispersionSpec(1, am=0.5), QuadratureConfig(max_refinements=6)
+    casimir._RULES.clear()
+    cold = casimir_energy(spec, Geometry(3, 20000), PER, cfg)
+    casimir_energy(spec, Geometry(3, 1), PER, cfg)
+    assert len(_rule(spec, 3).levels) > 2
+    warm = casimir_energy(spec, Geometry(3, 20000), PER, cfg)
+    assert repr(warm) == repr(cold) and not warm.converged
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: casimir_energy(DispersionSpec(1), Geometry(3, 6), PER, CFG),
+        lambda: casimir_energy(DispersionSpec(1, am=0.5), Geometry(2, 6), PHEN, CFG),
+        lambda: sweep(DispersionSpec(3), 3, ANTI, range(1, 9), CFG),
+        lambda: sweep(DispersionSpec(4), 3, PER, range(1, 9), CFG),
+        lambda: zero_point_int(DispersionSpec(1), Geometry(3, 6), PER, CFG),
+        lambda: zero_point_sum(DispersionSpec(6), Geometry(2, 6), PER, CFG),
+    ],
+    ids=["energy-d3", "energy-massive-d2", "sweep-odd", "sweep-even", "zero-point-int", "zero-point-sum-even"],
+)
+def test_a_repeated_call_builds_no_level(monkeypatch, call) -> None:
+    built = []
+    kz_average, dos_level = casimir._kz_average, casimir._dos_level
+
+    def counted_kz(spec, t):
+        built.append("kz")
+        return kz_average(spec, t)
+
+    def counted_dos(d, level):
+        built.append("dos")
+        return dos_level(d, level)
+
+    monkeypatch.setattr(casimir, "_kz_average", counted_kz)
+    monkeypatch.setattr(casimir, "_dos_level", counted_dos)
+    first = call()
+    assert "kz" in built
+    built.clear()
+    assert repr(call()) == repr(first)
+    assert built == []
+
+
+def test_even_rows_past_the_support_read_a_stored_continuum_average(monkeypatch) -> None:
+    averages = []
+    transverse_average = casimir._transverse_average
+
+    def counted(*args):
+        averages.append(1)
+        return transverse_average(*args)
+
+    monkeypatch.setattr(casimir, "_transverse_average", counted)
+    first = sweep(DispersionSpec(4), 3, PER, range(3, 9), CFG)  # every row past nz = 2
+    assert len(averages) == 1
+    assert repr(sweep(DispersionSpec(4, g=2), 3, PER, range(3, 9), CFG)) == repr(
+        [replace(r, e0_sum=2 * r.e0_sum, e0_int=2 * r.e0_int) for r in first]
+    )
+    assert len(averages) == 1
+
+
+def _held_bytes() -> int:
+    """Bytes of the level arrays of every stored rule but the most recently used."""
+    rules = list(casimir._RULES.values())[:-1]
+    return sum(a.nbytes for r in rules for level in r.levels for a in level if a is not None)
+
+
+def test_stored_levels_stay_within_their_bound() -> None:
+    casimir._RULES.clear()
+    for am in np.linspace(0.1, 5.0, 50):
+        casimir_energy(DispersionSpec(1, am=float(am)), Geometry(3, 4), PER, CFG)
+        assert _held_bytes() <= casimir._HELD_BYTES
+    assert len(casimir._RULES) == 50
+    # a mass whose square overflows gives NaN values, which never converge, so
+    # this call takes levels until the budget stops it: one table of ~13 MB
+    with np.errstate(invalid="ignore"):
+        r = casimir_energy(DispersionSpec(1, am=1e200), Geometry(3, 1), PER, QuadratureConfig(max_refinements=16))
+    assert not r.converged
+    big = list(casimir._RULES.values())[-1]
+    assert big.nbytes == sum(a.nbytes for level in big.levels for a in level if a is not None)
+    assert big.nbytes > casimir._HELD_BYTES and _held_bytes() <= casimir._HELD_BYTES
+    casimir_energy(DispersionSpec(1, am=0.1), Geometry(3, 4), PER, CFG)
+    assert big not in casimir._RULES.values()  # evicted as soon as another rule was asked for
+    assert _held_bytes() <= casimir._HELD_BYTES and len(casimir._RULES) == 50
+
+
+def test_a_float32_mass_keeps_its_own_rule() -> None:
+    # equal to its float64 value, but its square rounds differently
+    narrow = DispersionSpec(1, am=np.float32(0.1))
+    wide = DispersionSpec(1, am=float(narrow.am))
+    casimir._RULES.clear()
+    cold = [repr(casimir_energy(spec, Geometry(3, 4), PER, CFG)) for spec in (narrow, wide)]
+    casimir._RULES.clear()
+    warm = [repr(casimir_energy(spec, Geometry(3, 4), PER, CFG)) for spec in (wide, narrow)]
+    assert cold[0] != cold[1] and warm == cold[::-1]
+
+
+def test_the_least_recently_used_rule_goes_first(monkeypatch) -> None:
+    masses = [0.5, 1.0, 1.5, 2.0]
+    for am in masses:
+        casimir_energy(DispersionSpec(1, am=am), Geometry(2, 3), PER, CFG)
+    sizes = [r.nbytes for r in casimir._RULES.values()]
+    monkeypatch.setattr(casimir, "_HELD_BYTES", sizes[1] + sizes[3])
+    casimir_energy(DispersionSpec(1, am=1.0), Geometry(2, 3), PER, CFG)  # used again: now the most recent
+    casimir_energy(DispersionSpec(1, am=3.0), Geometry(2, 3), PER, CFG)
+    assert [key[2] for key in casimir._RULES] == [2.0, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("spec, d", [(DispersionSpec(1), 3), (DispersionSpec(1), 2), (DispersionSpec(4), 3)])
+def test_stored_levels_are_read_only(spec, d) -> None:
+    arrays = [a for a in _rule(spec, d).level(0) if a is not None]
+    assert len(arrays) >= 2
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0

@@ -202,6 +202,15 @@ def test_reference_past_the_float_range(capsys, argv, code, value) -> None:
     assert err == ("warning: non-finite reference\n" if code else "")
 
 
+@pytest.mark.parametrize("argv", [["--s", "1" + "0" * 400 + "1"], ["--d", "1" + "0" * 400]], ids=["s", "d"])
+def test_reference_refuses_orders_past_exact_floats(capsys, argv) -> None:
+    # an OverflowError traceback before
+    assert run(["reference", "--s", "1", "--d", "3", "--L", "1", *argv]) == 1
+    out, err = _grab(capsys)
+    assert out == "" and err.startswith("error: ") and "2**53" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -110,6 +110,27 @@ def test_values_past_the_float_range_keep_their_sign(kwargs, want) -> None:
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"s": 10**401 + 1}, {"d": 10**400}, {"s": 2**53 + 1}, {"d": 2**53 + 1}],
+    ids=["s-401-digits", "d-401-digits", "s-past-2**53", "d-past-2**53"],
+)
+def test_params_refuse_orders_past_exact_floats(kwargs) -> None:
+    # continuum_casimir raised OverflowError (int too large to convert to
+    # float) for the first two; past 2**53, -s/2 rounds onto a gamma pole
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        ContinuumParams(**{"s": 1, "d": 3, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "kwargs, want",
+    [({"s": 2**53 - 1}, math.inf), ({"s": 1, "d": 2**53}, -math.inf), ({"s": 1, "d": 2**53, "L": 1e300}, -0.0)],
+    ids=["s-at-bound", "d-at-bound", "d-at-bound-long"],
+)
+def test_orders_at_the_bound_keep_their_sign(kwargs, want) -> None:
+    got = continuum_casimir(ContinuumParams(**{"d": 3, **kwargs}))
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 def test_params_validation() -> None:
     with pytest.raises(ValueError):
         ContinuumParams(s=0, d=3)

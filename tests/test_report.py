@@ -57,9 +57,11 @@ def test_odd_sweep_takes_one_kz_average_per_level(monkeypatch) -> None:
     monkeypatch.setattr(casimir, "_kz_average", counted)
     alone = []
     for nz in range(1, 13):
+        casimir._RULES.clear()  # each call alone builds its own levels
         calls.clear()
         casimir_energy(DispersionSpec(1), Geometry(3, nz), PER, CFG)
         alone.append(len(calls))
+    casimir._RULES.clear()
     calls.clear()
     rows = sweep(DispersionSpec(1), 3, PER, range(1, 13), CFG)
     assert all(r.converged for r in rows)
