@@ -46,7 +46,8 @@ modes (nz > s/2 periodic or antiperiodic, 2nz > s/2 phenomenological) its
 mode sum is the continuum term at every transverse point. Such a row is
 answered without modes: e_cas, coeff and quad_error are exactly 0.0, as
 there is no cancellation, and e0_sum = e0_int = g (nz/2) A, where A is the
-rule's average of the kz average, taken once and kept with the rule.
+rule's average of the kz average, taken once and kept with the rule. The
+row is written straight from those numbers, with no quadrature result.
 
 Each value of t costs the kz average, s/2+1 kz nodes (one closed form for
 odd s) in dispersion evaluations, plus the modes of the thickness where
@@ -73,31 +74,23 @@ converges, reaches max_refinements or cannot afford its next level, so a
 sweep row is bit for bit the casimir_energy result of its thickness. The
 thicknesses go in groups whose joined modes take at most _MAT_BUDGET values
 on the first level, and each dispersion call stays within that budget, so
-memory does not grow with the sum of the thicknesses.
+memory does not grow with the sum of the thicknesses. A group builds the
+modes of all its thicknesses in one call (modes._joined_modes) and takes
+their kernels once; its values, errors and verdicts come back as arrays,
+one row per thickness, and each CasimirResult is made from their floats.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig
-from .modes import BoundaryCondition, generate_modes, _mode_count
-from .quadrature import (
-    _EPS,
-    _MAX_POINTS,
-    MultiQuadResult,
-    _exact_result,
-    _rounding_floor,
-    _tanh_sinh,
-    _tanh_sinh_nodes,
-    _tanh_sinh_size,
-    _unreached,
-)
+from .modes import BoundaryCondition, _joined_modes, _mode_count
+from .quadrature import _EPS, _MAX_POINTS, _rounding_floor, _tanh_sinh, _tanh_sinh_nodes, _tanh_sinh_size
 
 __all__ = [
     "QuadratureNonConvergence",
@@ -179,8 +172,8 @@ def _node_sum(spec: DispersionSpec, t: np.ndarray, joined: np.ndarray, bounds: S
     nodes) temporary stays within _MAT_BUDGET elements; a kernel too large
     for that goes alone, its rows of t in blocks, or one row when it has
     more nodes than that. Each kernel sums its own columns, one numpy
-    pairwise sum per row, so a sum does not depend on the blocking or on
-    the other kernels.
+    pairwise sum per row written straight into the result, so a sum does
+    not depend on the blocking or on the other kernels.
     """
     out = np.empty((len(bounds) - 1, t.size))
     width = _MAT_BUDGET // t.size  # nodes that one call over every value of t may take
@@ -193,7 +186,7 @@ def _node_sum(spec: DispersionSpec, t: np.ndarray, joined: np.ndarray, bounds: S
         for i in range(0, t.size, step):
             v = _omega_inplace(spec, t[i : i + step, None] + cols)
             for j in range(k, e):
-                out[j, i : i + step] = v[:, bounds[j] - a : bounds[j + 1] - a].sum(axis=1)
+                np.add.reduce(v[:, bounds[j] - a : bounds[j + 1] - a], axis=1, out=out[j, i : i + step])
             del v  # before the next block is allocated
         k = e
     return out
@@ -206,12 +199,12 @@ def _join(kernels: Sequence[np.ndarray]) -> tuple:
 
 
 def _mode_sum(
-    spec: DispersionSpec, joined: np.ndarray, bounds: Sequence[int], w: np.ndarray, t: np.ndarray
+    spec: DispersionSpec, joined: np.ndarray, bounds: Sequence[int], w: float, t: np.ndarray
 ) -> np.ndarray:
-    """(1/2) w_i sum_l omega(t + k_i[l]) for every entry of t, one row per
+    """(1/2) w sum_l omega(t + k_i[l]) for every entry of t, one row per
     thickness i, with k_i its mode kernels, the columns of joined that
     bounds gives it (see _node_sum); every generate_modes family has one
-    uniform weight w_i, here a column."""
+    uniform weight w."""
     return 0.5 * (w * _node_sum(spec, t, joined, bounds))
 
 
@@ -355,26 +348,34 @@ def _rule(spec: DispersionSpec, d: int) -> _Rule:
     return rule
 
 
-def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int] = (1,)) -> list[MultiQuadResult]:
+def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int] = (1,)) -> tuple:
     """Transverse BZ averages of the rows of f over the levels of rule (see
-    _rule), one result per entry of costs.
+    _rule), one row per entry of costs, as the arrays (values, errors,
+    converged, points) of quadrature._converge: shapes (rows, ncomp),
+    (rows, ncomp), (rows,) and (rows,), points the nodes per axis of the
+    last level of each row.
 
     f(t, kz, rows) gives the integrands of the rows asked for, an index
     array, at the level's values of t (the transverse kernel sum) and kz
     (its kz average), as a (rows.size, t.size, ncomp) array. One exact
     level is the mean of each row, summed in extended precision as
-    _grid_average sums, with no refinement; cfg is not consulted. Tanh-sinh
+    _grid_average sums, with no refinement; cfg is not consulted, and a
+    row with a non-finite value is not converged, its errors inf. Tanh-sinh
     levels refine the rows together under cfg, each value of t charged
     costs[i] points against the budget of row i, and each row stops on its
     own verdict with the change between its last two levels as the error.
     Either way the error is at least the rounding floor of the largest
     component, which for the Casimir integrand is at least |e0_int|, the
-    size of the terms that cancel pointwise.
+    size of the terms that cancel pointwise; it is applied to all rows at
+    once.
     """
     if rule.n:
         _, t, _, kz = rule.level(0)
-        vals = f(t, kz, np.arange(len(costs)))
-        rs = [_exact_result(v.sum(axis=0, dtype=np.longdouble).astype(float) / t.size, rule.n) for v in vals]
+        values = f(t, kz, np.arange(len(costs))).sum(axis=1, dtype=np.longdouble).astype(float) / t.size
+        converged = np.isfinite(values).all(axis=1)
+        errors = np.zeros_like(values)
+        errors[~converged] = math.inf
+        points = np.full(len(costs), rule.n)
     else:
 
         def at(j: int, live: np.ndarray) -> tuple:
@@ -385,9 +386,9 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
             return w, vals
 
         # one value of t per node in d=2, two in d=3
-        rs = _tanh_sinh(at, cfg, width=rule.first // _tanh_sinh_size(0), costs=costs)
+        values, errors, converged, points = _tanh_sinh(at, cfg, width=rule.first // _tanh_sinh_size(0), costs=costs)
     # fmax: a NaN floor keeps the inf error
-    return [replace(r, errors=np.fmax(r.errors, _rounding_floor(r.values))) for r in rs]
+    return values, np.fmax(errors, _rounding_floor(values)[:, None]), converged, points
 
 
 def _bare_value(spec: DispersionSpec, d: int, cost: int, cfg: QuadratureConfig, what: str, make_f) -> float:
@@ -399,12 +400,12 @@ def _bare_value(spec: DispersionSpec, d: int, cost: int, cfg: QuadratureConfig, 
     refused work) when not converged."""
     rule = _rule(spec, d)
     cost += rule.kz_nodes
+    value, error, converged = math.nan, math.inf, False
     if rule.first * cost <= _MAX_POINTS:
-        r = _transverse_average(rule, make_f(), cfg, [cost])[0]
-    else:
-        r = _unreached(np.empty((0, 1)))
-    value, error = spec.g * float(r.values[0]), spec.g * float(r.errors[0])
-    if not r.converged:
+        values, errors, ok, _ = _transverse_average(rule, make_f(), cfg, [cost])
+        value, error, converged = float(values[0, 0]), float(errors[0, 0]), bool(ok[0])
+    value, error = spec.g * value, spec.g * error
+    if not converged:
         raise QuadratureNonConvergence(
             f"{what} quadrature did not converge (best {value}, estimate {error})", value, error
         )
@@ -428,9 +429,9 @@ def zero_point_sum(
     _check(spec, geom)
 
     def make_f():
-        modes = generate_modes(bc, geom.nz)
-        k, w = _kernel(modes.akz), modes.weights[:1]
-        return lambda t, kz, rows: _mode_sum(spec, k, (0, k.size), w[:, None], t)[:, :, None]
+        akz, bounds, w = _joined_modes(bc, [geom.nz])
+        k = _kernel(akz)
+        return lambda t, kz, rows: _mode_sum(spec, k, bounds, w, t)[:, :, None]
 
     return _bare_value(spec, geom.d, _mode_count(bc, geom.nz), cfg, "mode-sum", make_f)
 
@@ -465,7 +466,9 @@ def _casimir_rows(
     e0_int = g (nz/2) A, where A is the rule's average of the kz average,
     taken when the first such row asks and stored with the rule. Those
     rows generate no modes and take no mode sum; if A is refused by the
-    budget or not finite, they are not converged with quad_error inf. The
+    budget or not finite, they are not converged with e_cas NaN and
+    quad_error inf. A row whose first level the budget refuses is NaN with
+    quad_error inf, not converged, and builds nothing either. The
     other rows take the pointwise route together (module docstring), in
     groups of consecutive rows whose joined modes times the first level's
     values of t stay within _MAT_BUDGET, so memory does not grow with the
@@ -482,14 +485,16 @@ def _casimir_rows(
             if rule.continuum is None:
                 a = math.nan  # unless the budget admits the level
                 if rule.first * rule.kz_nodes <= _MAX_POINTS:
-                    [r] = _transverse_average(rule, lambda t, kz, _: kz[None, :, None], cfg, [rule.kz_nodes])
-                    a = float(r.values[0])
+                    values = _transverse_average(rule, lambda t, kz, _: kz[None, :, None], cfg, [rule.kz_nodes])[0]
+                    a = float(values[0, 0])
                 rule.continuum = a
             e0 = (0.5 * nz) * rule.continuum
-            zero = 0.0 if math.isfinite(e0) else math.nan  # non-finite: inf error, not converged
-            rows[i] = _row(spec, d, nz, _exact_result(np.array([zero, e0]), 1))
+            if math.isfinite(e0):
+                rows[i] = _row(spec, d, nz, 0.0, e0, 0.0, True)
+            else:
+                rows[i] = _row(spec, d, nz, math.nan, e0, math.inf, False)
         elif rule.first * (n + rule.kz_nodes) > _MAX_POINTS:
-            rows[i] = _row(spec, d, nz, _unreached(np.empty((0, 2))))
+            rows[i] = _row(spec, d, nz, math.nan, math.nan, math.inf, False)
         else:
             if not groups or (joined + n) * rule.first > _MAT_BUDGET:
                 groups.append([])
@@ -497,50 +502,48 @@ def _casimir_rows(
             groups[-1].append(i)
             joined += n
     for group in groups:
-        for i, r in zip(group, _pointwise(spec, rule, bc, [nzs[i] for i in group], cfg)):
-            rows[i] = _row(spec, d, nzs[i], r)
+        values, errors, converged, _ = _pointwise(spec, rule, bc, [nzs[i] for i in group], cfg)
+        for i, (e_cas, e0_int), error, ok in zip(group, values.tolist(), errors[:, 0].tolist(), converged.tolist()):
+            rows[i] = _row(spec, d, nzs[i], e_cas, e0_int, error, ok)
     return rows
 
 
-def _pointwise(
-    spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: list, cfg: QuadratureConfig
-) -> list[MultiQuadResult]:
+def _pointwise(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: list, cfg: QuadratureConfig) -> tuple:
     """Averages of (e_cas, e0_int) / g at the thicknesses nzs, refined
-    together in one _transverse_average. The mode kernels are built once,
-    and joined again only when a row retires."""
-    kernels, wh = [], []
-    for nz in nzs:  # keep the kernels and weights, not the modes
-        modes = generate_modes(bc, nz)
-        kernels.append(_kernel(modes.akz))
-        wh.append((modes.weights[0], 0.5 * nz))
-    wh = np.array(wh)  # the weight and nz/2 of each row
+    together in one _transverse_average, as its arrays. The modes of all
+    thicknesses are built in one call and their kernels taken once, and
+    joined again only when a row retires."""
+    akz, bounds, w = _joined_modes(bc, nzs)
+    k = _kernel(akz)
+    half = 0.5 * np.array(nzs, dtype=float)[:, None]  # nz/2 of each row
     # the live rows only shrink, so their number names them
-    joins = {len(nzs): (*_join(kernels), wh[:, :1], wh[:, 1:])}
+    joins = {len(nzs): (k, bounds, half)}
 
     def f(t: np.ndarray, kz: np.ndarray, live: np.ndarray) -> np.ndarray:
         if live.size not in joins:
             joins.clear()
-            joins[live.size] = (*_join([kernels[k] for k in live]), wh[live, :1], wh[live, 1:])
-        joined, bounds, w_live, half_live = joins[live.size]
+            joins[live.size] = (*_join([k[bounds[i] : bounds[i + 1]] for i in live]), half[live])
+        joined, cols, half_live = joins[live.size]
         vals = np.empty((live.size, t.size, 2))  # (e_cas, e0_int) / g
         int_part = np.multiply(half_live, kz, out=vals[..., 1])
-        np.subtract(_mode_sum(spec, joined, bounds, w_live, t), int_part, out=vals[..., 0])
+        np.subtract(_mode_sum(spec, joined, cols, w, t), int_part, out=vals[..., 0])
         return vals
 
-    return _transverse_average(rule, f, cfg, [k.size + rule.kz_nodes for k in kernels])
+    return _transverse_average(rule, f, cfg, [b - a + rule.kz_nodes for a, b in itertools.pairwise(bounds)])
 
 
-def _row(spec: DispersionSpec, d: int, nz: int, r: MultiQuadResult) -> CasimirResult:
-    """The CasimirResult of thickness nz from the average of (e_cas, e0_int) / g."""
-    e_cas = spec.g * float(r.values[0])
-    e0_int = spec.g * float(r.values[1])
+def _row(
+    spec: DispersionSpec, d: int, nz: int, e_cas: float, e0_int: float, error: float, converged: bool
+) -> CasimirResult:
+    """The CasimirResult of thickness nz from the averages e_cas / g and
+    e0_int / g, the error of the first, and the verdict."""
+    e_cas, e0_int = spec.g * e_cas, spec.g * e0_int
     alpha = (d - 1) + spec.s
     try:
         coeff = float(nz**alpha) * e_cas
     except OverflowError:  # nz**alpha passes the float range
         coeff = math.inf * e_cas if e_cas else 0.0
-    quad_error = spec.g * float(r.errors[0])
-    return CasimirResult(nz, e0_int + e_cas, e0_int, e_cas, coeff, quad_error, r.converged)
+    return CasimirResult(nz, e0_int + e_cas, e0_int, e_cas, coeff, spec.g * error, converged)
 
 
 def casimir_energy(

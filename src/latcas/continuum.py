@@ -116,7 +116,9 @@ def zeta_fn(x: float) -> float:
     tail = [0.5 * k ** (-x), k ** (1.0 - x) / (x - 1.0)]
     rising = x  # (x)(x+1)...(x+2j-2), updated per term
     for j in (2, 4, 6, 8, 10, 12, 14, 16):
-        tail.append(_EM_FACTORS[j] * rising * k ** (-x - j + 1.0))
+        power = k ** (-x - j + 1.0)
+        if power:  # an underflowed term is 0, while rising may have overflowed to inf
+            tail.append(_EM_FACTORS[j] * rising * power)
         rising *= (x + j - 1.0) * (x + j)
     return head + math.fsum(tail)
 

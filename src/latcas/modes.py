@@ -1,13 +1,16 @@
 """Discrete momentum modes along the compact axis for each boundary condition."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .model import _is_int
+from .quadrature import _MAX_POINTS
 
 __all__ = ["BoundaryKind", "PhenOffset", "BoundaryCondition", "ModeSet", "generate_modes"]
 
@@ -64,12 +67,6 @@ class ModeSet:
         return math.fsum(m[1] for m in self.modes)
 
 
-def _wrap(x: float) -> float:
-    # reduce into [0, 2pi); dispersion periodicity makes this lossless
-    r = math.fmod(x, _TWO_PI)
-    return r + _TWO_PI if r < 0 else r
-
-
 def _mode_count(bc: BoundaryCondition, nz: int) -> int:
     """Number of modes generate_modes(bc, nz) gives, without generating them."""
     return 2 * nz if bc.kind is BoundaryKind.PHENOMENOLOGICAL else nz
@@ -84,17 +81,42 @@ def generate_modes(bc: BoundaryCondition, nz: int) -> ModeSet:
                       the half weight makes the 2*nz modes carry the same total
                       weight nz as the other families, so zero-point sums stay
                       comparable at one normalization.
+
+    Every akz is reduced into [0, 2pi). More than _MAX_POINTS (2^20) modes,
+    the point budget of quadrature, are refused before any is built.
     """
     if not _is_int(nz) or nz < 1:
         raise ValueError(f"nz must be a positive integer, got {nz!r}")
+    if _mode_count(bc, nz) > _MAX_POINTS:
+        raise ValueError(f"nz = {nz} gives more than {_MAX_POINTS} modes")
+    akz, _, w = _joined_modes(bc, [nz])
+    return ModeSet(tuple(zip(akz.tolist(), itertools.repeat(w))))
+
+
+def _joined_modes(bc: BoundaryCondition, nzs: Sequence[int]) -> tuple[np.ndarray, list[int], float]:
+    """(akz, bounds, w): the akz of generate_modes(bc, nz) for every nz of
+    nzs, joined in order, thickness i in the columns bounds[i]:bounds[i+1],
+    and the family's one weight w. The thicknesses must be valid; callers
+    check them and the point budget first.
+
+    Each akz is the float expression of generate_modes reduced by fmod
+    into [0, 2pi), which is exact, so the bits do not depend on the other
+    thicknesses. One thickness takes one arange.
+    """
+    counts = [_mode_count(bc, nz) for nz in nzs]
+    bounds = [0, *itertools.accumulate(counts)]
+    if len(nzs) == 1:
+        nz, l = nzs[0], np.arange(bounds[1], dtype=float)
+    else:  # the index l of each column restarts at every thickness
+        nz = np.repeat(np.array(nzs, dtype=float), counts)
+        l = np.arange(bounds[-1], dtype=float) - np.repeat(bounds[:-1], counts)
     if bc.kind is BoundaryKind.PERIODIC:
-        pairs = [(_wrap(2.0 * l * math.pi / nz), 1.0) for l in range(nz)]
+        x = 2.0 * l * math.pi / nz
     elif bc.kind is BoundaryKind.ANTIPERIODIC:
-        pairs = [(_wrap((2.0 * l + 1.0) * math.pi / nz), 1.0) for l in range(nz)]
+        x = (2.0 * l + 1.0) * math.pi / nz
     else:
         if bc.phen_offset is PhenOffset.ONE_TO_2NZ:
-            ls = range(1, 2 * nz + 1)
-        else:
-            ls = range(0, 2 * nz)
-        pairs = [(_wrap(l * math.pi / nz), 0.5) for l in ls]
-    return ModeSet(tuple(pairs))
+            l += 1.0
+        x = l * math.pi / nz
+    w = 0.5 if bc.kind is BoundaryKind.PHENOMENOLOGICAL else 1.0
+    return np.fmod(x, _TWO_PI, out=x), bounds, w  # x >= 0, so the remainder is in [0, 2pi)

@@ -7,7 +7,9 @@ levels agree to tolerance, or to the rounding floor of _ROUNDING_ULPS ulps
 of the largest component, and reports their difference as the error. The
 loop refines rows, integrands over the same levels, together: each row
 takes its own convergence test and budget, and stops on its own, so a row
-has the bits it would have alone.
+has the bits it would have alone. It returns the rows as arrays of values,
+errors, verdicts and points, which integrate_bz_multi turns into its one
+MultiQuadResult.
 
 - _tanh_sinh integrates over (0, 1) by the double-exponential rule
   (Takahasi & Mori, Publ. RIMS 9, 1974), halving the step each level and
@@ -131,8 +133,8 @@ def _rounding_floor(values: np.ndarray) -> np.ndarray:
 
 def _converge(
     level: Callable[..., tuple], size: Callable[[int], int], costs: Sequence[int], cfg: QuadratureConfig
-) -> list[MultiQuadResult]:
-    """Rows refined together, one result and one verdict each.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows refined together, one value row, error row and verdict each.
 
     level(j, live, prev) gives (values, points_per_axis) of level j for the
     rows live, an index array, with values of shape (live.size, ncomp);
@@ -141,26 +143,31 @@ def _converge(
     first level that agrees with the one before within tolerance. It also
     stops, not converged, after cfg.max_refinements refinements or when its
     next level would take it past _MAX_POINTS. Every row must afford level 0.
+
+    Returns (values, errors, converged, points) over all rows, of shapes
+    (rows, ncomp), (rows, ncomp), (rows,) and (rows,): each row is written
+    into them as it stops, with the points_per_axis of its last level.
     """
     costs = np.asarray(costs)
-    out: list = [None] * costs.size
     live, prev, used = np.arange(costs.size), None, 0
     for j in itertools.count():
         cur, n = level(j, live, prev)
-        used += size(j)
         if prev is None:  # unverified without a refinement
+            values, errors = np.empty((costs.size, cur.shape[1])), np.empty((costs.size, cur.shape[1]))
+            converged, points = np.zeros(costs.size, dtype=bool), np.zeros(costs.size, dtype=int)
             delta, ok = np.full_like(cur, math.inf), np.zeros(live.size, dtype=bool)
         else:
             delta = np.abs(cur - prev)
             tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur)), _rounding_floor(cur)[:, None])
             ok = ((delta <= tol) & np.isfinite(cur)).all(axis=1)  # an inf value makes tol inf
+        used += size(j)
         done = ok | (j == cfg.max_refinements) | ((used + size(j + 1)) * costs > _MAX_POINTS)
         if done.any():
-            errors = np.where(np.isfinite(cur), delta, math.inf)
-            for k in np.flatnonzero(done):
-                out[live[k]] = MultiQuadResult(cur[k], errors[k], bool(ok[k]), n)
+            at = live[done]
+            values[at], errors[at] = cur[done], np.where(np.isfinite(cur[done]), delta[done], math.inf)
+            converged[at], points[at] = ok[done], n
             if done.all():
-                return out
+                return values, errors, converged, points
             keep = ~done
             live, costs, cur = live[keep], costs[keep], cur[keep]
         prev = cur
@@ -177,7 +184,8 @@ def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureCon
         n = cfg.base_points << j
         return _grid_average(f, ndim, n)[None], n
 
-    return _converge(grid, lambda j: (cfg.base_points << j) ** ndim, [1], cfg)[0]
+    values, errors, converged, points = _converge(grid, lambda j: (cfg.base_points << j) ** ndim, [1], cfg)
+    return MultiQuadResult(values[0], errors[0], bool(converged[0]), int(points[0]))
 
 
 def _tanh_sinh_size(level: int) -> int:
@@ -208,9 +216,9 @@ def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _tanh_sinh(
     at: Callable[[int, np.ndarray], tuple], cfg: QuadratureConfig, width: int, costs: Sequence[int]
-) -> list[MultiQuadResult]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """int_0^1 f_i(x) dx for rows i, by nested tanh-sinh levels refined
-    together under cfg (see _converge).
+    together under cfg, as the arrays of _converge.
 
     at(level, live) returns (w, values): the weights of
     _tanh_sinh_nodes(level) and the integrands of the rows live at its

@@ -108,11 +108,11 @@ def test_even_orders_use_one_exact_grid(s: int, d: int) -> None:
         return np.ones((rows.size, t.size, 1))
 
     cfg = QuadratureConfig(base_points=4, max_refinements=0)
-    [r] = _transverse_average(_rule(DispersionSpec(s), d), f, cfg)
-    assert r.points_per_axis == s // 2 + 1
+    values, errors, converged, points = _transverse_average(_rule(DispersionSpec(s), d), f, cfg)
+    assert points.tolist() == [s // 2 + 1]
     assert seen == [(s // 2 + 1) ** (d - 1)]
-    assert r.converged and r.values[0] == 1.0
-    assert r.errors[0] == 16 * np.finfo(float).eps
+    assert converged.tolist() == [True] and values.tolist() == [[1.0]]
+    assert errors.tolist() == [[16 * np.finfo(float).eps]]
 
 
 def test_nonfinite_values_are_not_converged() -> None:
@@ -364,16 +364,16 @@ def test_dos_average_matches_the_direct_grid() -> None:
         k = _kernel(modes.akz)
         return _mode_sum(spec, k, (0, k.size), modes.weights[:1, None], t)[0] - (0.5 * nz) * _kz_average(spec, t)
 
-    [dos] = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG)
-    assert dos.converged
+    values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG)
+    assert converged.tolist() == [True]
     grids = [
         integrate_bz_multi(lambda pts: f(_kernel(pts).sum(axis=1)), 3, QuadratureConfig(n, 0)).values[0]
         for n in (128, 256, 512)
     ]
     limit, order = richardson_extrapolate(grids)
     assert order == pytest.approx(3.0, abs=0.05)
-    assert abs(grids[-1] - dos.values[0]) > 1e-9  # the finest grid alone is far off
-    assert abs(limit - dos.values[0]) <= 1e-10
+    assert abs(grids[-1] - values[0, 0]) > 1e-9  # the finest grid alone is far off
+    assert abs(limit - values[0, 0]) <= 1e-10
 
 
 def test_point_budget_ends_in_nonconvergence() -> None:
@@ -393,9 +393,9 @@ def test_point_budget_ends_in_nonconvergence() -> None:
     # the budget counts the values of t: one per node in d=2, two in d=3
     for d, width in ((2, 1), (3, 2)):
         seen.clear()
-        [r] = _transverse_average(_rule(DispersionSpec(1), d), f, cfg)
-        assert not r.converged
-        assert sum(seen) == width * r.points_per_axis <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
+        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg)
+        assert converged.tolist() == [False]
+        assert sum(seen) == width * points[0] <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
 
 
 def test_levels_that_agree_at_the_rounding_floor_converge() -> None:
@@ -423,7 +423,7 @@ def test_work_per_point_is_charged_to_the_budget(monkeypatch, spec, geom) -> Non
 
     import latcas.casimir as casimir
 
-    monkeypatch.setattr(casimir, "generate_modes", lambda *a: pytest.fail("modes generated"))
+    monkeypatch.setattr(casimir, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
@@ -451,7 +451,7 @@ def test_bare_values_charge_their_work_per_point(monkeypatch, fn, spec, geom, cf
 
     import latcas.casimir as casimir
 
-    monkeypatch.setattr(casimir, "generate_modes", lambda *a: pytest.fail("modes generated"))
+    monkeypatch.setattr(casimir, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
@@ -588,10 +588,10 @@ def test_coeff_past_the_float_range_does_not_raise() -> None:
 )
 def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
     import latcas.casimir as casimir
-    from latcas.quadrature import _exact_result
 
     def fake(rule, f, cfg, costs):
-        return [_exact_result(np.array([e_cas, 1.0]), 1)]
+        # one exact row: (values, errors, converged, points)
+        return np.array([[e_cas, 1.0]]), np.zeros((1, 2)), np.array([True]), np.array([1])
 
     monkeypatch.setattr(casimir, "_transverse_average", fake)
     r = casimir_energy(DispersionSpec(1100), Geometry(1, 2), PER, CFG)

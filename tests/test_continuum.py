@@ -56,6 +56,12 @@ def test_zeta_against_mpmath() -> None:
         assert zeta_fn(x) == pytest.approx(float(mpmath.zeta(x)), rel=1e-13), x
 
 
+def test_zeta_of_large_arguments_is_its_head_sum() -> None:
+    # the Euler-Maclaurin factor overflows to inf where its power underflows
+    for x in (1e21, 1e300, math.inf):
+        assert zeta_fn(x) == 1.0, x
+
+
 def test_zeta_rejects_nonconvergent_arguments() -> None:
     for x in (1.0, 0.5, -2.0):
         with pytest.raises(ValueError):

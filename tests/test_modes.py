@@ -93,3 +93,51 @@ def test_rejects_non_integer_thickness(nz) -> None:
     # True is an int subclass but not a thickness
     with pytest.raises(ValueError):
         generate_modes(BoundaryCondition.periodic(), nz)
+
+
+@pytest.mark.parametrize(
+    "bc, nz",
+    [(BoundaryCondition.periodic(), 2**20 + 1), (BoundaryCondition.phenomenological(), 2**19 + 1)],
+    ids=["periodic", "phenomenological"],
+)
+def test_rejects_more_modes_than_the_point_budget(bc, nz) -> None:
+    # 2^20 + 1 modes, refused before any is built
+    with pytest.raises(ValueError, match="modes"):
+        generate_modes(bc, nz)
+
+
+_FAMILIES = [
+    BoundaryCondition.periodic(),
+    BoundaryCondition.antiperiodic(),
+    BoundaryCondition.phenomenological(PhenOffset.ONE_TO_2NZ),
+    BoundaryCondition.phenomenological(PhenOffset.ZERO_TO_2NZ_MINUS_1),
+]
+
+
+def _scalar_akz(bc: BoundaryCondition, nz: int) -> list[float]:
+    """The modes one float expression at a time, reduced by math.fmod."""
+    if bc.kind is BoundaryKind.PERIODIC:
+        xs = [2.0 * l * math.pi / nz for l in range(nz)]
+    elif bc.kind is BoundaryKind.ANTIPERIODIC:
+        xs = [(2.0 * l + 1.0) * math.pi / nz for l in range(nz)]
+    else:
+        start = 1 if bc.phen_offset is PhenOffset.ONE_TO_2NZ else 0
+        xs = [l * math.pi / nz for l in range(start, start + 2 * nz)]
+    return [math.fmod(x, 2.0 * math.pi) for x in xs]
+
+
+@pytest.mark.parametrize("bc", _FAMILIES, ids=["periodic", "antiperiodic", "phen-1..2nz", "phen-0..2nz-1"])
+def test_joined_modes_are_the_modes_of_each_thickness(bc) -> None:
+    # one call over nz = 1..64 gives each thickness the bits of its own mode set
+    from latcas.modes import _joined_modes
+
+    nzs = list(range(1, 65))
+    akz, bounds, w = _joined_modes(bc, nzs)
+    assert len(bounds) == len(nzs) + 1 and bounds[-1] == akz.size
+    for nz, lo, hi in zip(nzs, bounds, bounds[1:]):
+        modes = generate_modes(bc, nz)
+        assert modes.akz.tolist() == _scalar_akz(bc, nz), nz
+        assert akz[lo:hi].tobytes() == modes.akz.tobytes(), nz
+        assert np.all(modes.weights == w), nz
+        one, one_bounds, one_w = _joined_modes(bc, [nz])  # the single-thickness call
+        assert one.tobytes() == modes.akz.tobytes() and one_bounds == [0, hi - lo] and one_w == w, nz

@@ -131,18 +131,18 @@ def test_even_sweep_answers_the_tail_from_one_continuum_grid(monkeypatch, bc, su
 
     spec = DispersionSpec(4)
     generated, kz_grids = [], []
-    generate = casimir.generate_modes
+    joined_modes = casimir._joined_modes
     kz_average = casimir._kz_average
 
-    def counted_modes(bc, nz):
-        generated.append(nz)
-        return generate(bc, nz)
+    def counted_modes(bc, nzs):
+        generated.extend(nzs)
+        return joined_modes(bc, nzs)
 
     def counted_kz(spec, t):
         kz_grids.append(t.size)
         return kz_average(spec, t)
 
-    monkeypatch.setattr(casimir, "generate_modes", counted_modes)
+    monkeypatch.setattr(casimir, "_joined_modes", counted_modes)
     monkeypatch.setattr(casimir, "_kz_average", counted_kz)
     rows = sweep(spec, 3, bc, range(1, 33), CFG)
     assert set(generated) == support and len(generated) == len(support)
