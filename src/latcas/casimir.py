@@ -49,9 +49,10 @@ there is no cancellation, and e0_sum = e0_int = g (nz/2) A, where A is the
 rule's average of the kz average, taken once and kept with the rule. The
 row is written straight from those numbers, with no quadrature result.
 
-Each value of t costs the kz average, s/2+1 kz nodes (one closed form for
-odd s) in dispersion evaluations, plus the modes of the thickness where
-the mode sum is taken. The point budget of quadrature charges that cost,
+Each value of t costs the kz average, s/2+1 kz nodes for even s and the
+closed form with its s//2 recurrence steps, s//2+1, for odd s, in
+dispersion evaluations, plus the modes of the thickness where the mode
+sum is taken. The point budget of quadrature charges that cost,
 zero_point_sum and zero_point_int included, for a level an earlier call
 built as for a new one, and work whose first level would pass it is
 refused before any mode is generated or any level built.
@@ -67,11 +68,13 @@ budget bounds.
 One kernel, _casimir_rows, computes a list of thicknesses, and
 casimir_energy is its one-thickness case. The thicknesses of the pointwise
 route refine level by level together: each level takes one dispersion call
-over the joined mode kernels of the thicknesses still refining, and one
-vectorised convergence test. Each thickness still sums its own modes,
-keeps its own budget and gets its own verdict, and retires when it
-converges, reaches max_refinements or cannot afford its next level, so a
-sweep row is bit for bit the casimir_energy result of its thickness. The
+over the joined mode kernels of the thicknesses still refining, one
+segmented sum (np.add.reduceat) that gives each thickness the sum of its
+own columns, and one vectorised convergence test. A segment's sum depends
+on its own columns only, and each thickness keeps its own budget and gets
+its own verdict, and retires when it converges, reaches max_refinements
+or cannot afford its next level, so a sweep row is bit for bit the
+casimir_energy result of its thickness. The
 thicknesses go in groups whose joined modes take at most _MAT_BUDGET values
 on the first level, and each dispersion call stays within that budget, so
 memory does not grow with the sum of the thicknesses. A group builds the
@@ -81,7 +84,6 @@ one row per thickness, and each CasimirResult is made from their floats.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from typing import Sequence
@@ -165,30 +167,22 @@ def eval_lattice_dispersion(spec: DispersionSpec, ak) -> np.ndarray | float:
 
 def _node_sum(spec: DispersionSpec, t: np.ndarray, joined: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     """sum_j omega(t + k[j]) for every entry of t and every kernel k, the
-    columns bounds[i]:bounds[i+1] of joined, as a (len(bounds)-1, t.size)
-    array.
+    columns bounds[i]:bounds[i+1] of joined (at least one each, the last
+    ending at joined.size), as a (len(bounds)-1, t.size) array.
 
-    Consecutive kernels share one dispersion call while their (t.size,
-    nodes) temporary stays within _MAT_BUDGET elements; a kernel too large
-    for that goes alone, its rows of t in blocks, or one row when it has
-    more nodes than that. Each kernel sums its own columns, one numpy
-    pairwise sum per row written straight into the result, so a sum does
-    not depend on the blocking or on the other kernels.
+    Each block of values of t takes one dispersion call over all columns,
+    its temporary within _MAT_BUDGET elements (one value of t when joined
+    alone is larger), and one segmented sum written straight into the
+    result. A segment is its first value plus the numpy pairwise sum of
+    the rest of its own columns, so a sum does not depend on the blocking
+    or on the other kernels.
     """
     out = np.empty((len(bounds) - 1, t.size))
-    width = _MAT_BUDGET // t.size  # nodes that one call over every value of t may take
-    k = 0
-    while k < len(out):
-        a = bounds[k]
-        e = bisect.bisect_right(bounds, a + width, k + 2) - 1  # kernels k..e-1 share the call
-        cols = joined[a : bounds[e]]
-        step = max(1, _MAT_BUDGET // cols.size)
-        for i in range(0, t.size, step):
-            v = _omega_inplace(spec, t[i : i + step, None] + cols)
-            for j in range(k, e):
-                np.add.reduce(v[:, bounds[j] - a : bounds[j + 1] - a], axis=1, out=out[j, i : i + step])
-            del v  # before the next block is allocated
-        k = e
+    step = max(1, _MAT_BUDGET // joined.size)
+    for i in range(0, t.size, step):
+        v = _omega_inplace(spec, t[i : i + step, None] + joined)
+        np.add.reduceat(v, bounds[:-1], axis=1, out=out[:, i : i + step].T)
+        del v  # before the next block is allocated
     return out
 
 
@@ -291,8 +285,8 @@ class _Rule:
         self.n = spec.s // 2 + 1 if even else int(d == 1)
         # values of t of level 0, which callers check against the budget
         self.first = self.n ** (d - 1) if self.n else (d - 1) * _tanh_sinh_size(0)
-        # dispersion evaluations of the kz average at one t; odd: one closed form
-        self.kz_nodes = self.n if even else 1
+        # dispersion evaluations of the kz average at one t; odd: s//2 recurrence steps too
+        self.kz_nodes = self.n if even else spec.s // 2 + 1
         self.levels: list[tuple] = []
         self.nbytes = 0  # of the level arrays
         self.continuum: float | None = None  # even s: A, once a row past the support asks
@@ -540,6 +534,8 @@ def _row(
     e_cas, e0_int = spec.g * e_cas, spec.g * e0_int
     alpha = (d - 1) + spec.s
     try:
+        if nz > 1 and alpha * math.log2(nz) > 1100:  # past 2**1024, so not built as an integer
+            raise OverflowError
         coeff = float(nz**alpha) * e_cas
     except OverflowError:  # nz**alpha passes the float range
         coeff = math.inf * e_cas if e_cas else 0.0

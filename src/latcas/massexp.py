@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import DispersionSpec, Geometry, QuadratureConfig, _is_int
+from .model import _MAX_POINTS, DispersionSpec, Geometry, QuadratureConfig, _is_int
 
 if TYPE_CHECKING:
     from .modes import BoundaryCondition
@@ -53,15 +53,23 @@ def _check_mass(am) -> None:
         raise ValueError(f"am must be positive and finite, got {am!r}")
 
 
+def _check_orders(orders) -> None:
+    # past the point budget every order's energy is refused, in every d
+    if not _is_int(orders) or orders < 1:
+        raise ValueError(f"orders must be a positive integer, got {orders!r}")
+    if orders > _MAX_POINTS:  # no value in the message: it may not print
+        raise ValueError(f"orders must be at most {_MAX_POINTS}, the point budget of one energy")
+
+
 def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
-    """Terms n = 1..orders; c_n = binom(1/2, n) * am**(1 - 2n).
+    """Terms n = 1..orders; c_n = binom(1/2, n) * am**(1 - 2n). orders is
+    at most 2**20, the point budget, past which no energy is computed.
 
     The binomial coefficients follow the recurrence
     binom(1/2, n) = binom(1/2, n-1) * (3/2 - n) / n, avoiding factorials.
     """
     _check_mass(am)
-    if not _is_int(orders) or orders < 1:
-        raise ValueError(f"orders must be a positive integer, got {orders!r}")
+    _check_orders(orders)
     terms = []
     binom = 1.0
     for n in range(1, orders + 1):

@@ -22,6 +22,9 @@ __all__ = [
 ]
 
 
+_MAX_POINTS = 1 << 20  # points one quadrature call may hand its integrand, all levels together
+
+
 def _is_int(x) -> bool:
     # numpy integers count; bool is an int subclass, but True is not a
     # dispersion order or a size (numpy's True_ is no Integral at all)
@@ -42,7 +45,8 @@ class DispersionSpec:
     s:  dispersion order (0 = flat band, 1 = linear, 2 = quadratic, ...)
     am: mass in lattice units; a massive branch is only defined for s=1,
         where w = sqrt(k~^2 + am^2)
-    g:  branch degeneracy, a pure multiplier on all zero-point energies
+    g:  branch degeneracy, a pure multiplier on all zero-point energies,
+        at most 2**53 so that it is exact as a float
     """
 
     s: int
@@ -60,6 +64,8 @@ class DispersionSpec:
             raise ValueError("a nonzero mass is only supported for the linear branch (s=1)")
         if not _is_int(self.g) or self.g < 1:
             raise ValueError(f"degeneracy g must be a positive integer, got {self.g!r}")
+        if self.g > 2**53:  # no value in the message: it may not print
+            raise ValueError("degeneracy g must be at most 2**53, the integers that floats hold exactly")
         _store_ints(self, "s", "g")
 
 

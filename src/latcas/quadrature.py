@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import QuadratureConfig
+from .model import _MAX_POINTS, QuadratureConfig
 
 __all__ = [
     "MultiQuadResult",
@@ -54,7 +54,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 18  # grid points evaluated per batch
-_MAX_POINTS = 1 << 20  # points one call may hand its integrand, all levels together
 _TS_REACH = 3.5  # tanh-sinh nodes at |u| <= _TS_REACH; the weights beyond are below 1e-20
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_ULPS = 16  # error floor, in ulps of the largest component

@@ -18,7 +18,7 @@ import numpy as np
 
 from .casimir import _casimir_rows, _check, _kernel, _kz_average, eval_from_kernel_sum
 from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _is_int
-from .modes import BoundaryCondition, _mode_count, generate_modes
+from .modes import BoundaryCondition, generate_modes
 from .quadrature import _MAX_POINTS
 
 __all__ = [
@@ -119,10 +119,8 @@ def rectangle_decomposition(
         raise ValueError(f"a slab in d = {d} has at most {d - 1} transverse momentum components, got {k_perp.size}")
     if not np.all(np.isfinite(k_perp)):
         raise ValueError("momentum components must be finite")
-    if _mode_count(bc, nz) > _MAX_POINTS:
-        raise ValueError(f"nz = {nz} gives more than {_MAX_POINTS} modes")
+    modes = generate_modes(bc, nz)  # refuses more modes than the budget before building any
     t_perp = float(np.sum(_kernel(k_perp)))
-    modes = generate_modes(bc, nz)
     widths = modes.weights * _TWO_PI / nz
     heights = eval_from_kernel_sum(spec, t_perp + _kernel(modes.akz))
     rects = tuple((float(x - 0.5 * w), float(w), float(h)) for x, w, h in zip(modes.akz, widths, heights))
@@ -152,9 +150,27 @@ def _rows_csv(rows: Sequence[CasimirResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_value(v) -> str:
+    """v as json.dumps writes it; other types than a row's go through
+    json.dumps, so an unencodable value raises as there."""
+    if isinstance(v, float):  # most fields; json's names for the non-finite values
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if math.isnan(v) else "Infinity" if v > 0 else "-Infinity"
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    return json.dumps(v)
+
+
 def _rows_json(rows: Sequence[CasimirResult]) -> str:
-    payload = [dict(zip(CSV_COLUMNS, _row_values(r))) for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    # the text of json.dumps(records, indent=2), whose encoder is pure Python with indent
+    records = [
+        "  {\n" + ",\n".join(f'    "{k}": {_json_value(v)}' for k, v in zip(CSV_COLUMNS, _row_values(r))) + "\n  }"
+        for r in rows
+    ]
+    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
 
 
 def _decomp_csv(dec: RectangleDecomposition) -> str:

@@ -31,7 +31,7 @@ from latcas import (
     zero_point_int,
     zero_point_sum,
 )
-from latcas.casimir import _kernel, _kz_average, _mode_sum, _rule, _transverse_average
+from latcas.casimir import _join, _kernel, _kz_average, _mode_sum, _node_sum, _rule, _transverse_average
 from latcas.quadrature import _MAX_POINTS
 
 import moment_oracle as mo
@@ -494,6 +494,50 @@ def test_node_sum_blocking_is_bit_identical(monkeypatch) -> None:
     assert [sweep(*case, FAST) for case in sweeps] == want_rows
 
 
+def _node_sum_case() -> tuple:
+    # values of t at both ends of the transverse range and in between, and
+    # kernels of unequal widths, one of a single column
+    t = np.concatenate([[0.0, 8.0], np.random.default_rng(15).uniform(0.0, 8.0, 300)])
+    families = ((PER, 1), (PHEN, 5), (ANTI, 37), (PER, 130), (PER, 1000))
+    return t, [_kernel(generate_modes(bc, nz).akz) for bc, nz in families]
+
+
+_NODE_SUM_SPECS = [DispersionSpec(1), DispersionSpec(3), DispersionSpec(4), DispersionSpec(1, am=0.5)]
+
+
+@pytest.mark.parametrize("spec", _NODE_SUM_SPECS, ids=["s1", "s3", "s4", "am0.5"])
+def test_node_sum_is_within_four_ulps_of_an_exact_sum(spec) -> None:
+    # the terms are the dispersion values of each column; only their sum rounds
+    t, kernels = _node_sum_case()
+    got = _node_sum(spec, t, *_join(kernels))
+    for row, k in zip(got, kernels):
+        for value, tv in zip(row.tolist(), t.tolist()):
+            want = math.fsum(np.atleast_1d(casimir.eval_from_kernel_sum(spec, tv + k)).tolist())
+            assert abs(value - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize("spec", _NODE_SUM_SPECS, ids=["s1", "s3", "s4", "am0.5"])
+def test_node_sum_rows_do_not_depend_on_their_neighbours(spec) -> None:
+    # a segment sums its own columns only, wherever it sits among the others
+    t, kernels = _node_sum_case()
+    together = _node_sum(spec, t, *_join(kernels))
+    for i, k in enumerate(kernels):
+        assert np.array_equal(_node_sum(spec, t, *_join([k]))[0], together[i])
+        assert np.array_equal(_node_sum(spec, t, *_join(kernels[::-1]))[-1 - i], together[i])
+
+
+def test_node_sum_blocks_of_t_move_no_bit(monkeypatch) -> None:
+    # budgets that split t into blocks of 2, 1 (one value per call, the
+    # joined columns alone past the budget) and uneven blocks of 15 values
+    t, kernels = _node_sum_case()
+    joined, bounds = _join(kernels)
+    spec = DispersionSpec(3)
+    want = _node_sum(spec, t, joined, bounds)
+    for budget in (2 * joined.size, 100, 15 * joined.size + 7):
+        monkeypatch.setattr(casimir, "_MAT_BUDGET", budget)
+        assert np.array_equal(_node_sum(spec, t, joined, bounds), want)
+
+
 def test_long_odd_sweep_keeps_its_memory_bounded(monkeypatch) -> None:
     # each dispersion call stays within _MAT_BUDGET elements and the rows go
     # in groups of joined modes within it on the first level, so memory does
@@ -581,6 +625,27 @@ def test_coeff_past_the_float_range_does_not_raise() -> None:
     r = casimir_energy(DispersionSpec(600), Geometry(1, 4), PER, CFG)
     assert r.converged and math.isfinite(r.e_cas) and r.e_cas != 0.0
     assert r.coeff == math.copysign(math.inf, r.e_cas)
+
+
+@pytest.mark.parametrize("s", [10**9 + 1, 10**12], ids=["odd", "even"])
+def test_huge_orders_are_refused_in_bounded_work(s: int) -> None:
+    # the odd kz average costs s//2 recurrence steps per t and is charged
+    # so, and nz**alpha past the float range is never built as an integer:
+    # the odd row took hours, and each refused row time and memory linear in s
+    import tracemalloc
+
+    spec = DispersionSpec(s)
+    casimir_energy(DispersionSpec(1), Geometry(3, 4), PER, CFG)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        r = casimir_energy(spec, Geometry(3, 4), PER, CFG)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not r.converged and math.isnan(r.e_cas) and math.isnan(r.coeff) and r.quad_error == math.inf
+    assert elapsed < 1.0 and peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ import pytest
 
 import latcas.cli
 import latcas.casimir
-import latcas.report
+import latcas.modes
 from latcas import QuadratureConfig
 from latcas.cli import run
 from latcas.massexp import DEFAULT_ORDERS
@@ -109,6 +109,30 @@ def test_mass_expansion_rejects_zero_mass_before_any_energy(monkeypatch, capsys)
     assert "am must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--orders", "1048577"],
+        ["compute", "--s", "1", "--d", "3", "--nz", "4", "--g", "9007199254740993"],
+        ["compute", "--s", "1", "--d", "3", "--nz", "4", "--g", "9" * 401],
+    ],
+    ids=["orders-past-budget", "g-past-2**53", "g-401-digits"],
+)
+def test_unbounded_counts_exit_one_before_any_energy(monkeypatch, capsys, argv) -> None:
+    # the 401-digit g ended in an OverflowError traceback; the massive energy
+    # was computed before the orders were looked at
+    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
+    assert run(argv) == 1
+    out, err = _grab(capsys)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_odd_order_is_refused_as_not_converged(capsys) -> None:
+    # its kz average is charged s//2 + 1 evaluations per point, past the budget
+    assert run(["compute", "--s", "1000000001", "--d", "3", "--nz", "4"]) == 2
+    assert "converged  = no" in _grab(capsys)[0]
+
+
 def test_rectangles_json(tmp_path, capsys) -> None:
     path = tmp_path / "dec.json"
     code = run(["rectangles", "--s", "2", "--nz", "2", "--format", "json", "--out", str(path)])
@@ -178,7 +202,7 @@ def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
 )
 def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> None:
     # a MemoryError traceback, NaN areas and a printed -0 before
-    monkeypatch.setattr(latcas.report, "generate_modes", lambda *a: pytest.fail("modes generated"))
+    monkeypatch.setattr(latcas.modes, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     assert run(argv) == 1
     out, err = _grab(capsys)
     assert out == "" and err.startswith("error: ")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import latcas.massexp as massexp
 from latcas import (
     BoundaryCondition,
     DispersionSpec,
@@ -16,6 +17,7 @@ from latcas import (
     expansion_coefficients,
     remnant_partial_sums,
 )
+from latcas.model import _MAX_POINTS
 
 PER = BoundaryCondition.periodic()
 CFG = QuadratureConfig()
@@ -79,6 +81,24 @@ def test_rejects_what_dispersion_spec_rejects(call) -> None:
     # a bool count and a mass that DispersionSpec(1, am=...) would refuse
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("orders", [_MAX_POINTS + 1, 10**5000], ids=["budget-plus-one", "5001-digits"])
+def test_orders_past_the_point_budget_are_refused_before_any_term(monkeypatch, orders) -> None:
+    # past 2**20 every order's energy is refused; the term list alone grew
+    # by about 100 B per order
+    import latcas.casimir
+
+    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
+    monkeypatch.setattr(massexp, "ExpansionTerm", lambda *a: pytest.fail("term built"))
+    with pytest.raises(ValueError, match="at most"):
+        expansion_coefficients(5.0, orders)
+    with pytest.raises(ValueError, match="at most"):
+        remnant_partial_sums(5.0, Geometry(3, 1), PER, orders)
+
+
+def test_orders_up_to_the_point_budget_are_accepted() -> None:
+    massexp._check_orders(_MAX_POINTS)  # the terms themselves would take about 100 MB
 
 
 def test_convergence_domain() -> None:

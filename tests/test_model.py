@@ -53,6 +53,14 @@ def test_rejects_invalid_specs() -> None:
                 DispersionSpec(**{"s": 1, field: flag})
 
 
+def test_degeneracy_is_bounded_by_the_exact_float_integers() -> None:
+    # g multiplies float energies; a 401-digit g ended in an OverflowError
+    assert DispersionSpec(s=1, g=2**53).g == 2**53
+    for g in (2**53 + 1, 10**400, 10**5000):
+        with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+            DispersionSpec(s=1, g=g)
+
+
 def test_rejects_nonfinite_momenta() -> None:
     with pytest.raises(ValueError):
         eval_lattice_dispersion(DispersionSpec(s=1), (math.nan, 0.0, 0.0))

@@ -23,7 +23,7 @@ from latcas import (
     zero_point_sum,
 )
 from latcas.quadrature import _MAX_POINTS
-from latcas.report import CSV_COLUMNS
+from latcas.report import CSV_COLUMNS, _row_values
 
 PER = BoundaryCondition.periodic()
 CFG = QuadratureConfig()
@@ -297,9 +297,9 @@ def test_rectangles_curve_sampling() -> None:
 )
 def test_rectangles_reject_unbounded_or_invalid_input(monkeypatch, nz, kwargs) -> None:
     # refused before any mode or sample is allocated
-    import latcas.report as report
+    import latcas.modes as modes
 
-    monkeypatch.setattr(report, "generate_modes", lambda *a: pytest.fail("modes generated"))
+    monkeypatch.setattr(modes, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     kwargs = {"bc": PER, **kwargs}
     with pytest.raises(ValueError):
         rectangle_decomposition(DispersionSpec(2), nz, **kwargs)
@@ -346,6 +346,29 @@ def test_json_roundtrip_bit_exact(tmp_path) -> None:
         assert rec["e0_sum"] == row.e0_sum
         assert rec["e_cas"] == row.e_cas
         assert rec["quad_error"] == row.quad_error
+
+
+def _json_dumps_text(rows) -> str:
+    return json.dumps([dict(zip(CSV_COLUMNS, _row_values(r))) for r in rows], indent=2) + "\n"
+
+
+def test_json_rows_are_the_text_of_json_dumps(tmp_path) -> None:
+    # written without json's pure-Python encoder, byte for byte the same
+    rows = [
+        CasimirResult(1, math.nan, math.inf, -math.inf, -0.0, 5e-324, True),
+        CasimirResult(10**30, 0.1, -1e300, 2.0**-1074, 1e16, 123456789.0, False),
+        CasimirResult(3, np.float64(1 / 3), 0, -7, np.float64(math.nan), 1.5, True),
+    ]
+    path = tmp_path / "rows.json"
+    for case in ([], rows[:1], rows):
+        emit(case, "json", path)
+        assert path.read_text() == _json_dumps_text(case)
+    odd = [CasimirResult(2, np.float32(0.5), 1.0, 0.0, 0.0, 0.0, True)]
+    with pytest.raises(TypeError) as want:
+        _json_dumps_text(odd)
+    with pytest.raises(TypeError) as got:
+        emit(odd, "json", path)
+    assert str(got.value) == str(want.value)
 
 
 def test_json_rows_carry_converged(tmp_path) -> None:
