@@ -25,7 +25,13 @@ uniform grid of s/2+1 points per axis, suffices: no refinement and no
 QuadratureConfig. For odd s the zone average is the one-dimensional
 integral of F(t) against the lattice density of states, by tanh-sinh
 levels under QuadratureConfig with the change between the last two levels
-as the error:
+as the error. The whole tanh-sinh rule is in this module: the
+double-exponential nodes and weights on (0, 1) (Takahasi & Mori, Publ.
+RIMS 9, 1974), nested so that each level, at half the step, adds only its
+new nodes, the values of t at them, and the level sums that
+quadrature._converge refines. The rule converges exponentially even with
+algebraic or logarithmic singularities at the interval ends, which is
+where the density of states puts all of them:
 
 - d=1 has the single point t = 0, one exact level;
 - d=2 averages kx over [0, pi] with t = 4 sin^2(kx/2);
@@ -92,7 +98,7 @@ import numpy as np
 
 from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig
 from .modes import BoundaryCondition, _joined_modes, _mode_count
-from .quadrature import _EPS, _MAX_POINTS, _rounding_floor, _tanh_sinh, _tanh_sinh_nodes, _tanh_sinh_size
+from .quadrature import _EPS, _MAX_POINTS, _converge, _rounding_floor
 
 __all__ = [
     "QuadratureNonConvergence",
@@ -107,6 +113,7 @@ __all__ = [
 # already keeps one thickness's level, values of t times modes, within it
 _MAT_BUDGET = _MAX_POINTS
 _AGM_MAX_ITER = 64  # convergence is quadratic; the cap bounds NaN or inf input
+_TS_REACH = 3.5  # tanh-sinh nodes at |u| <= _TS_REACH; the weights beyond are below 1e-20
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -256,6 +263,32 @@ def _node_kernels(m: int) -> np.ndarray:
     return _kernel(np.arange(m, dtype=float) * (2.0 * math.pi / m))
 
 
+def _tanh_sinh_size(level: int) -> int:
+    """Number of nodes that tanh-sinh level `level` adds (see _tanh_sinh_nodes)."""
+    top = int(_TS_REACH * 2**level)
+    return 2 * top + 1 if level == 0 else 2 * ((top + 1) // 2)
+
+
+def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes that tanh-sinh level `level` on (0, 1) adds: x, their
+    complements xc = 1 - x and their weights w.
+
+    Node u = k h maps to x = (1 + tanh(pi/2 sinh u)) / 2 with weight
+    dx/du = pi cosh(u) x (1 - x). Both distances to the endpoints, lo = 1 - x
+    and hi = x for u >= 0 (mirrored for -u), come from e = exp(-pi sinh u)
+    without cancellation, so no node rounds onto an endpoint. Level j has
+    step h = 2^-j and adds the odd multiples of it, out to |u| <= _TS_REACH.
+    """
+    h = math.ldexp(1.0, -level)
+    top = int(_TS_REACH / h)
+    u = (np.arange(0, top + 1) if level == 0 else np.arange(1, top + 1, 2)) * h
+    e = np.exp(-math.pi * np.sinh(u))
+    lo, hi = e / (1.0 + e), 1.0 / (1.0 + e)
+    w = math.pi * np.cosh(u) * lo * hi
+    side = u > 0  # u = 0 is one node
+    return np.concatenate([hi, lo[side]]), np.concatenate([lo, hi[side]]), np.concatenate([w, w[side]])
+
+
 def _dos_level(d: int, level: int) -> tuple:
     """Tanh-sinh level `level` of the density-of-states integral in d = 2, 3:
     (w, t, scale), the weights of the nodes the level adds, the values of t
@@ -371,16 +404,20 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
         errors[~converged] = math.inf
         points = np.full(len(costs), rule.n)
     else:
+        nodes = 0
 
-        def at(j: int, live: np.ndarray) -> tuple:
+        def level(j: int, live: np.ndarray, prev) -> tuple:
+            nonlocal nodes
             w, t, scale, kz = rule.level(j)
+            nodes += w.size
             vals = f(t, kz, live)
             if scale is not None:  # d=3: fold the two values of t of each node
                 vals = (vals / scale[:, None]).reshape(live.size, 2, w.size, -1).sum(axis=1)
-            return w, vals
+            part = math.ldexp(1.0, -j) * (w @ vals)  # stacked: each row gets the bits of its own w @ vals[i]
+            return (part if prev is None else 0.5 * prev + part), nodes
 
-        # one value of t per node in d=2, two in d=3
-        values, errors, converged, points = _tanh_sinh(at, cfg, width=rule.first // _tanh_sinh_size(0), costs=costs)
+        # the budget counts values of t: one per node in d=2, two in d=3
+        values, errors, converged, points = _converge(level, lambda j: (rule.d - 1) * _tanh_sinh_size(j), costs, cfg)
     # fmax: a NaN floor keeps the inf error
     return values, np.fmax(errors, _rounding_floor(values)[:, None]), converged, points
 

@@ -5,7 +5,8 @@ give identical results. There is no randomness anywhere, so repeated
 invocations are byte-identical.
 
 Exit codes: 0 success, 1 invalid arguments, 2 quadrature non-convergence
-or a non-finite reference value.
+or a non-finite reference value, mass-expansion partial sum or rectangles
+quantity.
 Result rows print in the columns of report.CSV_COLUMNS in every format, so
 a non-converged row says so in the table, CSV and JSON alike. Non-finite
 results are named in one stderr line instead of raw numpy warnings.
@@ -104,15 +105,18 @@ def _rows_table(rows: Sequence[CasimirResult]) -> str:
     return "\n".join(lines)
 
 
-def _exit_code(rows: Sequence[CasimirResult]) -> int:
-    """0 when every row converged, else 2; non-finite fields are named on stderr."""
+def _exit_code(rows: Sequence[CasimirResult], **more: Sequence[float]) -> int:
+    """0 when every row converged and every value of more is finite, else 2;
+    the non-finite fields of rows and quantities of more are named in one
+    stderr line."""
     from .report import CSV_COLUMNS, _row_values
 
     values = [_row_values(r) for r in rows]
-    bad = [name for i, name in enumerate(CSV_COLUMNS) if not all(math.isfinite(v[i]) for v in values)]
-    if bad:
-        print(f"warning: non-finite {', '.join(bad)}", file=sys.stderr)
-    return 0 if all(r.converged for r in rows) else 2
+    fields = [name for i, name in enumerate(CSV_COLUMNS) if not all(math.isfinite(v[i]) for v in values)]
+    others = [name for name, vs in more.items() if not all(map(math.isfinite, vs))]
+    if fields or others:
+        print(f"warning: non-finite {', '.join(fields + others)}", file=sys.stderr)
+    return 0 if all(r.converged for r in rows) and not others else 2
 
 
 def _numeric(handler):
@@ -188,7 +192,7 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     print(f"{'K':>3} {'partial_sum':>22} {'difference':>22}")
     for k, p in enumerate(partials, start=1):
         print(f"{k:>3} {p:>22.15g} {p - massive.e_cas:>22.3e}")
-    return _exit_code([massive])
+    return _exit_code([massive], partial_sum=partials)
 
 
 @_numeric
@@ -204,7 +208,8 @@ def _cmd_rectangles(args: argparse.Namespace) -> int:
         print(f"int_area = {dec.int_area:.15g}")
     else:
         emit(dec, args.format, args.out)
-    return 0
+    return _exit_code([], height=[h for *_, h in dec.rects], aomega=[y for _, y in dec.curve],
+                      sum_area=[dec.sum_area], int_area=[dec.int_area])
 
 
 def _cmd_reference(args: argparse.Namespace) -> int:
@@ -220,7 +225,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="latcas", description="Lattice Casimir energies for power-law dispersions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, nz_flag=True):
+    def common(p):
         p.add_argument("--s", type=int, default=1, help="dispersion order (0 = flat band)")
         p.add_argument("--am", type=float, default=0.0, help="mass in lattice units (s=1 only)")
         p.add_argument("--g", type=int, default=1, help="branch degeneracy multiplier")

@@ -9,8 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import _is_int
-from .quadrature import _MAX_POINTS
+from .model import _MAX_POINTS, _is_int
 
 __all__ = ["BoundaryKind", "PhenOffset", "BoundaryCondition", "ModeSet", "generate_modes"]
 

@@ -1,39 +1,32 @@
-"""Quadrature rules and their one result type.
+"""The generic refinement loop, the grid reference route and its one
+result type.
 
-MultiQuadResult is the one result type: a scalar integrand is a
-one-component result, and every component shares one verdict. Two refined
-rules feed it through one convergence loop, which stops when successive
-levels agree to tolerance, or to the rounding floor of _ROUNDING_ULPS ulps
-of the largest component, and reports their difference as the error. The
-loop refines rows, integrands over the same levels, together: each row
-takes its own convergence test and budget, and stops on its own, so a row
-has the bits it would have alone. It returns the rows as arrays of values,
-errors, verdicts and points, which integrate_bz_multi turns into its one
-MultiQuadResult.
+_converge refines rows, integrands over the same levels, together: it
+stops each row when its successive levels agree to tolerance, or to the
+rounding floor of _ROUNDING_ULPS ulps of its largest component, and
+reports their difference as the error. Each row takes its own convergence
+test and budget, and stops on its own, so a row has the bits it would have
+alone. It returns the rows as arrays of values, errors, verdicts and
+points. The levels come from the caller: the grid route below, and the
+tanh-sinh levels of the transverse density of states, which casimir
+builds and feeds it.
 
-- _tanh_sinh integrates over (0, 1) by the double-exponential rule
-  (Takahasi & Mori, Publ. RIMS 9, 1974), halving the step each level and
-  evaluating only the new nodes. It converges exponentially even with
-  algebraic or logarithmic singularities at the endpoints, which is where
-  the transverse density of states puts all of them (see casimir). The
-  rule is split in two: _tanh_sinh_nodes gives a level's nodes and
-  weights, and _tanh_sinh takes the integrands level by level, so a caller
-  that integrates several functions over the same nodes can build each
-  level once.
-- integrate_bz_multi averages over the uniform periodic grid of the
-  transverse Brillouin zone, (1/2pi)^n int_[0,2pi)^n f, doubling the grid
-  each level. On a periodic domain the uniform n-point rule is exact for
-  trigonometric polynomials of degree < n and spectrally accurate for
-  analytic integrands. Grid sums are accumulated in a fixed deterministic
-  order: chunk subtotals use numpy's pairwise reduction and the subtotals
-  are combined with math.fsum, so results are bit-stable run to run
-  regardless of internal evaluation batching.
+integrate_bz_multi averages over the uniform periodic grid of the
+transverse Brillouin zone, (1/2pi)^n int_[0,2pi)^n f, doubling the grid
+each level, and returns one MultiQuadResult. On a periodic domain the
+uniform n-point rule is exact for trigonometric polynomials of degree < n
+and spectrally accurate for analytic integrands. Grid sums are accumulated
+in a fixed deterministic order: chunk subtotals use numpy's pairwise
+reduction and the subtotals are combined with math.fsum, so results are
+bit-stable run to run regardless of internal evaluation batching. The
+energies do not take this route: it is public, and the tests' independent
+check of the density-of-states route.
 
 Every call hands each integrand at most _MAX_POINTS points in total, each
 point counted cost times where the integrand does cost units of work per
-point (_tanh_sinh): a level that would pass the budget does not run for
-that integrand, and its result is then not converged. Non-finite values
-never count as converged.
+point: a level that would pass the budget does not run for that
+integrand, and its result is then not converged. Non-finite values never
+count as converged.
 """
 from __future__ import annotations
 
@@ -54,7 +47,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 18  # grid points evaluated per batch
-_TS_REACH = 3.5  # tanh-sinh nodes at |u| <= _TS_REACH; the weights beyond are below 1e-20
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_ULPS = 16  # error floor, in ulps of the largest component
 
@@ -67,8 +59,7 @@ class MultiQuadResult:
     converged=False means the tolerance was not met within max_refinements
     or the point budget, or a value is not finite; the values and estimates
     are still the best available and the caller decides what to do with
-    them. points_per_axis is the grid size of the last level of a grid
-    rule, and the node count of the last (nested) tanh-sinh rule.
+    them. points_per_axis is the grid size of the last level.
     """
 
     values: np.ndarray
@@ -185,56 +176,6 @@ def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureCon
 
     values, errors, converged, points = _converge(grid, lambda j: (cfg.base_points << j) ** ndim, [1], cfg)
     return MultiQuadResult(values[0], errors[0], bool(converged[0]), int(points[0]))
-
-
-def _tanh_sinh_size(level: int) -> int:
-    """Number of nodes that tanh-sinh level `level` adds (see _tanh_sinh_nodes)."""
-    top = int(_TS_REACH * 2**level)
-    return 2 * top + 1 if level == 0 else 2 * ((top + 1) // 2)
-
-
-def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes that tanh-sinh level `level` on (0, 1) adds: x, their
-    complements xc = 1 - x and their weights w.
-
-    Node u = k h maps to x = (1 + tanh(pi/2 sinh u)) / 2 with weight
-    dx/du = pi cosh(u) x (1 - x). Both distances to the endpoints, lo = 1 - x
-    and hi = x for u >= 0 (mirrored for -u), come from e = exp(-pi sinh u)
-    without cancellation, so no node rounds onto an endpoint. Level j has
-    step h = 2^-j and adds the odd multiples of it, out to |u| <= _TS_REACH.
-    """
-    h = math.ldexp(1.0, -level)
-    top = int(_TS_REACH / h)
-    u = (np.arange(0, top + 1) if level == 0 else np.arange(1, top + 1, 2)) * h
-    e = np.exp(-math.pi * np.sinh(u))
-    lo, hi = e / (1.0 + e), 1.0 / (1.0 + e)
-    w = math.pi * np.cosh(u) * lo * hi
-    side = u > 0  # u = 0 is one node
-    return np.concatenate([hi, lo[side]]), np.concatenate([lo, hi[side]]), np.concatenate([w, w[side]])
-
-
-def _tanh_sinh(
-    at: Callable[[int, np.ndarray], tuple], cfg: QuadratureConfig, width: int, costs: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """int_0^1 f_i(x) dx for rows i, by nested tanh-sinh levels refined
-    together under cfg, as the arrays of _converge.
-
-    at(level, live) returns (w, values): the weights of
-    _tanh_sinh_nodes(level) and the integrands of the rows live at its
-    nodes, shape (live.size, nodes, ncomp). It is called only for levels
-    that a live row affords. width is the number of points f evaluates per
-    node and costs[i] the work per point of row i, which the budget counts.
-    """
-    nodes = 0
-
-    def level(j: int, live: np.ndarray, prev) -> tuple:
-        nonlocal nodes
-        nodes += _tanh_sinh_size(j)
-        w, vals = at(j, live)
-        part = math.ldexp(1.0, -j) * (w @ vals)  # stacked: each row gets the bits of its own w @ vals[i]
-        return (part if prev is None else 0.5 * prev + part), nodes
-
-    return _converge(level, lambda j: width * _tanh_sinh_size(j), costs, cfg)
 
 
 def integrate_bz_multi(

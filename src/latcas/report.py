@@ -17,9 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .casimir import _casimir_rows, _check, _kernel, _kz_average, eval_from_kernel_sum
-from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _is_int
+from .model import _MAX_POINTS, CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _is_int
 from .modes import BoundaryCondition, generate_modes
-from .quadrature import _MAX_POINTS
 
 __all__ = [
     "SweepRow",
@@ -109,10 +108,14 @@ def rectangle_decomposition(
 
     The default k_perp = () is the 1D illustration (no transverse kernel);
     a slab in d dimensions has at most d - 1 transverse components. The
-    samples and the modes are each bounded by the quadrature point budget.
+    samples, the modes and the dispersion evaluations of the kz average,
+    s//2 + 1 as the energies charge it, are each bounded by the point
+    budget and refused past it before any array is built.
     """
     if not _is_int(samples) or not 64 <= samples <= _MAX_POINTS:
         raise ValueError(f"samples must be an integer in [64, {_MAX_POINTS}], got {samples!r}")
+    if spec.s // 2 + 1 > _MAX_POINTS:  # no value in the message: it may not print
+        raise ValueError(f"order s must be below {2 * _MAX_POINTS}: a larger one's kz average passes the point budget")
     Geometry(d, nz)  # rejects a bad d or nz
     k_perp = np.asarray(k_perp, dtype=float)
     if k_perp.size > d - 1:

@@ -196,16 +196,19 @@ def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
         ["rectangles", "--nz", "4", "--samples", "1000000000000"],
         ["rectangles", "--nz", "1000000000000"],
         ["rectangles", "--nz", "4", "--k-perp", "nan"],
+        ["rectangles", "--s", "100000001", "--nz", "4", "--d", "3", "--samples", "64"],
+        ["rectangles", "--s", "2000000000000", "--nz", "4", "--d", "1", "--samples", "64"],
         ["reference", "--s", "1", "--L", "inf"],
     ],
-    ids=["samples-huge", "nz-huge", "k-perp-nan", "L-inf"],
+    ids=["samples-huge", "nz-huge", "k-perp-nan", "rectangles-s-huge-odd", "rectangles-s-huge-even", "L-inf"],
 )
 def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> None:
-    # a MemoryError traceback, NaN areas and a printed -0 before
+    # a MemoryError traceback, NaN areas and a printed -0 before; the huge
+    # orders ran past a 20 s timeout or would build 7.28 TiB of kz nodes
     monkeypatch.setattr(latcas.modes, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     assert run(argv) == 1
     out, err = _grab(capsys)
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -295,6 +298,29 @@ def test_nonfinite_result_is_named_without_numpy_warnings(capsys) -> None:
     assert code == 2
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert len(err.splitlines()) == 1 and "e_cas" in err
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--orders", "101"], "partial_sum"),
+        (["rectangles", "--s", "1", "--am", "1e200", "--nz", "2"], "height, aomega, sum_area, int_area"),
+        (["rectangles", "--s", "1", "--am", "1e200", "--nz", "2", "--format", "json"],
+         "height, aomega, sum_area, int_area"),
+    ],
+    ids=["partial-sums", "rectangles", "rectangles-json"],
+)
+def test_nonfinite_partial_sums_and_areas_exit_two(capsys, argv, names) -> None:
+    # the s = 202 term's continuum level passes the point budget, so the last
+    # partial sum is NaN, and am**2 overflows every height: both exited 0
+    assert run(argv) == 2
+    assert _grab(capsys)[1] == f"warning: non-finite {names}\n"
+
+
+def test_partial_sums_within_the_point_budget_exit_zero(capsys) -> None:
+    assert run(["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--orders", "100"]) == 0
+    out, err = _grab(capsys)
+    assert err == "" and "nan" not in out
 
 
 def test_unconverged_rows_say_so_in_every_format(capsys) -> None:

@@ -4,6 +4,7 @@ import collections
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -303,6 +304,31 @@ def test_rectangles_reject_unbounded_or_invalid_input(monkeypatch, nz, kwargs) -
     kwargs = {"bc": PER, **kwargs}
     with pytest.raises(ValueError):
         rectangle_decomposition(DispersionSpec(2), nz, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "s, d",
+    [(2 * _MAX_POINTS, 1), (2 * _MAX_POINTS + 1, 2), (100000001, 3), (2 * 10**12, 1), (10**5000, 3)],
+    ids=["first-even", "first-odd", "1e8-odd", "2e12-even", "5001-digits"],
+)
+def test_rectangles_refuse_orders_past_the_point_budget(monkeypatch, s, d) -> None:
+    # the kz average takes s//2 + 1 evaluations, as the energies charge it:
+    # 1e8 + 1 ran past a 20 s timeout and 2e12 would build 7.28 TiB of kz nodes
+    import latcas.modes as modes
+    import latcas.report as report
+
+    monkeypatch.setattr(modes, "_joined_modes", lambda *a: pytest.fail("modes generated"))
+    monkeypatch.setattr(report, "_kz_average", lambda *a: pytest.fail("kz average taken"))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="order s"):
+        rectangle_decomposition(DispersionSpec(s), 4, PER, samples=64, d=d)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_rectangles_take_orders_up_to_the_point_budget() -> None:
+    with np.errstate(all="ignore"):  # the heights pass the float range
+        dec = rectangle_decomposition(DispersionSpec(2 * _MAX_POINTS - 2), 4, PER, samples=64, d=1)
+    assert len(dec.rects) == 4 and dec.int_area == math.inf
 
 
 def test_csv_header_and_roundtrip(tmp_path) -> None:
