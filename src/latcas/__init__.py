@@ -17,16 +17,9 @@ __version__ = "0.1.0"
 
 # module -> the public names it holds
 _EXPORTS = {
-    "casimir": (
-        "QuadratureNonConvergence",
-        "casimir_energy",
-        "eval_from_kernel_sum",
-        "eval_lattice_dispersion",
-        "zero_point_int",
-        "zero_point_sum",
-    ),
+    "casimir": ("casimir_energy", "eval_from_kernel_sum"),
     "classify": ("BehaviorKind", "Classification", "ClassifyThresholds", "classify_behavior", "classify_rows"),
-    "continuum": ("ContinuumParams", "GammaPoleError", "continuum_casimir", "gamma_fn", "zeta_fn"),
+    "continuum": ("ContinuumParams", "continuum_casimir", "zeta_fn"),
     "massexp": (
         "ConvergenceReport",
         "DivergentExpansionWarning",

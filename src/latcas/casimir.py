@@ -1,4 +1,4 @@
-"""Zero-point energies and Casimir energy of a slab, and the one
+"""Casimir energy of a slab with its two zero-point terms, and the one
 nearest-neighbor kernel and dispersion evaluator every energy is built on.
 
 The Casimir energy is the mode-sum zero-point energy minus the continuum
@@ -58,10 +58,9 @@ row is written straight from those numbers, with no quadrature result.
 Each value of t costs the kz average, s/2+1 kz nodes for even s and the
 closed form with its s//2 recurrence steps, s//2+1, for odd s, in
 dispersion evaluations, plus the modes of the thickness where the mode
-sum is taken. The point budget of quadrature charges that cost,
-zero_point_sum and zero_point_int included, for a level an earlier call
-built as for a new one, and work whose first level would pass it is
-refused before any mode is generated or any level built.
+sum is taken. The point budget of quadrature charges that cost for a
+level an earlier call built as for a new one, and work whose first level
+would pass it is refused before any mode is generated or any level built.
 
 The rule depends on s, am and d only, not on nz, g or the call, so it
 lives across calls: the calls of a process with the same (s, am, d) read
@@ -100,30 +99,13 @@ from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig
 from .modes import BoundaryCondition, _joined_modes, _mode_count
 from .quadrature import _EPS, _MAX_POINTS, _converge, _rounding_floor
 
-__all__ = [
-    "QuadratureNonConvergence",
-    "zero_point_sum",
-    "zero_point_int",
-    "casimir_energy",
-    "eval_lattice_dispersion",
-    "eval_from_kernel_sum",
-]
+__all__ = ["casimir_energy", "eval_from_kernel_sum"]
 
 # elements per (values of t, joined mode kernels) temporary; the point budget
 # already keeps one thickness's level, values of t times modes, within it
 _MAT_BUDGET = _MAX_POINTS
 _AGM_MAX_ITER = 64  # convergence is quadratic; the cap bounds NaN or inf input
 _TS_REACH = 3.5  # tanh-sinh nodes at |u| <= _TS_REACH; the weights beyond are below 1e-20
-
-
-class QuadratureNonConvergence(RuntimeError):
-    """Raised by operations that return a bare number when the refinement
-    did not meet tolerance. Carries the best value and its error estimate."""
-
-    def __init__(self, message: str, value: float, error: float):
-        super().__init__(message)
-        self.value = value
-        self.error = error
 
 
 def _kernel(ak: np.ndarray) -> np.ndarray:
@@ -159,17 +141,6 @@ def eval_from_kernel_sum(spec: DispersionSpec, t: np.ndarray | float) -> np.ndar
     """Dispersion value from the summed kernel t = sum_i (2 - 2 cos ak_i)."""
     out = _omega_inplace(spec, np.array(t, dtype=float))
     return out if out.ndim else float(out)
-
-
-def eval_lattice_dispersion(spec: DispersionSpec, ak) -> np.ndarray | float:
-    """Evaluate a*w at lattice momentum ak (the last axis holds the d components).
-
-    Returns [sum_i (2 - 2 cos ak_i) + (am)^2]^(s/2); a flat band (s=0) is 1.
-    """
-    ak = np.asarray(ak, dtype=float)
-    if not np.all(np.isfinite(ak)):
-        raise ValueError("momentum components must be finite")
-    return eval_from_kernel_sum(spec, _kernel(ak).sum(axis=-1))
 
 
 def _node_sum(spec: DispersionSpec, t: np.ndarray, joined: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
@@ -375,7 +346,7 @@ def _rule(spec: DispersionSpec, d: int) -> _Rule:
     return rule
 
 
-def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int] = (1,)) -> tuple:
+def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int]) -> tuple:
     """Transverse BZ averages of the rows of f over the levels of rule (see
     _rule), one row per entry of costs, as the arrays (values, errors,
     converged, points) of quadrature._converge: shapes (rows, ncomp),
@@ -422,65 +393,11 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     return values, np.fmax(errors, _rounding_floor(values)[:, None]), converged, points
 
 
-def _bare_value(spec: DispersionSpec, d: int, cost: int, cfg: QuadratureConfig, what: str, make_f) -> float:
-    """g times the transverse average of the scalar integrand make_f(), one
-    row of one component as _transverse_average takes it, at cost
-    dispersion evaluations per value of t besides the kz average that the
-    rule builds; make_f runs only once the budget admits the first level.
-    Raises QuadratureNonConvergence with the best value (NaN, error inf for
-    refused work) when not converged."""
-    rule = _rule(spec, d)
-    cost += rule.kz_nodes
-    value, error, converged = math.nan, math.inf, False
-    if rule.first * cost <= _MAX_POINTS:
-        values, errors, ok, _ = _transverse_average(rule, make_f(), cfg, [cost])
-        value, error, converged = float(values[0, 0]), float(errors[0, 0]), bool(ok[0])
-    value, error = spec.g * value, spec.g * error
-    if not converged:
-        raise QuadratureNonConvergence(
-            f"{what} quadrature did not converge (best {value}, estimate {error})", value, error
-        )
-    return value
-
-
 def _check(spec: DispersionSpec, geom: Geometry) -> None:
     if not isinstance(spec, DispersionSpec):
         raise TypeError("spec must be a DispersionSpec")
     if not isinstance(geom, Geometry):
         raise TypeError("geom must be a Geometry")
-
-
-def zero_point_sum(
-    spec: DispersionSpec,
-    geom: Geometry,
-    bc: BoundaryCondition,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Mode-sum zero-point energy per transverse site, g * <(1/2) sum_l w omega>."""
-    _check(spec, geom)
-
-    def make_f():
-        akz, bounds, w = _joined_modes(bc, [geom.nz])
-        k = _kernel(akz)
-        return lambda t, kz, rows: _mode_sum(spec, k, bounds, w, t)[:, :, None]
-
-    return _bare_value(spec, geom.d, _mode_count(bc, geom.nz), cfg, "mode-sum", make_f)
-
-
-def zero_point_int(
-    spec: DispersionSpec,
-    geom: Geometry,
-    bc: BoundaryCondition,
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
-    """Continuum zero-point energy per transverse site, g * <(nz/2) kz-average>.
-
-    Independent of the boundary condition by construction; bc is accepted for
-    signature symmetry and ignored.
-    """
-    _check(spec, geom)
-    half_nz = 0.5 * geom.nz
-    return _bare_value(spec, geom.d, 0, cfg, "kz-average", lambda: lambda t, kz, rows: half_nz * kz[None, :, None])
 
 
 def _casimir_rows(

@@ -24,7 +24,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .continuum import ContinuumParams, continuum_casimir
-from .massexp import DEFAULT_ORDERS, _check_orders, convergence_check, remnant_partial_sums
+from .massexp import DEFAULT_ORDERS, convergence_check, expansion_coefficients, remnant_partial_sums
 from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig
 
 if TYPE_CHECKING:
@@ -180,7 +180,7 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     from .casimir import casimir_energy
 
     report = convergence_check(args.am, args.d)  # rejects am <= 0 before any energy
-    _check_orders(args.orders)  # and orders past the point budget
+    expansion_coefficients(args.am, args.orders)  # and orders past the point budget or the float range
     geom = Geometry(args.d, args.nz)
     bc = _bc(args)
     cfg = _quad_config(args)

@@ -1,9 +1,9 @@
-"""Closed-form continuum Casimir energy and the special functions it needs.
+"""Closed-form continuum Casimir energy and the zeta function it needs.
 
-The gamma and zeta evaluations are implemented here rather than imported so
-the package stays dependency-light; the arguments that actually occur are
-integers and half-integers in [-6, 10] and both routines hold 1e-12 relative
-accuracy with a wide margin on that range.
+Gamma is the standard library's (math.gamma, and math.lgamma where the
+product leaves the float range). The standard library has no zeta, so it
+is implemented here by Euler-Maclaurin summation; its argument d + s is an
+integer of at least 2.
 """
 from __future__ import annotations
 
@@ -14,12 +14,7 @@ from fractions import Fraction
 
 from .model import _is_int, _store_ints
 
-__all__ = ["ContinuumParams", "GammaPoleError", "gamma_fn", "zeta_fn", "continuum_casimir"]
-
-
-class GammaPoleError(ValueError):
-    """Argument of gamma_fn sits on a pole (a nonpositive integer)."""
-
+__all__ = ["ContinuumParams", "zeta_fn", "continuum_casimir"]
 
 _MAX_ORDER = 2**53  # the largest s and d; floats hold the integers up to it exactly
 
@@ -53,42 +48,6 @@ class ContinuumParams:
         if not _is_int(self.g) or self.g < 1:
             raise ValueError(f"g must be a positive integer, got {self.g!r}")
         _store_ints(self, "s", "d", "g")
-
-
-# Lanczos approximation, g=7 with 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _sinpi(x: float) -> float:
-    # sin(pi*x) with argument reduction, accurate near integer x
-    n = round(x)
-    return math.sin(math.pi * (x - n)) * (1.0 if n % 2 == 0 else -1.0)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the reals; poles raise GammaPoleError."""
-    x = float(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise GammaPoleError(f"gamma pole at {x}")
-    if x < 0.5:
-        return math.pi / (_sinpi(x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 _BERNOULLI = {
@@ -127,32 +86,37 @@ def continuum_casimir(p: ContinuumParams) -> float:
     """Continuum Casimir energy for order s in d spatial dimensions, period L.
 
     Even s hits a gamma pole in the denominator, so the energy is returned as
-    exactly zero (detected symbolically, not via overflow). A value past the
-    float range is the signed inf, and one below it the signed 0.0; the sign
-    is that of gamma(-s/2), negative for s = 1 mod 4.
+    exactly zero (detected symbolically, not via overflow). Odd s never meets
+    a pole: (d+s)/2 >= 1 and -s/2 is a half-integer. The product is taken
+    directly; where a factor passes the float range or the product leaves
+    the normal float range, it is taken again in logarithms. A value past
+    the float range is the signed inf, and one below it the signed 0.0; the
+    sign is that of gamma(-s/2), negative for s = 1 mod 4.
     """
     if p.s % 2 == 0:
         return 0.0
     alpha = (p.d - 1) + p.s
     try:
-        return (
+        value = (
             p.g
             / (4.0 * math.pi) ** ((p.d - 1) / 2.0)
-            * (gamma_fn((p.d + p.s) / 2.0) * zeta_fn(float(p.d + p.s)))
-            / (math.sqrt(math.pi) * gamma_fn(-p.s / 2.0))
+            * (math.gamma((p.d + p.s) / 2.0) * zeta_fn(float(p.d + p.s)))
+            / (math.sqrt(math.pi) * math.gamma(-p.s / 2.0))
             * 2.0**alpha
             / p.L**alpha
         )
-    except (OverflowError, ZeroDivisionError):
-        # a factor left the float range: take the same product in logarithms
-        log_abs = (
-            math.log(p.g)
-            - (p.d - 1) / 2.0 * math.log(4.0 * math.pi)
-            + math.lgamma((p.d + p.s) / 2.0)
-            + math.log(zeta_fn(float(p.d + p.s)))
-            - 0.5 * math.log(math.pi)
-            - math.lgamma(-p.s / 2.0)
-            + alpha * (math.log(2.0) - math.log(p.L))
-        )
-        magnitude = math.exp(log_abs) if log_abs < _LOG_FLOAT_MAX else math.inf
-        return -magnitude if p.s % 4 == 1 else magnitude
+    except (OverflowError, ZeroDivisionError):  # a factor left the float range
+        value = math.nan
+    if sys.float_info.min <= abs(value) < math.inf:  # an overflowing product is inf and raises nothing
+        return value
+    log_abs = (
+        math.log(p.g)
+        - (p.d - 1) / 2.0 * math.log(4.0 * math.pi)
+        + math.lgamma((p.d + p.s) / 2.0)
+        + math.log(zeta_fn(float(p.d + p.s)))
+        - 0.5 * math.log(math.pi)
+        - math.lgamma(-p.s / 2.0)
+        + alpha * (math.log(2.0) - math.log(p.L))
+    )
+    magnitude = math.exp(log_abs) if log_abs < _LOG_FLOAT_MAX else math.inf
+    return -magnitude if p.s % 4 == 1 else magnitude

@@ -63,7 +63,9 @@ def _check_orders(orders) -> None:
 
 def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
     """Terms n = 1..orders; c_n = binom(1/2, n) * am**(1 - 2n). orders is
-    at most 2**20, the point budget, past which no energy is computed.
+    at most 2**20, the point budget, past which no energy is computed, and
+    for am < 1 at most the last n whose am**(1 - 2n) is within the float
+    range; past either the call raises ValueError naming the limit.
 
     The binomial coefficients follow the recurrence
     binom(1/2, n) = binom(1/2, n-1) * (3/2 - n) / n, avoiding factorials.
@@ -74,7 +76,13 @@ def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
     binom = 1.0
     for n in range(1, orders + 1):
         binom *= (1.5 - n) / n
-        terms.append(ExpansionTerm(n, binom * am ** (1 - 2 * n)))
+        try:
+            power = am ** (1 - 2 * n)  # past the float range a float raises, a numpy float gives inf
+        except OverflowError:
+            power = math.inf
+        if power == math.inf:
+            raise ValueError(f"orders must be at most {n - 1} at am={am!r}, past which am**(1 - 2n) leaves the float range")
+        terms.append(ExpansionTerm(n, binom * power))
     return terms
 
 
@@ -101,6 +109,7 @@ def remnant_partial_sums(
     """
     from .casimir import casimir_energy  # numpy loads with the first energy, not with this module
 
+    terms = expansion_coefficients(am, orders)  # refuses bad input before any warning
     report = convergence_check(am, geom.d)
     if not report.converges:
         warnings.warn(
@@ -111,7 +120,7 @@ def remnant_partial_sums(
         )
     sums = []
     total = 0.0
-    for term in expansion_coefficients(am, orders):
+    for term in terms:
         energy = casimir_energy(DispersionSpec(s=2 * term.n), geom, bc, cfg).e_cas
         total += term.c_n * energy
         sums.append(total)

@@ -21,15 +21,12 @@ from latcas import (
     Geometry,
     PhenOffset,
     QuadratureConfig,
-    QuadratureNonConvergence,
     casimir_energy,
     generate_modes,
     integrate_bz_multi,
     remnant_partial_sums,
     richardson_extrapolate,
     sweep,
-    zero_point_int,
-    zero_point_sum,
 )
 from latcas.casimir import _join, _kernel, _kz_average, _mode_sum, _node_sum, _rule, _transverse_average
 from latcas.quadrature import _MAX_POINTS
@@ -55,24 +52,27 @@ def test_worked_quadratic_slab() -> None:
 
 
 def test_zero_point_sum_examples() -> None:
-    assert zero_point_sum(DispersionSpec(2), Geometry(3, 1), PER, CFG) == pytest.approx(2.0, abs=1e-12)
-    assert zero_point_sum(DispersionSpec(4), Geometry(3, 2), PER, CFG) == pytest.approx(44.0, abs=1e-10)
+    # the mode-sum term e0_sum of the Casimir result
+    assert casimir_energy(DispersionSpec(2), Geometry(3, 1), PER, CFG).e0_sum == pytest.approx(2.0, abs=1e-12)
+    assert casimir_energy(DispersionSpec(4), Geometry(3, 2), PER, CFG).e0_sum == pytest.approx(44.0, abs=1e-10)
     for nz in (1, 3, 6):
-        flat = zero_point_sum(DispersionSpec(0), Geometry(3, nz), PER, CFG)
+        flat = casimir_energy(DispersionSpec(0), Geometry(3, nz), PER, CFG).e0_sum
         assert flat == nz / 2.0
 
 
 def test_zero_point_int_examples() -> None:
-    assert zero_point_int(DispersionSpec(2), Geometry(3, 1), PER, CFG) == pytest.approx(3.0, abs=1e-12)
-    assert zero_point_int(DispersionSpec(2), Geometry(3, 5), PER, CFG) == pytest.approx(15.0, abs=1e-10)
-    assert zero_point_int(DispersionSpec(0), Geometry(3, 4), PER, CFG) == pytest.approx(2.0, abs=1e-14)
+    # the continuum term e0_int of the Casimir result
+    assert casimir_energy(DispersionSpec(2), Geometry(3, 1), PER, CFG).e0_int == pytest.approx(3.0, abs=1e-12)
+    assert casimir_energy(DispersionSpec(2), Geometry(3, 5), PER, CFG).e0_int == pytest.approx(15.0, abs=1e-10)
+    assert casimir_energy(DispersionSpec(0), Geometry(3, 4), PER, CFG).e0_int == pytest.approx(2.0, abs=1e-14)
 
 
 def test_zero_point_int_ignores_boundary_condition() -> None:
-    spec = DispersionSpec(4)
-    geom = Geometry(3, 3)
-    values = {zero_point_int(spec, geom, bc, CFG) for bc in (PER, ANTI, PHEN)}
-    assert len(values) == 1
+    # the continuum term is the same for every family of modes, whether the
+    # row takes the pointwise route or is past the support for some of them
+    for spec, nz in ((DispersionSpec(4), 3), (DispersionSpec(4), 2), (DispersionSpec(2), 1), (DispersionSpec(0), 5)):
+        values = {casimir_energy(spec, Geometry(3, nz), bc, CFG).e0_int for bc in (PER, ANTI, PHEN)}
+        assert len(values) == 1, (spec, nz)
 
 
 def test_even_orders_match_exact_oracle_everywhere() -> None:
@@ -108,7 +108,7 @@ def test_even_orders_use_one_exact_grid(s: int, d: int) -> None:
         return np.ones((rows.size, t.size, 1))
 
     cfg = QuadratureConfig(base_points=4, max_refinements=0)
-    values, errors, converged, points = _transverse_average(_rule(DispersionSpec(s), d), f, cfg)
+    values, errors, converged, points = _transverse_average(_rule(DispersionSpec(s), d), f, cfg, [1])
     assert points.tolist() == [s // 2 + 1]
     assert seen == [(s // 2 + 1) ** (d - 1)]
     assert converged.tolist() == [True] and values.tolist() == [[1.0]]
@@ -125,8 +125,11 @@ def test_nonfinite_values_are_not_converged() -> None:
     with np.errstate(all="ignore"):
         r = casimir_energy(DispersionSpec(1100), Geometry(1, 1), ANTI, CFG)
     assert math.isnan(r.e_cas) and not r.converged and r.quad_error == math.inf
-    with np.errstate(all="ignore"), pytest.raises(QuadratureNonConvergence):
-        zero_point_int(DispersionSpec(1100), Geometry(1, 1), ANTI, CFG)
+    # and past the support, where the continuum term alone gives the row
+    with np.errstate(all="ignore"):
+        r = casimir_energy(DispersionSpec(1100), Geometry(1, 600), ANTI, CFG)
+    assert math.isnan(r.e_cas) and not r.converged and r.quad_error == math.inf
+    assert not math.isfinite(r.e0_int)
 
 
 def test_remnant_support_periodic() -> None:
@@ -364,7 +367,7 @@ def test_dos_average_matches_the_direct_grid() -> None:
         k = _kernel(modes.akz)
         return _mode_sum(spec, k, (0, k.size), modes.weights[:1, None], t)[0] - (0.5 * nz) * _kz_average(spec, t)
 
-    values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG)
+    values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG, [1])
     assert converged.tolist() == [True]
     grids = [
         integrate_bz_multi(lambda pts: f(_kernel(pts).sum(axis=1)), 3, QuadratureConfig(n, 0)).values[0]
@@ -393,7 +396,7 @@ def test_point_budget_ends_in_nonconvergence() -> None:
     # the budget counts the values of t: one per node in d=2, two in d=3
     for d, width in ((2, 1), (3, 2)):
         seen.clear()
-        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg)
+        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, [1])
         assert converged.tolist() == [False]
         assert sum(seen) == width * points[0] <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
 
@@ -414,11 +417,19 @@ def test_levels_that_agree_at_the_rounding_floor_converge() -> None:
 
 
 @pytest.mark.parametrize(
-    "spec, geom", [(DispersionSpec(2 * 10**5), Geometry(2, 1)), (DispersionSpec(1), Geometry(3, 10**9))]
+    "spec, geom",
+    [
+        (DispersionSpec(2 * 10**5), Geometry(2, 1)),
+        (DispersionSpec(1), Geometry(3, 10**9)),
+        (DispersionSpec(1), Geometry(2, 200000)),
+        (DispersionSpec(1), Geometry(2, 10**9)),
+        (DispersionSpec(2 * 10**5), Geometry(2, 10**5 + 1)),
+    ],
 )
 def test_work_per_point_is_charged_to_the_budget(monkeypatch, spec, geom) -> None:
     # s/2 + 1 kz nodes or nz modes per value of t pass the budget on the first
-    # level: refused before any mode is generated or any point evaluated
+    # level: refused before any mode is generated or any point evaluated; past
+    # the support (the last case) the kz nodes of the continuum term alone do
     import tracemalloc
 
     import latcas.casimir as casimir
@@ -434,34 +445,6 @@ def test_work_per_point_is_charged_to_the_budget(monkeypatch, spec, geom) -> Non
         tracemalloc.stop()
     assert time.perf_counter() - t0 < 1.0 and peak < 1 << 20
     assert not r.converged and math.isnan(r.e_cas) and r.quad_error == math.inf
-
-
-@pytest.mark.parametrize(
-    "fn, spec, geom, cfg",
-    [
-        (zero_point_sum, DispersionSpec(1), Geometry(2, 200000), QuadratureConfig(max_refinements=2)),
-        (zero_point_sum, DispersionSpec(1), Geometry(2, 10**9), CFG),
-        (zero_point_int, DispersionSpec(2 * 10**5), Geometry(2, 1), CFG),
-    ],
-)
-def test_bare_values_charge_their_work_per_point(monkeypatch, fn, spec, geom, cfg) -> None:
-    # the modes of the thickness, or the s/2 + 1 kz nodes, per value of t pass
-    # the budget on the first level: refused before any mode is generated
-    import tracemalloc
-
-    import latcas.casimir as casimir
-
-    monkeypatch.setattr(casimir, "_joined_modes", lambda *a: pytest.fail("modes generated"))
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    try:
-        with np.errstate(all="ignore"), pytest.raises(QuadratureNonConvergence) as info:
-            fn(spec, geom, PER, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert time.perf_counter() - t0 < 1.0 and peak < 1 << 20
-    assert math.isnan(info.value.value) and info.value.error == math.inf
 
 
 def test_even_grid_past_the_point_budget_is_not_converged() -> None:
@@ -599,14 +582,6 @@ def test_massive_requires_positive_mass() -> None:
         DispersionSpec(1, am=-1.0)
 
 
-def test_nonconvergence_raises_for_bare_number_ops() -> None:
-    cfg = QuadratureConfig(base_points=8, max_refinements=1, rel_tol=1e-16, abs_tol=1e-300)
-    with pytest.raises(QuadratureNonConvergence) as info:
-        zero_point_sum(DispersionSpec(1), Geometry(3, 2), PER, cfg)
-    assert info.value.value != 0.0
-    assert info.value.error > 0.0
-
-
 def test_nonconvergence_is_soft_for_casimir_energy() -> None:
     cfg = QuadratureConfig(base_points=8, max_refinements=1, rel_tol=1e-16, abs_tol=1e-300)
     r = casimir_energy(DispersionSpec(1), Geometry(3, 2), PER, cfg)
@@ -706,8 +681,9 @@ def test_a_stored_rule_is_charged_to_the_budget_like_a_cold_one() -> None:
         lambda: casimir_energy(DispersionSpec(1, am=0.5), Geometry(2, 6), PHEN, CFG),
         lambda: sweep(DispersionSpec(3), 3, ANTI, range(1, 9), CFG),
         lambda: sweep(DispersionSpec(4), 3, PER, range(1, 9), CFG),
-        lambda: zero_point_int(DispersionSpec(1), Geometry(3, 6), PER, CFG),
-        lambda: zero_point_sum(DispersionSpec(6), Geometry(2, 6), PER, CFG),
+        # past the support the row is the continuum term alone
+        lambda: casimir_energy(DispersionSpec(6), Geometry(2, 6), PER, CFG).e0_int,
+        lambda: casimir_energy(DispersionSpec(6), Geometry(2, 3), PER, CFG).e0_sum,
     ],
     ids=["energy-d3", "energy-massive-d2", "sweep-odd", "sweep-even", "zero-point-int", "zero-point-sum-even"],
 )

@@ -199,12 +199,17 @@ def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
         ["rectangles", "--s", "100000001", "--nz", "4", "--d", "3", "--samples", "64"],
         ["rectangles", "--s", "2000000000000", "--nz", "4", "--d", "1", "--samples", "64"],
         ["reference", "--s", "1", "--L", "inf"],
+        ["mass-expansion", "--am", "0.5", "--d", "1", "--nz", "1", "--orders", "600"],
     ],
-    ids=["samples-huge", "nz-huge", "k-perp-nan", "rectangles-s-huge-odd", "rectangles-s-huge-even", "L-inf"],
+    ids=[
+        "samples-huge", "nz-huge", "k-perp-nan", "rectangles-s-huge-odd", "rectangles-s-huge-even", "L-inf",
+        "mass-expansion-light-mass-many-orders",
+    ],
 )
 def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> None:
     # a MemoryError traceback, NaN areas and a printed -0 before; the huge
-    # orders ran past a 20 s timeout or would build 7.28 TiB of kz nodes
+    # orders ran past a 20 s timeout or would build 7.28 TiB of kz nodes;
+    # 0.5**(1 - 2n) past n = 512 ended in an OverflowError traceback
     monkeypatch.setattr(latcas.modes, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     assert run(argv) == 1
     out, err = _grab(capsys)

@@ -1,47 +1,12 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import pytest
 
-from latcas import ContinuumParams, GammaPoleError, continuum_casimir, gamma_fn, zeta_fn
-
-
-def test_gamma_standard_values() -> None:
-    assert gamma_fn(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
-    assert gamma_fn(4.0) == pytest.approx(6.0, rel=1e-12)
-    assert gamma_fn(-1.5) == pytest.approx(4.0 * math.sqrt(math.pi) / 3.0, rel=1e-12)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_gamma_poles_raise() -> None:
-    for x in (0.0, -1.0, -2.0, -6.0):
-        with pytest.raises(GammaPoleError):
-            gamma_fn(x)
-
-
-def test_gamma_twelve_digits_on_working_range() -> None:
-    mpmath.mp.dps = 30
-    xs = [x / 8.0 for x in range(-48, 81)]
-    for x in xs:
-        if x <= 0 and x == int(x):
-            continue
-        want = float(mpmath.gamma(x))
-        assert gamma_fn(x) == pytest.approx(want, rel=1e-12), x
-
-
-def test_gamma_keeps_accuracy_near_poles() -> None:
-    mpmath.mp.dps = 40
-    for x in (-5.9999, -3.000001, -0.9999999):
-        want = float(mpmath.gamma(x))
-        assert gamma_fn(x) == pytest.approx(want, rel=1e-11), x
-
-
-def test_gamma_recurrence() -> None:
-    for x in (-5.5, -2.3, 0.7, 3.25):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
+from latcas import ContinuumParams, continuum_casimir, zeta_fn
 
 
 def test_zeta_closed_forms() -> None:
@@ -94,6 +59,29 @@ def test_power_law_scaling() -> None:
         for L in (0.5, 2.0, 7.0):
             val = continuum_casimir(ContinuumParams(s=s, d=d, L=L))
             assert val * L**alpha == pytest.approx(ref, rel=1e-12)
+
+
+def _continuum_mp(s: int, d: int, L: float) -> mpmath.mpf:
+    # the zeta-regularized closed form at 40 digits, g = 1
+    x = mpmath.mpf(d + s) / 2
+    return (
+        mpmath.gamma(x) * mpmath.zeta(d + s) / (4 * mpmath.pi) ** (mpmath.mpf(d - 1) / 2)
+        / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(-mpmath.mpf(s) / 2)) * (2 / mpmath.mpf(L)) ** (d - 1 + s)
+    )
+
+
+@pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_odd_orders_match_mpmath_over_the_float_range(d: int, L: float) -> None:
+    # a direct product that overflowed gave inf and raised nothing, so
+    # s = 171, d = 1, L = 3 (about 1.02e227) came back inf
+    with mpmath.workdps(40):
+        for s in range(1, 400, 2):
+            want = _continuum_mp(s, d, L)
+            if not sys.float_info.min <= abs(want) <= sys.float_info.max:
+                continue
+            got = continuum_casimir(ContinuumParams(s, d, L))
+            assert abs((got - want) / want) <= 1e-12, (s, got, mpmath.nstr(want, 17))
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import latcas.massexp as massexp
@@ -99,6 +101,23 @@ def test_orders_past_the_point_budget_are_refused_before_any_term(monkeypatch, o
 
 def test_orders_up_to_the_point_budget_are_accepted() -> None:
     massexp._check_orders(_MAX_POINTS)  # the terms themselves would take about 100 MB
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's, for the numpy float
+@pytest.mark.parametrize("am", [0.5, np.float64(0.5)], ids=["float", "numpy-float"])
+def test_light_mass_orders_past_the_float_range_are_refused(monkeypatch, am) -> None:
+    # 0.5**(1 - 2n) passes the float range at n = 513: a float raised
+    # OverflowError, a numpy float gave an inf coefficient
+    import latcas.casimir
+
+    assert len(expansion_coefficients(am, 512)) == 512
+    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
+    with pytest.raises(ValueError, match="at most 512"):
+        expansion_coefficients(am, 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DivergentExpansionWarning)  # refused before it is warned
+        with pytest.raises(ValueError, match="at most 512"):
+            remnant_partial_sums(am, Geometry(1, 1), PER, 513)
 
 
 def test_convergence_domain() -> None:
