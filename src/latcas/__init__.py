@@ -29,7 +29,7 @@ _EXPORTS = {
         "remnant_partial_sums",
     ),
     "model": ("CasimirResult", "DispersionSpec", "Geometry", "QuadratureConfig"),
-    "modes": ("BoundaryCondition", "BoundaryKind", "ModeSet", "PhenOffset", "generate_modes"),
+    "modes": ("BoundaryCondition", "BoundaryKind", "PhenOffset", "generate_modes"),
     "quadrature": ("MultiQuadResult", "integrate_bz_multi", "richardson_extrapolate"),
     "report": ("CSV_COLUMNS", "RectangleDecomposition", "SweepRow", "emit", "rectangle_decomposition", "sweep"),
 }

@@ -317,9 +317,8 @@ class _Rule:
         return self.levels[j]
 
 
-# the rules of earlier calls by (s, type(am), am, d), least recently used first;
-# g does not enter a rule, and the type of am keeps values that compare equal
-# but compute differently (a float32 mass, say) apart
+# the rules of earlier calls by (s, am, d), least recently used first; g does
+# not enter a rule
 _RULES: dict[tuple, _Rule] = {}
 _HELD_BYTES = 8 << 20  # level arrays kept besides those of the most recently used rule
 
@@ -333,7 +332,7 @@ def _rule(spec: DispersionSpec, d: int) -> _Rule:
     when it was built, and callers charge the point budget for it all the
     same, so each result is the same whether its rule was stored or not.
     """
-    key = (spec.s, type(spec.am), spec.am, d)
+    key = (spec.s, spec.am, d)
     rule = _RULES.pop(key, None) or _Rule(spec, d)
     if _RULES:  # only the rule used last can have grown since the bound was kept
         last = next(reversed(_RULES))

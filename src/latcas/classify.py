@@ -15,10 +15,11 @@ them unchanged in `rows`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import CasimirResult, DispersionSpec, QuadratureConfig
+from .model import CasimirResult, DispersionSpec, QuadratureConfig, _store
 from .modes import BoundaryCondition
 from .report import sweep
 
@@ -38,6 +39,7 @@ class ClassifyThresholds:
     """eps_zero: |e_cas| below this counts as exactly zero (absorbs rounding).
     eps_nonzero: |e_cas| at or above this counts as clearly nonzero.
     delta_tail: relative stability/collapse margin for the coefficient tail.
+    All three are finite and stored as floats.
     """
 
     eps_zero: float = 1e-9
@@ -45,10 +47,11 @@ class ClassifyThresholds:
     delta_tail: float = 1e-2
 
     def __post_init__(self) -> None:
-        if not 0 < self.eps_zero < self.eps_nonzero:
-            raise ValueError("thresholds must satisfy 0 < eps_zero < eps_nonzero")
-        if not self.delta_tail > 0:
-            raise ValueError("delta_tail must be positive")
+        _store(self, float, "eps_zero", "eps_nonzero", "delta_tail")
+        if not 0 < self.eps_zero < self.eps_nonzero < math.inf:
+            raise ValueError("thresholds must satisfy 0 < eps_zero < eps_nonzero < inf")
+        if not 0 < self.delta_tail < math.inf:
+            raise ValueError("delta_tail must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ invocations are byte-identical.
 Exit codes: 0 success, 1 invalid arguments, 2 quadrature non-convergence
 or a non-finite reference value, mass-expansion partial sum or rectangles
 quantity.
-Result rows print in the columns of report.CSV_COLUMNS in every format, so
+Result rows print in the columns of CSV_COLUMNS in every format, so
 a non-converged row says so in the table, CSV and JSON alike. Non-finite
 results are named in one stderr line instead of raw numpy warnings.
 
@@ -21,11 +21,12 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from typing import TYPE_CHECKING, Sequence
 
 from .continuum import ContinuumParams, continuum_casimir
-from .massexp import DEFAULT_ORDERS, convergence_check, expansion_coefficients, remnant_partial_sums
-from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig
+from .massexp import DEFAULT_ORDERS, DivergentExpansionWarning, convergence_check, remnant_partial_sums
+from .model import CSV_COLUMNS, CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _row_values
 
 if TYPE_CHECKING:
     from .modes import BoundaryCondition
@@ -97,8 +98,6 @@ def _table_cell(v, width: int, spec: str) -> str:
 
 
 def _rows_table(rows: Sequence[CasimirResult]) -> str:
-    from .report import CSV_COLUMNS, _row_values
-
     lines = [" ".join(_table_cell(name, w, "") for name, (w, _) in zip(CSV_COLUMNS, _TABLE_CELLS))]
     for r in rows:
         lines.append(" ".join(_table_cell(v, *cell) for v, cell in zip(_row_values(r), _TABLE_CELLS)))
@@ -109,8 +108,6 @@ def _exit_code(rows: Sequence[CasimirResult], **more: Sequence[float]) -> int:
     """0 when every row converged and every value of more is finite, else 2;
     the non-finite fields of rows and quantities of more are named in one
     stderr line."""
-    from .report import CSV_COLUMNS, _row_values
-
     values = [_row_values(r) for r in rows]
     fields = [name for i, name in enumerate(CSV_COLUMNS) if not all(math.isfinite(v[i]) for v in values)]
     others = [name for name, vs in more.items() if not all(map(math.isfinite, vs))]
@@ -180,12 +177,14 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     from .casimir import casimir_energy
 
     report = convergence_check(args.am, args.d)  # rejects am <= 0 before any energy
-    expansion_coefficients(args.am, args.orders)  # and orders past the point budget or the float range
+    spec = DispersionSpec(1, am=args.am, g=args.g)
     geom = Geometry(args.d, args.nz)
     bc = _bc(args)
     cfg = _quad_config(args)
-    massive = casimir_energy(DispersionSpec(1, am=args.am, g=args.g), geom, bc, cfg)
-    partials = remnant_partial_sums(args.am, geom, bc, args.orders, cfg)
+    with warnings.catch_warnings():  # the table names a divergent domain
+        warnings.simplefilter("ignore", DivergentExpansionWarning)
+        partials = remnant_partial_sums(args.am, geom, bc, args.orders, cfg)  # refuses bad orders before any energy
+    massive = casimir_energy(spec, geom, bc, cfg)
     print(f"massive e_cas = {massive.e_cas:.15g}")
     print(f"expansion domain: {'convergent' if report.converges else 'divergent'} "
           f"(margin {report.margin:.4g})")
@@ -215,10 +214,7 @@ def _cmd_rectangles(args: argparse.Namespace) -> int:
 def _cmd_reference(args: argparse.Namespace) -> int:
     value = continuum_casimir(ContinuumParams(s=args.s, d=args.d, L=args.L, g=args.g))
     print(format(value, ".17g"))
-    if not math.isfinite(value):
-        print("warning: non-finite reference", file=sys.stderr)
-        return 2
-    return 0
+    return _exit_code([], reference=[value])
 
 
 def build_parser() -> _Parser:

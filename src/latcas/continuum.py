@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import _is_int, _store_ints
+from .model import _is_int, _store
 
 __all__ = ["ContinuumParams", "zeta_fn", "continuum_casimir"]
 
@@ -26,7 +26,7 @@ class ContinuumParams:
     The two-branch normalization corresponds to g=2; g=1 matches the lattice
     single-branch counting used everywhere else in this package. s and d
     are at most 2**53: the formula is evaluated in floats, which past that
-    round -s/2 onto a pole of gamma.
+    round -s/2 onto a pole of gamma. L is stored as a float.
     """
 
     s: int
@@ -35,6 +35,7 @@ class ContinuumParams:
     g: int = 1
 
     def __post_init__(self) -> None:
+        _store(self, float, "L")
         if not _is_int(self.s) or self.s < 1:
             raise ValueError(f"s must be a positive integer, got {self.s!r}")
         if not _is_int(self.d) or self.d < 1:
@@ -43,11 +44,11 @@ class ContinuumParams:
             raise ValueError("s and d must be at most 2**53, the integers that floats hold exactly")
         if self.d + self.s < 2:
             raise ValueError("d + s must be at least 2 for a convergent zeta argument")
-        if isinstance(self.L, bool) or not 0 < self.L < math.inf:
+        if not 0 < self.L < math.inf:
             raise ValueError(f"L must be finite and positive, got {self.L!r}")
         if not _is_int(self.g) or self.g < 1:
             raise ValueError(f"g must be a positive integer, got {self.g!r}")
-        _store_ints(self, "s", "d", "g")
+        _store(self, int, "s", "d", "g")
 
 
 _BERNOULLI = {

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import _MAX_POINTS, DispersionSpec, Geometry, QuadratureConfig, _is_int
+from .model import _MAX_POINTS, DispersionSpec, Geometry, QuadratureConfig, _is_int, _real
 
 if TYPE_CHECKING:
     from .modes import BoundaryCondition
@@ -47,10 +47,12 @@ class ConvergenceReport:
     margin: float
 
 
-def _check_mass(am) -> None:
-    # the masses DispersionSpec accepts for a massive branch
-    if isinstance(am, bool) or not 0 < am < math.inf:
+def _check_mass(am) -> float:
+    # the masses DispersionSpec accepts for a massive branch, as the float it stores
+    am = _real(am, "am")
+    if not 0 < am < math.inf:
         raise ValueError(f"am must be positive and finite, got {am!r}")
+    return am
 
 
 def _check_orders(orders) -> None:
@@ -70,17 +72,15 @@ def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
     The binomial coefficients follow the recurrence
     binom(1/2, n) = binom(1/2, n-1) * (3/2 - n) / n, avoiding factorials.
     """
-    _check_mass(am)
+    am = _check_mass(am)
     _check_orders(orders)
     terms = []
     binom = 1.0
     for n in range(1, orders + 1):
         binom *= (1.5 - n) / n
         try:
-            power = am ** (1 - 2 * n)  # past the float range a float raises, a numpy float gives inf
-        except OverflowError:
-            power = math.inf
-        if power == math.inf:
+            power = am ** (1 - 2 * n)
+        except OverflowError:  # a float power past the float range raises
             raise ValueError(f"orders must be at most {n - 1} at am={am!r}, past which am**(1 - 2n) leaves the float range")
         terms.append(ExpansionTerm(n, binom * power))
     return terms
@@ -88,7 +88,7 @@ def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
 
 def convergence_check(am: float, d: int) -> ConvergenceReport:
     """Whether the expansion converges on the whole zone: max k~^2 = 4d < am^2."""
-    _check_mass(am)
+    am = _check_mass(am)
     if not _is_int(d) or d not in (1, 2, 3):
         raise ValueError(f"d must be 1, 2, or 3, got {d!r}")
     ratio = 4.0 * d / (am * am)

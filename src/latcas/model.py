@@ -1,5 +1,6 @@
 """Domain types for dispersions, slab geometry, quadrature settings and
-results, and the integer checks of the input boundary.
+results, the integer and real checks of the input boundary, and the columns
+every row format is built from.
 
 The module needs no numpy, so the CLI can parse and validate its input, and
 answer the commands that compute no array, without loading it. The one
@@ -31,11 +32,24 @@ def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _store_ints(obj, *names: str) -> None:
-    """Store the validated integer fields of a frozen dataclass as int, so
-    that a numpy integer never reaches arithmetic where it could wrap."""
+def _real(x, name: str) -> float:
+    """x as a float; a bool, anything that is not a numbers.Real (str,
+    Decimal) and a real past the float range are refused with ValueError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:  # no value in the message: it may not print
+        raise ValueError(f"{name} must be within the float range") from None
+
+
+def _store(obj, kind: type, *names: str) -> None:
+    """Store fields of a frozen dataclass as kind, int (validated before) or
+    float (through _real): a numpy integer never wraps, and a np.float32 or
+    Fraction computes as the float it equals, so equal values give equal bits."""
     for name in names:
-        object.__setattr__(obj, name, int(getattr(obj, name)))
+        value = getattr(obj, name)
+        object.__setattr__(obj, name, _real(value, name) if kind is float else int(value))
 
 
 @dataclass(frozen=True)
@@ -43,8 +57,8 @@ class DispersionSpec:
     """Power-law dispersion w(k) = |k~|^s built on the nearest-neighbor kernel.
 
     s:  dispersion order (0 = flat band, 1 = linear, 2 = quadratic, ...)
-    am: mass in lattice units; a massive branch is only defined for s=1,
-        where w = sqrt(k~^2 + am^2)
+    am: mass in lattice units, stored as a float; a massive branch is only
+        defined for s=1, where w = sqrt(k~^2 + am^2)
     g:  branch degeneracy, a pure multiplier on all zero-point energies,
         at most 2**53 so that it is exact as a float
     """
@@ -54,19 +68,18 @@ class DispersionSpec:
     g: int = 1
 
     def __post_init__(self) -> None:
+        _store(self, float, "am")
         if not _is_int(self.s) or self.s < 0:
             raise ValueError(f"dispersion order s must be a nonnegative integer, got {self.s!r}")
-        if isinstance(self.am, bool) or not math.isfinite(self.am):
-            raise ValueError(f"lattice mass am must be a finite real number, got {self.am!r}")
-        if self.am < 0:
-            raise ValueError(f"lattice mass am must be nonnegative, got {self.am!r}")
+        if not 0 <= self.am < math.inf:
+            raise ValueError(f"lattice mass am must be finite and nonnegative, got {self.am!r}")
         if self.am > 0 and self.s != 1:
             raise ValueError("a nonzero mass is only supported for the linear branch (s=1)")
         if not _is_int(self.g) or self.g < 1:
             raise ValueError(f"degeneracy g must be a positive integer, got {self.g!r}")
         if self.g > 2**53:  # no value in the message: it may not print
             raise ValueError("degeneracy g must be at most 2**53, the integers that floats hold exactly")
-        _store_ints(self, "s", "g")
+        _store(self, int, "s", "g")
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,7 @@ class Geometry:
             raise ValueError(f"spatial dimension d must be 1, 2, or 3, got {self.d!r}")
         if not _is_int(self.nz) or self.nz < 1:
             raise ValueError(f"nz must be a positive integer, got {self.nz!r}")
-        _store_ints(self, "d", "nz")
+        _store(self, int, "d", "nz")
 
 
 @dataclass(frozen=True)
@@ -104,15 +117,16 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
+        _store(self, float, "rel_tol", "abs_tol")
         if not _is_int(self.base_points) or self.base_points < 4:
             raise ValueError(f"base_points must be an integer >= 4, got {self.base_points!r}")
         if not _is_int(self.max_refinements) or self.max_refinements < 0:
             raise ValueError(f"max_refinements must be a nonnegative integer, got {self.max_refinements!r}")
         for name in ("rel_tol", "abs_tol"):
             tol = getattr(self, name)
-            if isinstance(tol, bool) or not 0 < tol < math.inf:
+            if not 0 < tol < math.inf:
                 raise ValueError(f"{name} must be a finite positive number, got {tol!r}")
-        _store_ints(self, "base_points", "max_refinements")
+        _store(self, int, "base_points", "max_refinements")
 
 
 @dataclass(frozen=True)
@@ -133,3 +147,12 @@ class CasimirResult:
     coeff: float
     quad_error: float
     converged: bool = True
+
+
+# emitted columns, in CasimirResult field order; fixed so files are directly comparable
+CSV_COLUMNS = ("Nz", "e0_sum", "e0_int", "e_cas", "coeff", "quad_error", "converged")
+
+
+def _row_values(r: CasimirResult) -> tuple:
+    """The fields of r in CSV_COLUMNS order; every row format is built from it."""
+    return (r.nz, r.e0_sum, r.e0_int, r.e_cas, r.coeff, r.quad_error, bool(r.converged))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .model import _MAX_POINTS, _is_int
 
-__all__ = ["BoundaryKind", "PhenOffset", "BoundaryCondition", "ModeSet", "generate_modes"]
+__all__ = ["BoundaryKind", "PhenOffset", "BoundaryCondition", "generate_modes"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -47,32 +47,14 @@ class BoundaryCondition:
         return cls(BoundaryKind.PHENOMENOLOGICAL, offset)
 
 
-@dataclass(frozen=True)
-class ModeSet:
-    """Ordered (akz, weight) pairs with akz in [0, 2pi) and sum(weights) = nz."""
-
-    modes: tuple[tuple[float, float], ...]
-
-    @property
-    def akz(self) -> np.ndarray:
-        return np.array([m[0] for m in self.modes])
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([m[1] for m in self.modes])
-
-    @property
-    def weight_sum(self) -> float:
-        return math.fsum(m[1] for m in self.modes)
-
-
 def _mode_count(bc: BoundaryCondition, nz: int) -> int:
     """Number of modes generate_modes(bc, nz) gives, without generating them."""
     return 2 * nz if bc.kind is BoundaryKind.PHENOMENOLOGICAL else nz
 
 
-def generate_modes(bc: BoundaryCondition, nz: int) -> ModeSet:
-    """Mode set for a slab of thickness nz.
+def generate_modes(bc: BoundaryCondition, nz: int) -> tuple[np.ndarray, float]:
+    """(akz, w): the modes of a slab of thickness nz, in order, and the one
+    weight w of each, so that the weights sum to nz.
 
     Periodic:         akz = 2*l*pi/nz,     l = 0..nz-1, weight 1
     Antiperiodic:     akz = (2l+1)*pi/nz,  l = 0..nz-1, weight 1
@@ -89,7 +71,7 @@ def generate_modes(bc: BoundaryCondition, nz: int) -> ModeSet:
     if _mode_count(bc, nz) > _MAX_POINTS:
         raise ValueError(f"nz = {nz} gives more than {_MAX_POINTS} modes")
     akz, _, w = _joined_modes(bc, [nz])
-    return ModeSet(tuple(zip(akz.tolist(), itertools.repeat(w))))
+    return akz, w
 
 
 def _joined_modes(bc: BoundaryCondition, nzs: Sequence[int]) -> tuple[np.ndarray, list[int], float]:

@@ -1,8 +1,8 @@
 """Thickness sweeps, mode-rectangle decompositions, and CSV/JSON emission.
 
 A sweep row is the CasimirResult of that thickness, passed through as is.
-CSV_COLUMNS and _row_values fix its columns once, for CSV, JSON and the CLI
-table alike, converged included.
+CSV_COLUMNS and _row_values, which model holds, fix its columns once, for
+CSV, JSON and the CLI table alike, converged included.
 """
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .casimir import _casimir_rows, _check, _kernel, _kz_average, eval_from_kernel_sum
-from .model import _MAX_POINTS, CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _is_int
+from .model import (_MAX_POINTS, CSV_COLUMNS, CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _is_int,
+                    _row_values)
 from .modes import BoundaryCondition, generate_modes
 
 __all__ = [
@@ -31,16 +32,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-# emitted columns, in CasimirResult field order; fixed so files are directly comparable
-CSV_COLUMNS = ("Nz", "e0_sum", "e0_int", "e_cas", "coeff", "quad_error", "converged")
-
 # the benchmark in perfbench/ builds rows by this name, so it stays as an alias
 SweepRow = CasimirResult
-
-
-def _row_values(r: CasimirResult) -> tuple:
-    """The fields of r in CSV_COLUMNS order; every row format is built from it."""
-    return (r.nz, r.e0_sum, r.e0_int, r.e_cas, r.coeff, r.quad_error, bool(r.converged))
 
 
 @dataclass(frozen=True)
@@ -122,12 +115,12 @@ def rectangle_decomposition(
         raise ValueError(f"a slab in d = {d} has at most {d - 1} transverse momentum components, got {k_perp.size}")
     if not np.all(np.isfinite(k_perp)):
         raise ValueError("momentum components must be finite")
-    modes = generate_modes(bc, nz)  # refuses more modes than the budget before building any
+    akz, weight = generate_modes(bc, nz)  # refuses more modes than the budget before building any
     t_perp = float(np.sum(_kernel(k_perp)))
-    widths = modes.weights * _TWO_PI / nz
-    heights = eval_from_kernel_sum(spec, t_perp + _kernel(modes.akz))
-    rects = tuple((float(x - 0.5 * w), float(w), float(h)) for x, w, h in zip(modes.akz, widths, heights))
-    sum_area = math.fsum(w * h for _, w, h in rects)
+    width = weight * _TWO_PI / nz
+    heights = eval_from_kernel_sum(spec, t_perp + _kernel(akz))
+    rects = tuple((float(x - 0.5 * width), width, float(h)) for x, h in zip(akz, heights))
+    sum_area = math.fsum(width * h for _, _, h in rects)
 
     xs = np.arange(samples, dtype=float) * (_TWO_PI / samples)
     ys = eval_from_kernel_sum(spec, t_perp + _kernel(xs))

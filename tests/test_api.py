@@ -21,7 +21,7 @@ import spans  # noqa: E402
 PUBLIC = {
     "BehaviorKind", "BoundaryCondition", "BoundaryKind", "CSV_COLUMNS", "CasimirResult",
     "Classification", "ClassifyThresholds", "ContinuumParams", "ConvergenceReport",
-    "DispersionSpec", "DivergentExpansionWarning", "ExpansionTerm", "Geometry", "ModeSet",
+    "DispersionSpec", "DivergentExpansionWarning", "ExpansionTerm", "Geometry",
     "MultiQuadResult", "PhenOffset", "QuadratureConfig", "RectangleDecomposition", "SweepRow",
     "casimir_energy", "classify_behavior", "classify_rows", "continuum_casimir",
     "convergence_check", "emit", "eval_from_kernel_sum", "expansion_coefficients",
@@ -38,7 +38,7 @@ TRACED_PARAMS = {
 
 
 def test_all_is_the_pinned_surface() -> None:
-    assert len(latcas.__all__) == len(set(latcas.__all__)) == 35
+    assert len(latcas.__all__) == len(set(latcas.__all__)) == 34
     assert set(latcas.__all__) == PUBLIC
     for name in latcas.__all__:
         assert hasattr(latcas, name), name

@@ -5,6 +5,7 @@ import math
 import random
 import threading
 import time
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,13 +18,17 @@ import scipy.special
 import latcas.casimir as casimir
 from latcas import (
     BoundaryCondition,
+    ContinuumParams,
     DispersionSpec,
     Geometry,
     PhenOffset,
     QuadratureConfig,
     casimir_energy,
+    continuum_casimir,
+    expansion_coefficients,
     generate_modes,
     integrate_bz_multi,
+    rectangle_decomposition,
     remnant_partial_sums,
     richardson_extrapolate,
     sweep,
@@ -361,11 +366,11 @@ def test_dos_average_matches_the_direct_grid() -> None:
     # the same t-integrand on the uniform 2D zone grid, whose error falls as h^3
     # at the sqrt(t) cusp of the kz=0 mode, extrapolated to h = 0
     spec, nz = DispersionSpec(1), 4
-    modes = generate_modes(PER, nz)
+    akz, w = generate_modes(PER, nz)
 
     def f(t: np.ndarray) -> np.ndarray:
-        k = _kernel(modes.akz)
-        return _mode_sum(spec, k, (0, k.size), modes.weights[:1, None], t)[0] - (0.5 * nz) * _kz_average(spec, t)
+        k = _kernel(akz)
+        return _mode_sum(spec, k, (0, k.size), w, t)[0] - (0.5 * nz) * _kz_average(spec, t)
 
     values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG, [1])
     assert converged.tolist() == [True]
@@ -482,7 +487,7 @@ def _node_sum_case() -> tuple:
     # kernels of unequal widths, one of a single column
     t = np.concatenate([[0.0, 8.0], np.random.default_rng(15).uniform(0.0, 8.0, 300)])
     families = ((PER, 1), (PHEN, 5), (ANTI, 37), (PER, 130), (PER, 1000))
-    return t, [_kernel(generate_modes(bc, nz).akz) for bc, nz in families]
+    return t, [_kernel(generate_modes(bc, nz)[0]) for bc, nz in families]
 
 
 _NODE_SUM_SPECS = [DispersionSpec(1), DispersionSpec(3), DispersionSpec(4), DispersionSpec(1, am=0.5)]
@@ -750,15 +755,36 @@ def test_stored_levels_stay_within_their_bound() -> None:
     assert _held_bytes() <= casimir._HELD_BYTES and len(casimir._RULES) == 50
 
 
-def test_a_float32_mass_keeps_its_own_rule() -> None:
-    # equal to its float64 value, but its square rounds differently
-    narrow = DispersionSpec(1, am=np.float32(0.1))
-    wide = DispersionSpec(1, am=float(narrow.am))
+_REALS = {"float32": np.float32, "fraction": lambda x: Fraction(str(x)), "float64": np.float64}
+
+
+@pytest.mark.parametrize("kind", _REALS.values(), ids=_REALS.keys())
+def test_a_real_mass_computes_as_the_float_it_equals(kind) -> None:
+    # a float32 mass squared in float32 and kept a rule of its own, its partial
+    # sums were float32 and its coefficients stopped at order 64; a Fraction
+    # mass failed inside numpy
+    am = kind(0.1)
+
+    def results(mass) -> str:
+        spec = DispersionSpec(1, am=mass)
+        return repr([casimir_energy(spec, Geometry(3, 4), PER, CFG), sweep(spec, 2, ANTI, range(1, 5), CFG),
+                     rectangle_decomposition(spec, 3, PHEN, (0.4,), 64, 2)])
+
     casimir._RULES.clear()
-    cold = [repr(casimir_energy(spec, Geometry(3, 4), PER, CFG)) for spec in (narrow, wide)]
-    casimir._RULES.clear()
-    warm = [repr(casimir_energy(spec, Geometry(3, 4), PER, CFG)) for spec in (wide, narrow)]
-    assert cold[0] != cold[1] and warm == cold[::-1]
+    assert results(am) == results(float(am))
+    assert len(casimir._RULES) == 2  # one per d, shared by the two masses
+    heavy = kind(5.0)
+    sums = remnant_partial_sums(heavy, Geometry(3, 2), PER, 4, CFG)
+    assert sums == remnant_partial_sums(5.0, Geometry(3, 2), PER, 4, CFG) and {type(x) for x in sums} == {float}
+    terms = expansion_coefficients(heavy, 4)
+    assert terms == expansion_coefficients(5.0, 4) and {type(t.c_n) for t in terms} == {float}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert len(expansion_coefficients(kind(0.5), 512)) == 512
+        with pytest.raises(ValueError, match="at most 512"):
+            expansion_coefficients(kind(0.5), 600)
+    length = kind(0.3)
+    assert continuum_casimir(ContinuumParams(1, 3, L=length)) == continuum_casimir(ContinuumParams(1, 3, float(length)))
 
 
 def test_the_least_recently_used_rule_goes_first(monkeypatch) -> None:
@@ -769,7 +795,7 @@ def test_the_least_recently_used_rule_goes_first(monkeypatch) -> None:
     monkeypatch.setattr(casimir, "_HELD_BYTES", sizes[1] + sizes[3])
     casimir_energy(DispersionSpec(1, am=1.0), Geometry(2, 3), PER, CFG)  # used again: now the most recent
     casimir_energy(DispersionSpec(1, am=3.0), Geometry(2, 3), PER, CFG)
-    assert [key[2] for key in casimir._RULES] == [2.0, 1.0, 3.0]
+    assert [key[1] for key in casimir._RULES] == [2.0, 1.0, 3.0]
 
 
 @pytest.mark.parametrize("spec, d", [(DispersionSpec(1), 3), (DispersionSpec(1), 2), (DispersionSpec(4), 3)])

@@ -96,6 +96,12 @@ def test_thresholds_validation() -> None:
         ClassifyThresholds(eps_zero=1e-3, eps_nonzero=1e-9)
     with pytest.raises(ValueError):
         ClassifyThresholds(delta_tail=0.0)
+    # an inf delta_tail called a Lasting branch Damping, and an inf
+    # eps_nonzero called a Remnant branch Damping
+    for kwargs in ({"delta_tail": math.inf}, {"eps_zero": 1e-300, "eps_nonzero": math.inf},
+                   {"eps_zero": math.inf, "eps_nonzero": math.inf}, {"delta_tail": math.nan}):
+        with pytest.raises(ValueError):
+            ClassifyThresholds(**kwargs)
 
 
 def test_requires_a_meaningful_sweep() -> None:

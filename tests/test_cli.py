@@ -200,16 +200,19 @@ def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
         ["rectangles", "--s", "2000000000000", "--nz", "4", "--d", "1", "--samples", "64"],
         ["reference", "--s", "1", "--L", "inf"],
         ["mass-expansion", "--am", "0.5", "--d", "1", "--nz", "1", "--orders", "600"],
+        ["classify", "--s", "1", "--d", "2", "--nz-max", "8", "--delta-tail", "inf"],
+        ["classify", "--s", "2", "--d", "2", "--nz-max", "8", "--eps-nonzero", "inf", "--eps-zero", "1e-300"],
     ],
     ids=[
         "samples-huge", "nz-huge", "k-perp-nan", "rectangles-s-huge-odd", "rectangles-s-huge-even", "L-inf",
-        "mass-expansion-light-mass-many-orders",
+        "mass-expansion-light-mass-many-orders", "classify-delta-tail-inf", "classify-eps-nonzero-inf",
     ],
 )
 def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> None:
     # a MemoryError traceback, NaN areas and a printed -0 before; the huge
     # orders ran past a 20 s timeout or would build 7.28 TiB of kz nodes;
-    # 0.5**(1 - 2n) past n = 512 ended in an OverflowError traceback
+    # 0.5**(1 - 2n) past n = 512 ended in an OverflowError traceback; an inf
+    # threshold classified a Lasting and a Remnant branch as Damping
     monkeypatch.setattr(latcas.modes, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     assert run(argv) == 1
     out, err = _grab(capsys)
@@ -323,9 +326,17 @@ def test_nonfinite_partial_sums_and_areas_exit_two(capsys, argv, names) -> None:
 
 
 def test_partial_sums_within_the_point_budget_exit_zero(capsys) -> None:
-    assert run(["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--orders", "100"]) == 0
-    out, err = _grab(capsys)
-    assert err == "" and "nan" not in out
+    # in the divergent domain Python's DivergentExpansionWarning, with a source
+    # line of cli.py, reached stderr although the table names the domain
+    for argv, domain in (
+        (["--am", "5", "--d", "3", "--nz", "1", "--orders", "100"], "convergent"),
+        (["--am", "0.5", "--d", "1", "--nz", "1", "--orders", "6"], "divergent"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["mass-expansion", *argv]) == 0
+        out, err = _grab(capsys)
+        assert caught == [] and err == "" and "nan" not in out and f"expansion domain: {domain}" in out
 
 
 def test_unconverged_rows_say_so_in_every_format(capsys) -> None:

@@ -103,11 +103,10 @@ def test_orders_up_to_the_point_budget_are_accepted() -> None:
     massexp._check_orders(_MAX_POINTS)  # the terms themselves would take about 100 MB
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # numpy's, for the numpy float
 @pytest.mark.parametrize("am", [0.5, np.float64(0.5)], ids=["float", "numpy-float"])
 def test_light_mass_orders_past_the_float_range_are_refused(monkeypatch, am) -> None:
-    # 0.5**(1 - 2n) passes the float range at n = 513: a float raised
-    # OverflowError, a numpy float gave an inf coefficient
+    # 0.5**(1 - 2n) passes the float range at n = 513 and ended in an
+    # OverflowError traceback; a numpy float mass is taken as a float
     import latcas.casimir
 
     assert len(expansion_coefficients(am, 512)) == 512

@@ -1,11 +1,23 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from latcas import CasimirResult, DispersionSpec, Geometry, eval_from_kernel_sum
+from latcas import (
+    CasimirResult,
+    ClassifyThresholds,
+    ContinuumParams,
+    DispersionSpec,
+    Geometry,
+    QuadratureConfig,
+    eval_from_kernel_sum,
+    expansion_coefficients,
+)
 
 
 def _omega(spec: DispersionSpec, ak):
@@ -86,6 +98,49 @@ def test_numpy_integers_are_stored_as_int(kind) -> None:
     spec = DispersionSpec(kind(2), g=kind(2))
     assert geom == Geometry(3, 4) and spec == DispersionSpec(2, g=2)
     assert all(type(v) is int for v in (geom.d, geom.nz, spec.s, spec.g))
+
+
+def _real_fields(x) -> list:
+    """The real fields of every boundary type, built from x (eps_nonzero from 2 x)."""
+    return [
+        DispersionSpec(1, am=x).am,
+        ContinuumParams(1, 3, L=x).L,
+        *astuple(QuadratureConfig(rel_tol=x, abs_tol=x))[2:],
+        *astuple(ClassifyThresholds(x, 2 * x, x)),
+    ]
+
+
+@pytest.mark.parametrize("kind", [float, np.float32, np.float64, Fraction, int, np.int64])
+def test_real_fields_are_stored_as_float(kind) -> None:
+    # a float32 field computed in float32, and a Fraction failed inside numpy
+    values = _real_fields(kind(1))
+    assert len(values) == 7 and all(type(v) is float and v in (1.0, 2.0) for v in values)
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.True_, "1", Decimal("0.1"), None], ids=["bool", "numpy-bool", "str", "decimal", "none"]
+)
+def test_real_fields_refuse_what_is_not_a_real_number(value) -> None:
+    calls = [
+        lambda: DispersionSpec(1, am=value),
+        lambda: expansion_coefficients(value, 2),
+        lambda: ContinuumParams(1, 3, L=value),
+        lambda: QuadratureConfig(rel_tol=value),
+        lambda: QuadratureConfig(abs_tol=value),
+        lambda: ClassifyThresholds(eps_zero=value),
+        lambda: ClassifyThresholds(eps_nonzero=value),
+        lambda: ClassifyThresholds(delta_tail=value),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="real number"):
+            call()
+
+
+def test_real_fields_past_the_float_range_are_refused() -> None:
+    # float(10**400) raises OverflowError; the message carries no value, which may not print
+    for value in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match="within the float range"):
+            DispersionSpec(1, am=value)
 
 
 def test_periodicity_to_machine_precision() -> None:
