@@ -28,8 +28,8 @@ _EXPORTS = {
         "expansion_coefficients",
         "remnant_partial_sums",
     ),
-    "model": ("CasimirResult", "DispersionSpec", "Geometry", "QuadratureConfig"),
-    "modes": ("BoundaryCondition", "BoundaryKind", "PhenOffset", "generate_modes"),
+    "model": ("BoundaryCondition", "CasimirResult", "DispersionSpec", "Geometry", "QuadratureConfig"),
+    "modes": ("generate_modes",),
     "quadrature": ("MultiQuadResult", "integrate_bz_multi", "richardson_extrapolate"),
     "report": ("CSV_COLUMNS", "RectangleDecomposition", "SweepRow", "emit", "rectangle_decomposition", "sweep"),
 }

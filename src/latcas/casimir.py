@@ -95,8 +95,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CasimirResult, DispersionSpec, Geometry, QuadratureConfig
-from .modes import BoundaryCondition, _joined_modes, _mode_count
+from .model import BoundaryCondition, CasimirResult, DispersionSpec, Geometry, QuadratureConfig
+from .modes import _joined_modes, _mode_count
 from .quadrature import _EPS, _MAX_POINTS, _converge, _rounding_floor
 
 __all__ = ["casimir_energy", "eval_from_kernel_sum"]

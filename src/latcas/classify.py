@@ -3,7 +3,8 @@
 Four regular outcomes: NoEffect (zero everywhere), Remnant (nonzero head,
 exactly-zero tail), Damping (coefficient collapses toward zero), Lasting
 (coefficient stabilizes at a nonzero value). A tail that neither collapses
-nor stabilizes is reported as Unclassified with the sweep attached.
+nor stabilizes, and a sweep with a non-finite e_cas or coeff in any row, are
+reported as Unclassified with the sweep attached.
 
 Remnant demands a sharp cliff: every head energy clearly nonzero, every
 tail energy at rounding level, nothing in between. A smoothly decaying
@@ -19,8 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import CasimirResult, DispersionSpec, QuadratureConfig, _store
-from .modes import BoundaryCondition
+from .model import BoundaryCondition, CasimirResult, DispersionSpec, QuadratureConfig, _store
 from .report import sweep
 
 __all__ = ["BehaviorKind", "ClassifyThresholds", "Classification", "classify_rows", "classify_behavior"]
@@ -74,6 +74,8 @@ def classify_rows(rows: list[CasimirResult], thresholds: ClassifyThresholds = Cl
     if len(rows) < 2:
         raise ValueError("need at least two sweep rows to classify")
     frozen = tuple(rows)
+    if not all(math.isfinite(r.e_cas) and math.isfinite(r.coeff) for r in rows):
+        return Classification(BehaviorKind.UNCLASSIFIED, rows=frozen)
     abs_e = [abs(r.e_cas) for r in rows]
     is_zero = [a < thresholds.eps_zero for a in abs_e]
     is_strong = [a >= thresholds.eps_nonzero for a in abs_e]

@@ -22,20 +22,14 @@ import functools
 import math
 import sys
 import warnings
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .continuum import ContinuumParams, continuum_casimir
 from .massexp import DEFAULT_ORDERS, DivergentExpansionWarning, convergence_check, remnant_partial_sums
-from .model import CSV_COLUMNS, CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _row_values
-
-if TYPE_CHECKING:
-    from .modes import BoundaryCondition
+from .model import (CSV_COLUMNS, BoundaryCondition, CasimirResult, DispersionSpec, Geometry, QuadratureConfig,
+                    _row_values)
 
 __all__ = ["run", "main"]
-
-# the values of BoundaryKind, and the PhenOffset names in lower case with - for _
-_BC_CHOICES = ("antiperiodic", "periodic", "phenomenological")
-_OFFSET_CHOICES = ("one-to-2nz", "zero-to-2nz-minus-1")
 
 
 class _UsageError(Exception):
@@ -64,13 +58,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
     return QuadratureConfig(max_refinements=args.max_refinements, rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-
-
-def _bc(args: argparse.Namespace) -> BoundaryCondition:
-    from .modes import BoundaryCondition, BoundaryKind, PhenOffset
-
-    offset = getattr(args, "phen_offset", "one-to-2nz")
-    return BoundaryCondition(BoundaryKind(args.bc), PhenOffset[offset.upper().replace("-", "_")])
 
 
 def _spec(args: argparse.Namespace) -> DispersionSpec:
@@ -136,7 +123,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     from .report import emit
 
     spec = _spec(args)
-    r = casimir_energy(spec, Geometry(args.d, args.nz), _bc(args), _quad_config(args))
+    r = casimir_energy(spec, Geometry(args.d, args.nz), BoundaryCondition(args.bc), _quad_config(args))
     if args.format == "table":
         _print_result(r, args.d, spec.s)
     else:
@@ -148,7 +135,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .report import emit, sweep
 
-    rows = sweep(_spec(args), args.d, _bc(args), range(args.nz_min, args.nz_max + 1), _quad_config(args))
+    nzs = range(args.nz_min, args.nz_max + 1)
+    rows = sweep(_spec(args), args.d, BoundaryCondition(args.bc), nzs, _quad_config(args))
     if args.format == "table":
         print(_rows_table(rows))
     else:
@@ -161,7 +149,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from .classify import ClassifyThresholds, classify_behavior
 
     thresholds = ClassifyThresholds(args.eps_zero, args.eps_nonzero, args.delta_tail)
-    c = classify_behavior(_spec(args), args.d, _bc(args), args.nz_max, _quad_config(args), thresholds)
+    c = classify_behavior(_spec(args), args.d, BoundaryCondition(args.bc), args.nz_max, _quad_config(args), thresholds)
     if c.n_max is not None:
         print(f"{c.kind.value} n_max={c.n_max}")
     elif c.coeff_limit is not None:
@@ -179,7 +167,7 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     report = convergence_check(args.am, args.d)  # rejects am <= 0 before any energy
     spec = DispersionSpec(1, am=args.am, g=args.g)
     geom = Geometry(args.d, args.nz)
-    bc = _bc(args)
+    bc = BoundaryCondition(args.bc)
     cfg = _quad_config(args)
     with warnings.catch_warnings():  # the table names a divergent domain
         warnings.simplefilter("ignore", DivergentExpansionWarning)
@@ -198,7 +186,8 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
 def _cmd_rectangles(args: argparse.Namespace) -> int:
     from .report import emit, rectangle_decomposition
 
-    dec = rectangle_decomposition(_spec(args), args.nz, _bc(args), tuple(args.k_perp), args.samples, args.d)
+    bc = BoundaryCondition(args.bc)
+    dec = rectangle_decomposition(_spec(args), args.nz, bc, tuple(args.k_perp), args.samples, args.d)
     if args.format == "table":
         print(f"{'left':>22} {'width':>22} {'height':>22}")
         for left, width, height in dec.rects:
@@ -220,15 +209,14 @@ def _cmd_reference(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="latcas", description="Lattice Casimir energies for power-law dispersions")
     sub = parser.add_subparsers(dest="command", required=True)
+    bc_choices = sorted(bc.value for bc in BoundaryCondition)
 
     def common(p):
         p.add_argument("--s", type=int, default=1, help="dispersion order (0 = flat band)")
         p.add_argument("--am", type=float, default=0.0, help="mass in lattice units (s=1 only)")
         p.add_argument("--g", type=int, default=1, help="branch degeneracy multiplier")
         p.add_argument("--d", type=int, default=3, help="spatial dimension (1-3)")
-        p.add_argument("--bc", choices=_BC_CHOICES, default="periodic")
-        p.add_argument("--phen-offset", choices=_OFFSET_CHOICES, default="one-to-2nz",
-                       help="index range of the phenomenological modes")
+        p.add_argument("--bc", choices=bc_choices, default="periodic")
 
     p = sub.add_parser("compute", help="one Casimir energy")
     common(p)
@@ -258,8 +246,7 @@ def build_parser() -> _Parser:
     p.add_argument("--am", type=float, required=True)
     p.add_argument("--g", type=int, default=1)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--bc", choices=_BC_CHOICES, default="periodic")
-    p.add_argument("--phen-offset", choices=_OFFSET_CHOICES, default="one-to-2nz")
+    p.add_argument("--bc", choices=bc_choices, default="periodic")
     p.add_argument("--nz", type=int, required=True)
     p.add_argument("--orders", type=int, default=DEFAULT_ORDERS,
                    help="number of expansion terms (default %(default)s)")

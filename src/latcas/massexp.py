@@ -10,12 +10,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .model import _MAX_POINTS, DispersionSpec, Geometry, QuadratureConfig, _is_int, _real
-
-if TYPE_CHECKING:
-    from .modes import BoundaryCondition
+from .model import _MAX_POINTS, BoundaryCondition, DispersionSpec, Geometry, QuadratureConfig, _is_int, _real
 
 __all__ = [
     "ExpansionTerm",

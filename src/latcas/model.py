@@ -1,6 +1,6 @@
-"""Domain types for dispersions, slab geometry, quadrature settings and
-results, the integer and real checks of the input boundary, and the columns
-every row format is built from.
+"""Domain types for dispersions, slab geometry, boundary conditions,
+quadrature settings and results, the integer and real checks of the input
+boundary, and the columns every row format is built from.
 
 The module needs no numpy, so the CLI can parse and validate its input, and
 answer the commands that compute no array, without loading it. The one
@@ -14,10 +14,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from enum import Enum
 
 __all__ = [
     "DispersionSpec",
     "Geometry",
+    "BoundaryCondition",
     "QuadratureConfig",
     "CasimirResult",
 ]
@@ -95,6 +97,30 @@ class Geometry:
         if not _is_int(self.nz) or self.nz < 1:
             raise ValueError(f"nz must be a positive integer, got {self.nz!r}")
         _store(self, int, "d", "nz")
+
+
+class BoundaryCondition(Enum):
+    """Mode family along the compact axis; the values are the CLI's --bc names.
+
+    Periodic and antiperiodic give nz modes of weight 1, phenomenological
+    the 2nz half-weight modes l*pi/nz, l = 1..2nz (modes.generate_modes).
+    """
+
+    PERIODIC = "periodic"
+    ANTIPERIODIC = "antiperiodic"
+    PHENOMENOLOGICAL = "phenomenological"
+
+    @classmethod
+    def periodic(cls) -> BoundaryCondition:
+        return cls.PERIODIC
+
+    @classmethod
+    def antiperiodic(cls) -> BoundaryCondition:
+        return cls.ANTIPERIODIC
+
+    @classmethod
+    def phenomenological(cls) -> BoundaryCondition:
+        return cls.PHENOMENOLOGICAL
 
 
 @dataclass(frozen=True)

@@ -3,53 +3,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .model import _MAX_POINTS, _is_int
+from .model import _MAX_POINTS, BoundaryCondition, _is_int
 
-__all__ = ["BoundaryKind", "PhenOffset", "BoundaryCondition", "generate_modes"]
+__all__ = ["generate_modes"]
 
 _TWO_PI = 2.0 * math.pi
 
 
-class BoundaryKind(Enum):
-    PERIODIC = "periodic"
-    ANTIPERIODIC = "antiperiodic"
-    PHENOMENOLOGICAL = "phenomenological"
-
-
-class PhenOffset(Enum):
-    """Index range for the phenomenological half-step modes l*pi/nz."""
-
-    ONE_TO_2NZ = "1..2nz"
-    ZERO_TO_2NZ_MINUS_1 = "0..2nz-1"
-
-
-@dataclass(frozen=True)
-class BoundaryCondition:
-    kind: BoundaryKind
-    phen_offset: PhenOffset = PhenOffset.ONE_TO_2NZ
-
-    @classmethod
-    def periodic(cls) -> "BoundaryCondition":
-        return cls(BoundaryKind.PERIODIC)
-
-    @classmethod
-    def antiperiodic(cls) -> "BoundaryCondition":
-        return cls(BoundaryKind.ANTIPERIODIC)
-
-    @classmethod
-    def phenomenological(cls, offset: PhenOffset = PhenOffset.ONE_TO_2NZ) -> "BoundaryCondition":
-        return cls(BoundaryKind.PHENOMENOLOGICAL, offset)
-
-
 def _mode_count(bc: BoundaryCondition, nz: int) -> int:
-    """Number of modes generate_modes(bc, nz) gives, without generating them."""
-    return 2 * nz if bc.kind is BoundaryKind.PHENOMENOLOGICAL else nz
+    """Number of modes generate_modes(bc, nz) gives, without generating them;
+    every route to the modes asks it first, so a bc of another type raises here."""
+    if not isinstance(bc, BoundaryCondition):
+        raise TypeError(f"bc must be a BoundaryCondition, got {bc!r}")
+    return 2 * nz if bc is BoundaryCondition.PHENOMENOLOGICAL else nz
 
 
 def generate_modes(bc: BoundaryCondition, nz: int) -> tuple[np.ndarray, float]:
@@ -58,7 +28,7 @@ def generate_modes(bc: BoundaryCondition, nz: int) -> tuple[np.ndarray, float]:
 
     Periodic:         akz = 2*l*pi/nz,     l = 0..nz-1, weight 1
     Antiperiodic:     akz = (2l+1)*pi/nz,  l = 0..nz-1, weight 1
-    Phenomenological: akz = l*pi/nz over the chosen index range, weight 1/2;
+    Phenomenological: akz = l*pi/nz,       l = 1..2nz,  weight 1/2;
                       the half weight makes the 2*nz modes carry the same total
                       weight nz as the other families, so zero-point sums stay
                       comparable at one normalization.
@@ -91,13 +61,11 @@ def _joined_modes(bc: BoundaryCondition, nzs: Sequence[int]) -> tuple[np.ndarray
     else:  # the index l of each column restarts at every thickness
         nz = np.repeat(np.array(nzs, dtype=float), counts)
         l = np.arange(bounds[-1], dtype=float) - np.repeat(bounds[:-1], counts)
-    if bc.kind is BoundaryKind.PERIODIC:
+    if bc is BoundaryCondition.PERIODIC:
         x = 2.0 * l * math.pi / nz
-    elif bc.kind is BoundaryKind.ANTIPERIODIC:
+    elif bc is BoundaryCondition.ANTIPERIODIC:
         x = (2.0 * l + 1.0) * math.pi / nz
     else:
-        if bc.phen_offset is PhenOffset.ONE_TO_2NZ:
-            l += 1.0
-        x = l * math.pi / nz
-    w = 0.5 if bc.kind is BoundaryKind.PHENOMENOLOGICAL else 1.0
+        x = (l + 1.0) * math.pi / nz
+    w = 0.5 if bc is BoundaryCondition.PHENOMENOLOGICAL else 1.0
     return np.fmod(x, _TWO_PI, out=x), bounds, w  # x >= 0, so the remainder is in [0, 2pi)

@@ -17,9 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .casimir import _casimir_rows, _check, _kernel, _kz_average, eval_from_kernel_sum
-from .model import (_MAX_POINTS, CSV_COLUMNS, CasimirResult, DispersionSpec, Geometry, QuadratureConfig, _is_int,
-                    _row_values)
-from .modes import BoundaryCondition, generate_modes
+from .model import (_MAX_POINTS, CSV_COLUMNS, BoundaryCondition, CasimirResult, DispersionSpec, Geometry,
+                    QuadratureConfig, _is_int, _row_values)
+from .modes import generate_modes
 
 __all__ = [
     "SweepRow",
@@ -146,27 +146,19 @@ def _rows_csv(rows: Sequence[CasimirResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_value(v) -> str:
-    """v as json.dumps writes it; other types than a row's go through
-    json.dumps, so an unencodable value raises as there."""
-    if isinstance(v, float):  # most fields; json's names for the non-finite values
-        if math.isfinite(v):
-            return float.__repr__(v)
-        return "NaN" if math.isnan(v) else "Infinity" if v > 0 else "-Infinity"
-    if v is True or v is False:
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    return json.dumps(v)
+# one record of json.dumps(rows, indent=2), with a %s for each value
+_JSON_RECORD = "  {\n" + ",\n".join(f'    "{k}": %s' for k in CSV_COLUMNS) + "\n  }"
 
 
 def _rows_json(rows: Sequence[CasimirResult]) -> str:
-    # the text of json.dumps(records, indent=2), whose encoder is pure Python with indent
-    records = [
-        "  {\n" + ",\n".join(f'    "{k}": {_json_value(v)}' for k, v in zip(CSV_COLUMNS, _row_values(r))) + "\n  }"
-        for r in rows
-    ]
-    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
+    # the text of json.dumps(records, indent=2), whose encoder is pure Python
+    # with indent: the values come from the compact call, which takes json's C
+    # encoder, and no value it writes holds "], [" or ", "
+    if not rows:
+        return "[]\n"
+    text = json.dumps([_row_values(r) for r in rows])[2:-2]
+    records = [_JSON_RECORD % tuple(row.split(", ")) for row in text.split("], [")]
+    return "[\n" + ",\n".join(records) + "\n]\n"
 
 
 def _decomp_csv(dec: RectangleDecomposition) -> str:

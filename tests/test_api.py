@@ -19,10 +19,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
 PUBLIC = {
-    "BehaviorKind", "BoundaryCondition", "BoundaryKind", "CSV_COLUMNS", "CasimirResult",
+    "BehaviorKind", "BoundaryCondition", "CSV_COLUMNS", "CasimirResult",
     "Classification", "ClassifyThresholds", "ContinuumParams", "ConvergenceReport",
     "DispersionSpec", "DivergentExpansionWarning", "ExpansionTerm", "Geometry",
-    "MultiQuadResult", "PhenOffset", "QuadratureConfig", "RectangleDecomposition", "SweepRow",
+    "MultiQuadResult", "QuadratureConfig", "RectangleDecomposition", "SweepRow",
     "casimir_energy", "classify_behavior", "classify_rows", "continuum_casimir",
     "convergence_check", "emit", "eval_from_kernel_sum", "expansion_coefficients",
     "generate_modes", "integrate_bz_multi", "rectangle_decomposition", "remnant_partial_sums",
@@ -38,7 +38,7 @@ TRACED_PARAMS = {
 
 
 def test_all_is_the_pinned_surface() -> None:
-    assert len(latcas.__all__) == len(set(latcas.__all__)) == 34
+    assert len(latcas.__all__) == len(set(latcas.__all__)) == 32
     assert set(latcas.__all__) == PUBLIC
     for name in latcas.__all__:
         assert hasattr(latcas, name), name

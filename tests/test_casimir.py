@@ -21,7 +21,6 @@ from latcas import (
     ContinuumParams,
     DispersionSpec,
     Geometry,
-    PhenOffset,
     QuadratureConfig,
     casimir_energy,
     continuum_casimir,
@@ -173,15 +172,14 @@ def test_phenomenological_halves_the_doubled_slab() -> None:
             assert phen == pytest.approx(0.5 * per2, abs=1e-9 * max(1.0, abs(per2)))
 
 
-def test_phenomenological_offset_variants_agree() -> None:
-    from latcas import PhenOffset
-
-    a = BoundaryCondition.phenomenological(PhenOffset.ONE_TO_2NZ)
-    b = BoundaryCondition.phenomenological(PhenOffset.ZERO_TO_2NZ_MINUS_1)
-    for s, nz in [(2, 1), (4, 1), (6, 2)]:
-        ra = casimir_energy(DispersionSpec(s), Geometry(3, nz), a, CFG).e_cas
-        rb = casimir_energy(DispersionSpec(s), Geometry(3, nz), b, CFG).e_cas
-        assert ra == pytest.approx(rb, abs=1e-12 * max(1.0, abs(ra)))
+@pytest.mark.parametrize("s, nz", [(1, 3), (2, 10**9)], ids=["pointwise", "past-the-support"])
+def test_a_boundary_condition_of_another_type_raises(s: int, nz: int) -> None:
+    # both routes ask the mode count first; a string never stands for a family
+    for bc in ("periodic", None):
+        with pytest.raises(TypeError, match="BoundaryCondition"):
+            casimir_energy(DispersionSpec(s), Geometry(3, nz), bc, CFG)
+        with pytest.raises(TypeError, match="BoundaryCondition"):
+            sweep(DispersionSpec(s), 3, bc, [nz], CFG)
 
 
 def test_flat_band_is_inert() -> None:
@@ -649,7 +647,7 @@ def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
 def test_stored_rules_give_the_bits_of_cold_ones() -> None:
     # max_refinements 2, then 6, then 4: a later, deeper call extends a
     # table that a shallower one built, and a shallower one reads it
-    fams = (PER, ANTI, PHEN, BoundaryCondition.phenomenological(PhenOffset.ZERO_TO_2NZ_MINUS_1))
+    fams = (PER, ANTI, PHEN)
     specs = [DispersionSpec(s) for s in range(8)] + [DispersionSpec(1, am=am) for am in (0.5, 2.0)]
     calls = []
     for cap, spec, g, d, bc in itertools.product((2, 6, 4), specs, (1, 3), (1, 2, 3), fams):

@@ -60,6 +60,29 @@ def test_synthetic_drifting_tail_is_unclassified() -> None:
     assert len(c.rows) == 16
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [5.0, -2.0, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0],  # was Damping: the NaN broke the cliff
+        [1.0, 0.5, 0.25, 0.125, math.inf, 0.01, 0.005, 0.001],  # was Damping
+        [1.0, 0.5, 0.25, 0.125, 0.0625, 0.01, 0.005, -math.inf],
+    ],
+    ids=["nan-e_cas", "inf-e_cas", "minus-inf-tail"],
+)
+def test_non_finite_rows_are_unclassified(values) -> None:
+    rows = _rows(values)
+    c = classify_rows(rows)
+    assert c.kind is BehaviorKind.UNCLASSIFIED and c.rows == tuple(rows)
+
+
+def test_a_non_finite_coefficient_alone_is_unclassified() -> None:
+    # a finite e_cas whose nz**alpha * e_cas passes the float range
+    rows = _rows([1.0 / nz**3 for nz in range(1, 9)])
+    rows[-1] = SweepRow(8, 0.0, 0.0, rows[-1].e_cas, math.inf, 0.0)
+    assert classify_rows(rows).kind is BehaviorKind.UNCLASSIFIED
+    assert classify_rows(rows[:-1]).kind is BehaviorKind.LASTING
+
+
 def test_rows_are_attached_to_every_outcome() -> None:
     rows = _rows([5.0, 1e-14, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     c = classify_rows(rows)
@@ -150,7 +173,7 @@ def test_quartic_remnant_with_reduced_quadrature() -> None:
 
 @pytest.mark.parametrize("s", range(2, 15, 2))
 @pytest.mark.parametrize(
-    "bc", [PER, BoundaryCondition.antiperiodic(), BoundaryCondition.phenomenological()], ids=lambda bc: bc.kind.value
+    "bc", [PER, BoundaryCondition.antiperiodic(), BoundaryCondition.phenomenological()], ids=lambda bc: bc.value
 )
 def test_even_orders_in_three_dimensions_are_remnants(s: int, bc: BoundaryCondition) -> None:
     # the tail past the support is exactly zero: rounding noise there reaches

@@ -149,6 +149,15 @@ def test_unknown_flag_exits_one(capsys) -> None:
     assert "--wavelength" in err
 
 
+@pytest.mark.parametrize("offset", ["one-to-2nz", "zero-to-2nz-minus-1"])
+def test_phen_offset_is_no_flag(capsys, offset) -> None:
+    # both index ranges gave the same modes; l = 1..2nz is the only one
+    code = run(["compute", "--s", "1", "--d", "3", "--nz", "4", "--bc", "phenomenological", "--phen-offset", offset])
+    out, err = _grab(capsys)
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "--phen-offset" in err
+
+
 def test_unknown_command_exits_one(capsys) -> None:
     code = run(["frobnicate"])
     _, err = _grab(capsys)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from latcas import BoundaryCondition, BoundaryKind, PhenOffset, generate_modes
+from latcas import BoundaryCondition, generate_modes
 
 from moment_oracle import kernel_moment
 
@@ -28,26 +28,31 @@ def test_phenomenological_nz1_wraps_final_mode() -> None:
     assert w == 0.5
 
 
-def test_phenomenological_index_variants_agree_as_sets() -> None:
-    for nz in (1, 2, 5):
-        a, wa = generate_modes(BoundaryCondition.phenomenological(PhenOffset.ONE_TO_2NZ), nz)
-        b, wb = generate_modes(BoundaryCondition.phenomenological(PhenOffset.ZERO_TO_2NZ_MINUS_1), nz)
-        assert np.allclose(sorted(a), sorted(b), atol=1e-12)
-        assert wa * a.size == wb * b.size
+def test_the_families_are_one_enum_named_by_the_cli() -> None:
+    assert [bc.value for bc in BoundaryCondition] == ["periodic", "antiperiodic", "phenomenological"]
+    assert BoundaryCondition("periodic") is BoundaryCondition.periodic()
+    assert BoundaryCondition("antiperiodic") is BoundaryCondition.antiperiodic()
+    assert BoundaryCondition("phenomenological") is BoundaryCondition.phenomenological()
+
+
+@pytest.mark.parametrize("bc", ["periodic", BoundaryCondition, None])
+def test_rejects_a_boundary_condition_of_another_type(bc) -> None:
+    # a string is not taken for its member, and nothing falls through to a family
+    with pytest.raises(TypeError, match="BoundaryCondition"):
+        generate_modes(bc, 4)
 
 
 def test_weight_sum_equals_nz_for_all_kinds() -> None:
-    for kind in BoundaryKind:
-        bc = BoundaryCondition(kind)
+    for bc in BoundaryCondition:
         for nz in range(1, 13):
             akz, w = generate_modes(bc, nz)
             assert type(w) is float and w * akz.size == nz
 
 
 def test_values_lie_in_first_zone() -> None:
-    for kind in BoundaryKind:
+    for bc in BoundaryCondition:
         for nz in (1, 3, 8):
-            akz, _ = generate_modes(BoundaryCondition(kind), nz)
+            akz, _ = generate_modes(bc, nz)
             assert np.all(akz >= 0.0)
             assert np.all(akz < 2.0 * math.pi)
 
@@ -104,27 +109,18 @@ def test_rejects_more_modes_than_the_point_budget(bc, nz) -> None:
         generate_modes(bc, nz)
 
 
-_FAMILIES = [
-    BoundaryCondition.periodic(),
-    BoundaryCondition.antiperiodic(),
-    BoundaryCondition.phenomenological(PhenOffset.ONE_TO_2NZ),
-    BoundaryCondition.phenomenological(PhenOffset.ZERO_TO_2NZ_MINUS_1),
-]
-
-
 def _scalar_akz(bc: BoundaryCondition, nz: int) -> list[float]:
     """The modes one float expression at a time, reduced by math.fmod."""
-    if bc.kind is BoundaryKind.PERIODIC:
+    if bc is BoundaryCondition.PERIODIC:
         xs = [2.0 * l * math.pi / nz for l in range(nz)]
-    elif bc.kind is BoundaryKind.ANTIPERIODIC:
+    elif bc is BoundaryCondition.ANTIPERIODIC:
         xs = [(2.0 * l + 1.0) * math.pi / nz for l in range(nz)]
     else:
-        start = 1 if bc.phen_offset is PhenOffset.ONE_TO_2NZ else 0
-        xs = [l * math.pi / nz for l in range(start, start + 2 * nz)]
+        xs = [l * math.pi / nz for l in range(1, 2 * nz + 1)]
     return [math.fmod(x, 2.0 * math.pi) for x in xs]
 
 
-@pytest.mark.parametrize("bc", _FAMILIES, ids=["periodic", "antiperiodic", "phen-1..2nz", "phen-0..2nz-1"])
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=["periodic", "antiperiodic", "phen-1..2nz"])
 def test_joined_modes_are_the_modes_of_each_thickness(bc) -> None:
     # one call over nz = 1..64 gives each thickness the bits of its own mode set
     from latcas.modes import _joined_modes
