@@ -42,7 +42,9 @@ where the density of states puts all of them:
 
 Both parities report at least a rounding floor of 16 ulps of the largest
 integrated term, because the pointwise difference rounds at that size, and
-level changes within that floor count as converged.
+level changes within that floor count as converged. _row alone turns a
+row's averages into its flag and error: a row whose error passes a tenth
+of |e_cas| is not converged, so a tail lost in that floor says so.
 
 Even orders vanish by structure past the support (the aliasing identity):
 every mode family is a uniform rule in kz, the antiperiodic one shifted,
@@ -356,8 +358,8 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     array, at the level's values of t (the transverse kernel sum) and kz
     (its kz average), as a (rows.size, t.size, ncomp) array. One exact
     level is the mean of each row, summed in extended precision as
-    _grid_average sums, with no refinement; cfg is not consulted, and a
-    row with a non-finite value is not converged, its errors inf. Tanh-sinh
+    _grid_average sums, with no refinement, zero errors and every row
+    converged; cfg is not consulted, and _row judges its values. Tanh-sinh
     levels refine the rows together under cfg, each value of t charged
     costs[i] points against the budget of row i, and each row stops on its
     own verdict with the change between its last two levels as the error.
@@ -369,10 +371,7 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     if rule.n:
         _, t, _, kz = rule.level(0)
         values = f(t, kz, np.arange(len(costs))).sum(axis=1, dtype=np.longdouble).astype(float) / t.size
-        converged = np.isfinite(values).all(axis=1)
-        errors = np.zeros_like(values)
-        errors[~converged] = math.inf
-        points = np.full(len(costs), rule.n)
+        errors, converged, points = np.zeros_like(values), np.ones(len(costs), dtype=bool), np.full(len(costs), rule.n)
     else:
         nodes = 0
 
@@ -410,12 +409,12 @@ def _casimir_rows(
     budget whether this call built them or an earlier one. Even orders past
     the support, more modes than s/2, are structural zeros by the aliasing
     identity: e_cas, coeff and quad_error are exactly 0.0 and e0_sum =
-    e0_int = g (nz/2) A, where A is the rule's average of the kz average,
-    taken when the first such row asks and stored with the rule. Those
-    rows generate no modes and take no mode sum; if A is refused by the
-    budget or not finite, they are not converged with e_cas NaN and
-    quad_error inf. A row whose first level the budget refuses is NaN with
-    quad_error inf, not converged, and builds nothing either. The
+    e0_int = g (nz/2) A, where A is the mean of the kz average over the
+    rule's exact level, taken when the first such row asks and stored with
+    the rule. Those rows generate no modes and take no mode sum; A is NaN
+    when the budget refuses the level. A row whose first level the budget
+    refuses is NaN and builds nothing either. Every branch hands _row plain
+    numbers, and _row gives each row its verdict and error. The
     other rows take the pointwise route together (module docstring), in
     groups of consecutive rows whose joined modes times the first level's
     values of t stay within _MAT_BUDGET, so memory does not grow with the
@@ -430,18 +429,14 @@ def _casimir_rows(
         n = _mode_count(bc, nz)
         if spec.s % 2 == 0 and n > spec.s // 2:
             if rule.continuum is None:
-                a = math.nan  # unless the budget admits the level
+                rule.continuum = math.nan  # unless the budget admits the level
                 if rule.first * rule.kz_nodes <= _MAX_POINTS:
-                    values = _transverse_average(rule, lambda t, kz, _: kz[None, :, None], cfg, [rule.kz_nodes])[0]
-                    a = float(values[0, 0])
-                rule.continuum = a
+                    kz = rule.level(0)[3]
+                    rule.continuum = float(kz.sum(dtype=np.longdouble)) / kz.size
             e0 = (0.5 * nz) * rule.continuum
-            if math.isfinite(e0):
-                rows[i] = _row(spec, d, nz, 0.0, e0, 0.0, True)
-            else:
-                rows[i] = _row(spec, d, nz, math.nan, e0, math.inf, False)
+            rows[i] = _row(spec, d, nz, e0 - e0, e0, 0.0, True)  # mode sum = continuum term; NaN if e0 is not finite
         elif rule.first * (n + rule.kz_nodes) > _MAX_POINTS:
-            rows[i] = _row(spec, d, nz, math.nan, math.nan, math.inf, False)
+            rows[i] = _row(spec, d, nz, math.nan, math.nan, math.nan, False)
         else:
             if not groups or (joined + n) * rule.first > _MAT_BUDGET:
                 groups.append([])
@@ -483,8 +478,18 @@ def _row(
     spec: DispersionSpec, d: int, nz: int, e_cas: float, e0_int: float, error: float, converged: bool
 ) -> CasimirResult:
     """The CasimirResult of thickness nz from the averages e_cas / g and
-    e0_int / g, the error of the first, and the verdict."""
+    e0_int / g, the error of the first, and the verdict of their refinement.
+
+    Every row's flag and error are decided here, on the reported (g-scaled)
+    values: a non-finite e_cas or e0_int gives quad_error inf, and a row
+    is converged only when its refinement converged, its values are finite
+    and quad_error <= |e_cas| / 10. A structural zero, e_cas = quad_error =
+    0.0, is converged.
+    """
     e_cas, e0_int = spec.g * e_cas, spec.g * e0_int
+    finite = math.isfinite(e_cas) and math.isfinite(e0_int)
+    error = spec.g * error if finite else math.inf
+    converged = converged and finite and error <= abs(e_cas) / 10
     alpha = (d - 1) + spec.s
     try:
         if nz > 1 and alpha * math.log2(nz) > 1100:  # past 2**1024, so not built as an integer
@@ -492,7 +497,7 @@ def _row(
         coeff = float(nz**alpha) * e_cas
     except OverflowError:  # nz**alpha passes the float range
         coeff = math.inf * e_cas if e_cas else 0.0
-    return CasimirResult(nz, e0_int + e_cas, e0_int, e_cas, coeff, spec.g * error, converged)
+    return CasimirResult(nz, e0_int + e_cas, e0_int, e_cas, coeff, error, converged)
 
 
 def casimir_energy(
@@ -503,9 +508,9 @@ def casimir_energy(
 ) -> CasimirResult:
     """Casimir energy of the slab, with the defining difference taken pointwise.
 
-    A non-converged refinement or a non-finite value is reported through
-    converged=False with the best values and an honest quad_error; nothing
-    is raised, the caller decides.
+    A non-converged refinement, a non-finite value or a quad_error above
+    |e_cas| / 10 is reported through converged=False with the best values
+    and an honest quad_error; nothing is raised, the caller decides.
     """
     _check(spec, geom)
     return _casimir_rows(spec, geom.d, bc, [geom.nz], cfg)[0]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import _is_int, _store
 
@@ -51,17 +50,11 @@ class ContinuumParams:
         _store(self, int, "s", "d", "g")
 
 
+# B_j as (numerator, denominator); int / int is correctly rounded, so a factor is B_j / j! rounded once
 _BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
+    2: (1, 6), 4: (-1, 30), 6: (1, 42), 8: (-1, 30), 10: (5, 66), 12: (-691, 2730), 14: (7, 6), 16: (-3617, 510)
 }
-_EM_FACTORS = {j: float(b / math.factorial(j)) for j, b in _BERNOULLI.items()}
+_EM_FACTORS = {j: n / (d * math.factorial(j)) for j, (n, d) in _BERNOULLI.items()}
 _EM_CUTOFF = 18
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 

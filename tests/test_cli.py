@@ -360,6 +360,16 @@ def test_unconverged_rows_say_so_in_every_format(capsys) -> None:
     assert [rec["converged"] for rec in json.loads(_grab(capsys)[0])] == [False, False, False]
 
 
+def test_unresolved_damping_tail_exits_two(capsys) -> None:
+    # am=2 in d=3: from nz=14 on, the rounding floor of the pointwise
+    # difference passes a tenth of |e_cas|, so those rows are not converged
+    assert run(["classify", "--s", "1", "--am", "2", "--d", "3", "--nz-max", "30"]) == 2
+    out, err = _grab(capsys)
+    lines = out.splitlines()
+    assert lines[0] == "Damping" and err == ""
+    assert [line.split()[-1] for line in lines[2:]] == ["yes"] * 13 + ["no"] * 17
+
+
 def test_coeff_past_the_float_range_exits_cleanly(capsys) -> None:
     # nz**alpha passes the float range: NaN values exit 2, finite ones give coeff = inf
     with np.errstate(all="ignore"):

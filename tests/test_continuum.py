@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from latcas import ContinuumParams, continuum_casimir, zeta_fn
+from latcas import ContinuumParams, continuum, continuum_casimir, zeta_fn
 
 
 def test_zeta_closed_forms() -> None:
@@ -19,6 +20,15 @@ def test_zeta_against_mpmath() -> None:
     mpmath.mp.dps = 30
     for x in [1.5, 2.0, 2.5, 3.0, 5.0, 7.3, 9.0, 12.0, 15.0, 16.0]:
         assert zeta_fn(x) == pytest.approx(float(mpmath.zeta(x)), rel=1e-13), x
+
+
+def test_euler_maclaurin_factors_are_the_exact_ratios_rounded() -> None:
+    # integer pairs divided once give the float nearest B_j / j!, the bits
+    # of the exact rational route
+    assert sorted(continuum._EM_FACTORS) == list(range(2, 17, 2))
+    for j, (n, d) in continuum._BERNOULLI.items():
+        assert Fraction(n, d) == Fraction(*map(int, mpmath.bernfrac(j))), j
+        assert continuum._EM_FACTORS[j] == float(Fraction(n, d) / math.factorial(j)), j
 
 
 def test_zeta_of_large_arguments_is_its_head_sum() -> None:
