@@ -67,10 +67,10 @@ would pass it is refused before any mode is generated or any level built.
 The rule depends on s, am and d only, not on nz, g or the call, so it
 lives across calls: the calls of a process with the same (s, am, d) read
 and extend one table, and each result has the bits it would have from a
-table of its own. The tables stay in a least-recently-used store that
-holds at most _HELD_BYTES (8 MiB) of level arrays besides the table used
-last, so its memory beyond 8 MiB is one call's table, which the point
-budget bounds.
+table of its own. The tables stay in a least-recently-used store of at
+most _MAX_RULES (64) rules that holds at most _HELD_BYTES (8 MiB) of level
+arrays besides the table used last, so its memory beyond 8 MiB is one
+call's table, which the point budget bounds.
 
 One kernel, _casimir_rows, computes a list of thicknesses, and
 casimir_energy is its one-thickness case. The thicknesses of the pointwise
@@ -323,16 +323,18 @@ class _Rule:
 # not enter a rule
 _RULES: dict[tuple, _Rule] = {}
 _HELD_BYTES = 8 << 20  # level arrays kept besides those of the most recently used rule
+_MAX_RULES = 64  # rules kept, the most recently used included, with or without levels
 
 
 def _rule(spec: DispersionSpec, d: int) -> _Rule:
     """The transverse rule of spec in d dimensions, with the levels that
     earlier calls built. Rules live across calls, least recently used
-    evicted first, so that the level arrays of all but the most recently
-    used hold at most _HELD_BYTES; a rule larger than that alone goes as
-    soon as another is asked for. A stored level gives the bits it gave
-    when it was built, and callers charge the point budget for it all the
-    same, so each result is the same whether its rule was stored or not.
+    evicted first, so that at most _MAX_RULES are kept and the level arrays
+    of all but the most recently used hold at most _HELD_BYTES; a rule
+    larger than that alone goes as soon as another is asked for. A stored
+    level gives the bits it gave when it was built, and callers charge the
+    point budget for it all the same, so each result is the same whether
+    its rule was stored or not.
     """
     key = (spec.s, spec.am, d)
     rule = _RULES.pop(key, None) or _Rule(spec, d)
@@ -340,6 +342,8 @@ def _rule(spec: DispersionSpec, d: int) -> _Rule:
         last = next(reversed(_RULES))
         if _RULES[last].nbytes > _HELD_BYTES:  # too large to keep alone
             del _RULES[last]
+    while len(_RULES) >= _MAX_RULES:
+        del _RULES[next(iter(_RULES))]
     held = sum(r.nbytes for r in _RULES.values())
     while held > _HELD_BYTES:
         held -= _RULES.pop(next(iter(_RULES))).nbytes

@@ -6,10 +6,13 @@ exactly-zero tail), Damping (coefficient collapses toward zero), Lasting
 nor stabilizes, and a sweep with a non-finite e_cas or coeff in any row, are
 reported as Unclassified with the sweep attached.
 
-Remnant demands a sharp cliff: every head energy clearly nonzero, every
-tail energy at rounding level, nothing in between. A smoothly decaying
-energy (massive branch) crosses any single threshold gradually and would
-otherwise be mistaken for a remnant once it dips below eps_zero.
+Each row's own fields say whether it is zero or clearly nonzero. A row is
+zero when it is a structural zero (e_cas and quad_error both exactly 0.0),
+and clearly nonzero when it is converged with a nonzero e_cas; a row that
+is neither (its error passes a tenth of |e_cas|) is never a remnant head.
+Remnant demands a sharp cliff: every head row clearly nonzero and every
+tail row zero. A smoothly decaying energy (massive branch) never reaches a
+structural zero, so it is never mistaken for a remnant.
 
 The rows are the CasimirResult values of the sweep; a Classification keeps
 them unchanged in `rows`.
@@ -36,20 +39,14 @@ class BehaviorKind(Enum):
 
 @dataclass(frozen=True)
 class ClassifyThresholds:
-    """eps_zero: |e_cas| below this counts as exactly zero (absorbs rounding).
-    eps_nonzero: |e_cas| at or above this counts as clearly nonzero.
-    delta_tail: relative stability/collapse margin for the coefficient tail.
-    All three are finite and stored as floats.
+    """delta_tail: relative stability/collapse margin for the coefficient
+    tail, finite and stored as a float.
     """
 
-    eps_zero: float = 1e-9
-    eps_nonzero: float = 1e-3
     delta_tail: float = 1e-2
 
     def __post_init__(self) -> None:
-        _store(self, float, "eps_zero", "eps_nonzero", "delta_tail")
-        if not 0 < self.eps_zero < self.eps_nonzero < math.inf:
-            raise ValueError("thresholds must satisfy 0 < eps_zero < eps_nonzero < inf")
+        _store(self, float, "delta_tail")
         if not 0 < self.delta_tail < math.inf:
             raise ValueError("delta_tail must be finite and positive")
 
@@ -76,19 +73,12 @@ def classify_rows(rows: list[CasimirResult], thresholds: ClassifyThresholds = Cl
     frozen = tuple(rows)
     if not all(math.isfinite(r.e_cas) and math.isfinite(r.coeff) for r in rows):
         return Classification(BehaviorKind.UNCLASSIFIED, rows=frozen)
-    abs_e = [abs(r.e_cas) for r in rows]
-    is_zero = [a < thresholds.eps_zero for a in abs_e]
-    is_strong = [a >= thresholds.eps_nonzero for a in abs_e]
-
+    is_zero = [r.e_cas == 0.0 and r.quad_error == 0.0 for r in rows]
     if all(is_zero):
         return Classification(BehaviorKind.NO_EFFECT, rows=frozen)
 
     last_nonzero = max(i for i, z in enumerate(is_zero) if not z)
-    if (
-        last_nonzero < len(rows) - 1
-        and all(is_strong[: last_nonzero + 1])
-        and all(is_zero[last_nonzero + 1 :])
-    ):
+    if last_nonzero < len(rows) - 1 and all(r.converged and r.e_cas != 0.0 for r in rows[: last_nonzero + 1]):
         return Classification(BehaviorKind.REMNANT, n_max=rows[last_nonzero].nz, rows=frozen)
 
     coeffs = [r.coeff for r in rows]
@@ -110,7 +100,8 @@ def classify_behavior(
     cfg: QuadratureConfig = QuadratureConfig(),
     thresholds: ClassifyThresholds = ClassifyThresholds(),
 ) -> Classification:
-    """Sweep nz = 1..nz_max and classify the behavior."""
+    """Sweep nz = 1..nz_max and classify the behavior; nz_max is at most
+    2**20, the thicknesses a sweep takes."""
     if nz_max < 8:
         raise ValueError(f"nz_max must be at least 8 for a meaningful tail, got {nz_max!r}")
     rows = sweep(spec, d, bc, range(1, nz_max + 1), cfg)

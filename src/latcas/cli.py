@@ -25,9 +25,8 @@ import warnings
 from typing import Sequence
 
 from .continuum import ContinuumParams, continuum_casimir
-from .massexp import DEFAULT_ORDERS, DivergentExpansionWarning, convergence_check, remnant_partial_sums
-from .model import (CSV_COLUMNS, BoundaryCondition, CasimirResult, DispersionSpec, Geometry, QuadratureConfig,
-                    _row_values)
+from .model import (CSV_COLUMNS, DEFAULT_ORDERS, BoundaryCondition, CasimirResult, DispersionSpec, Geometry,
+                    QuadratureConfig, _row_values)
 
 __all__ = ["run", "main"]
 
@@ -148,7 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from .classify import ClassifyThresholds, classify_behavior
 
-    thresholds = ClassifyThresholds(args.eps_zero, args.eps_nonzero, args.delta_tail)
+    thresholds = ClassifyThresholds(args.delta_tail)
     c = classify_behavior(_spec(args), args.d, BoundaryCondition(args.bc), args.nz_max, _quad_config(args), thresholds)
     if c.n_max is not None:
         print(f"{c.kind.value} n_max={c.n_max}")
@@ -163,6 +162,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 @_numeric
 def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     from .casimir import casimir_energy
+    from .massexp import DivergentExpansionWarning, convergence_check, remnant_partial_sums
 
     report = convergence_check(args.am, args.d)  # rejects am <= 0 before any energy
     spec = DispersionSpec(1, am=args.am, g=args.g)
@@ -236,8 +236,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="behavior class over a sweep")
     common(p)
     p.add_argument("--nz-max", type=int, default=30)
-    p.add_argument("--eps-zero", type=float, default=1e-9)
-    p.add_argument("--eps-nonzero", type=float, default=1e-3)
     p.add_argument("--delta-tail", type=float, default=1e-2)
     _add_quadrature_flags(p)
     p.set_defaults(handler=_cmd_classify)

@@ -11,7 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .model import _MAX_POINTS, BoundaryCondition, DispersionSpec, Geometry, QuadratureConfig, _is_int, _real
+from .model import (_MAX_POINTS, DEFAULT_ORDERS, BoundaryCondition, DispersionSpec, Geometry, QuadratureConfig,
+                    _is_int, _real)
 
 __all__ = [
     "ExpansionTerm",
@@ -21,8 +22,6 @@ __all__ = [
     "ConvergenceReport",
     "remnant_partial_sums",
 ]
-
-DEFAULT_ORDERS = 6
 
 
 class DivergentExpansionWarning(UserWarning):
@@ -101,7 +100,10 @@ def remnant_partial_sums(
     """Cumulative reconstruction sum_{n<=K} c_n e_cas(s=2n) for K = 1..orders.
 
     Terms whose massless energy vanishes (order below the remnant support)
-    contribute exactly zero; no support rule is imposed by hand.
+    contribute exactly zero; no support rule is imposed by hand. Once a
+    partial sum is NaN (an order refused by the point budget, whose every
+    higher order is refused too) so is every later one, and no further
+    energy is computed.
     """
     from .casimir import casimir_energy  # numpy loads with the first energy, not with this module
 
@@ -120,5 +122,7 @@ def remnant_partial_sums(
         energy = casimir_energy(DispersionSpec(s=2 * term.n), geom, bc, cfg).e_cas
         total += term.c_n * energy
         sums.append(total)
+        if math.isnan(total):  # NaN plus anything is NaN
+            return sums + [total] * (len(terms) - len(sums))
     return sums
 

@@ -26,6 +26,7 @@ __all__ = [
 
 
 _MAX_POINTS = 1 << 20  # points one quadrature call may hand its integrand, all levels together
+DEFAULT_ORDERS = 6  # expansion terms of remnant_partial_sums and `latcas mass-expansion`
 
 
 def _is_int(x) -> bool:

@@ -6,6 +6,7 @@ CSV, JSON and the CLI table alike, converged included.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -62,8 +63,10 @@ def sweep(
 ) -> list[CasimirResult]:
     """One Casimir evaluation per thickness; rows keep ascending unique nz.
 
-    Thicknesses are integers (numpy integers too; not bool or float). Each
-    row is the casimir_energy result of its thickness, bit for bit. The
+    Thicknesses are integers (numpy integers too; not bool or float), at
+    most _MAX_POINTS (2**20) of them: a longer nz_range is refused after
+    its first 2**20 + 1 are read, so an endless one ends too. Each row is
+    the casimir_energy result of its thickness, bit for bit. The
     thicknesses share each transverse level's values of t, density of
     states and kz average, which do not depend on nz or g, so those are
     computed once per process for each (s, am, d), for both parities, and
@@ -77,12 +80,14 @@ def sweep(
     the sweep continues.
     """
     nzs = []
-    for nz in nz_range:
+    for nz in itertools.islice(nz_range, _MAX_POINTS + 1):
         if isinstance(nz, bool):  # an int subclass, but not a thickness
             raise TypeError(f"thicknesses must be integers, got {nz!r}")
         nzs.append(operator.index(nz))  # a float raises instead of truncating
     if not nzs:
         raise ValueError("nz_range must be nonempty")
+    if len(nzs) > _MAX_POINTS:  # a structural-zero row costs no point, so the budget alone bounds nothing
+        raise ValueError(f"a sweep takes at most {_MAX_POINTS} thicknesses")
     if sorted(set(nzs)) != nzs:
         raise ValueError("nz_range must be strictly ascending")
     _check(spec, Geometry(d, nzs[0]))  # the smallest nz; the others are larger

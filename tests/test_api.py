@@ -87,7 +87,7 @@ def _python(code: str, *argv: str) -> tuple[subprocess.CompletedProcess, set[str
 def test_cold_start_loads_no_numpy(code, argv, exit_code) -> None:
     proc, modules = _python(code, *argv)
     assert proc.returncode == exit_code, proc.stderr
-    assert "numpy" not in modules
+    assert "numpy" not in modules and "latcas.massexp" not in modules  # only mass-expansion loads it
     if "reference" in argv and exit_code == 0:
         assert float(proc.stdout) == pytest.approx(-math.pi**2 / 45.0, rel=1e-12)
 

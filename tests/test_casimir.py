@@ -41,7 +41,7 @@ PER = BoundaryCondition.periodic()
 ANTI = BoundaryCondition.antiperiodic()
 PHEN = BoundaryCondition.phenomenological()
 CFG = QuadratureConfig()
-FAST = QuadratureConfig(base_points=32, max_refinements=3)
+FAST = QuadratureConfig(max_refinements=3)
 
 _BC = {"periodic": PER, "antiperiodic": ANTI, "phenomenological": PHEN}
 
@@ -111,7 +111,7 @@ def test_even_orders_use_one_exact_grid(s: int, d: int) -> None:
         seen.append(t.size)
         return np.ones((rows.size, t.size, 1))
 
-    cfg = QuadratureConfig(base_points=4, max_refinements=0)
+    cfg = QuadratureConfig(max_refinements=0)
     values, errors, converged, points = _transverse_average(_rule(DispersionSpec(s), d), f, cfg, [1])
     assert points.tolist() == [s // 2 + 1]
     assert seen == [(s // 2 + 1) ** (d - 1)]
@@ -585,7 +585,7 @@ def test_heavier_mass_flattens_the_band() -> None:
 
 
 def test_small_mass_limit_is_continuous() -> None:
-    cfg = QuadratureConfig(base_points=64, max_refinements=3)
+    cfg = QuadratureConfig(max_refinements=3)
     massless = casimir_energy(DispersionSpec(1), Geometry(3, 8), PER, cfg)
     light = casimir_energy(DispersionSpec(1, am=1e-3), Geometry(3, 8), PER, cfg)
     assert light.e_cas == pytest.approx(massless.e_cas, abs=1e-7)
@@ -606,7 +606,7 @@ def test_massive_requires_positive_mass() -> None:
 
 
 def test_nonconvergence_is_soft_for_casimir_energy() -> None:
-    cfg = QuadratureConfig(base_points=8, max_refinements=1, rel_tol=1e-16, abs_tol=1e-300)
+    cfg = QuadratureConfig(max_refinements=1, rel_tol=1e-16, abs_tol=1e-300)
     r = casimir_energy(DispersionSpec(1), Geometry(3, 2), PER, cfg)
     assert not r.converged
     assert r.quad_error > 0.0
@@ -772,6 +772,18 @@ def test_stored_levels_stay_within_their_bound() -> None:
     casimir_energy(DispersionSpec(1, am=0.1), Geometry(3, 4), PER, CFG)
     assert big not in casimir._RULES.values()  # evicted as soon as another rule was asked for
     assert _held_bytes() <= casimir._HELD_BYTES and len(casimir._RULES) == 50
+
+
+def test_stored_rules_stay_within_their_count() -> None:
+    # rules whose levels hold few bytes, or none, were kept forever, and
+    # each call summed the bytes of all of them: 8,000 stayed after
+    # remnant_partial_sums at 8,000 orders, 7,900 of them without a level
+    casimir._RULES.clear()
+    masses = [float(am) for am in np.linspace(0.1, 5.0, 200)]
+    for am in masses:
+        casimir_energy(DispersionSpec(1, am=am), Geometry(1, 4), PER, CFG)
+        assert len(casimir._RULES) <= 64
+    assert list(casimir._RULES) == [(1, am, 1) for am in masses[-64:]]  # the most recently used
 
 
 _REALS = {"float32": np.float32, "fraction": lambda x: Fraction(str(x)), "float64": np.float64}

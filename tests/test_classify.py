@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
+import latcas.report
 from latcas import (
     BehaviorKind,
     BoundaryCondition,
@@ -27,15 +29,35 @@ def _rows(e_cas_values, alpha=3):
 
 
 def test_synthetic_remnant_cliff() -> None:
-    c = classify_rows(_rows([5.0, -2.0, 1e-14, -3e-15, 1e-16, 0.0, 0.0, 0.0]))
+    # the tail is structural zeros: e_cas and quad_error both exactly 0.0
+    c = classify_rows(_rows([5.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
     assert c.kind is BehaviorKind.REMNANT
     assert c.n_max == 2
     assert c.coeff_limit is None
 
 
 def test_synthetic_all_zero() -> None:
-    c = classify_rows(_rows([0.0, 1e-12, -1e-13, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    c = classify_rows(_rows([0.0] * 8))
     assert c.kind is BehaviorKind.NO_EFFECT
+
+
+def test_a_tiny_row_without_error_is_nonzero() -> None:
+    # zero means a structural zero, not a small magnitude: a converged 1e-14
+    # with quad_error 0.0 is a remnant head row, and its sweep is not NoEffect
+    c = classify_rows(_rows([5.0, -2.0, 1e-14, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    assert (c.kind, c.n_max) == (BehaviorKind.REMNANT, 3)
+    assert classify_rows(_rows([0.0, 1e-14, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])).kind is not BehaviorKind.NO_EFFECT
+
+
+@pytest.mark.parametrize("e_cas, quad_error", [(-2.0, 0.5), (0.0, 1e-13)], ids=["head", "zero-value"])
+def test_an_unresolved_row_is_never_a_remnant_head(e_cas, quad_error) -> None:
+    # an error past a tenth of |e_cas| makes a row neither zero nor clearly
+    # nonzero (its converged flag is False), so it can end no remnant head
+    rows = _rows([5.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    rows[1] = SweepRow(2, 0.0, 0.0, e_cas, 8 * e_cas, quad_error, converged=False)
+    c = classify_rows(rows)
+    assert c.kind is not BehaviorKind.REMNANT and c.n_max is None
+    assert classify_rows(rows[:1] + rows[2:]).kind is BehaviorKind.REMNANT
 
 
 def test_synthetic_smooth_decay_is_damping_not_remnant() -> None:
@@ -94,17 +116,6 @@ def test_determinism() -> None:
     assert classify_rows(rows) == classify_rows(rows)
 
 
-def test_threshold_monotonicity() -> None:
-    values = [1.0, 1e-2, 1e-5, 1e-8, 1e-11, 1e-13, 1e-15, 0.0]
-    rows = _rows(values)
-    counts = []
-    for eps_zero in (1e-12, 1e-9, 1e-6, 1e-3):
-        th = ClassifyThresholds(eps_zero=eps_zero, eps_nonzero=0.5, delta_tail=1e-2)
-        c = classify_rows(rows, th)
-        counts.append(sum(1 for r in c.rows if abs(r.e_cas) >= eps_zero))
-    assert counts == sorted(counts, reverse=True)
-
-
 def test_classification_invariants_enforced() -> None:
     with pytest.raises(ValueError):
         Classification(BehaviorKind.REMNANT)  # missing n_max
@@ -115,16 +126,18 @@ def test_classification_invariants_enforced() -> None:
 
 
 def test_thresholds_validation() -> None:
-    with pytest.raises(ValueError):
-        ClassifyThresholds(eps_zero=1e-3, eps_nonzero=1e-9)
-    with pytest.raises(ValueError):
-        ClassifyThresholds(delta_tail=0.0)
-    # an inf delta_tail called a Lasting branch Damping, and an inf
-    # eps_nonzero called a Remnant branch Damping
-    for kwargs in ({"delta_tail": math.inf}, {"eps_zero": 1e-300, "eps_nonzero": math.inf},
-                   {"eps_zero": math.inf, "eps_nonzero": math.inf}, {"delta_tail": math.nan}):
+    # an inf delta_tail called a Lasting branch Damping
+    for delta_tail in (0.0, -1e-2, math.inf, math.nan):
         with pytest.raises(ValueError):
-            ClassifyThresholds(**kwargs)
+            ClassifyThresholds(delta_tail=delta_tail)
+    assert [f.name for f in fields(ClassifyThresholds)] == ["delta_tail"]
+
+
+def test_nz_max_past_the_sweep_bound_is_refused(monkeypatch) -> None:
+    # `latcas classify --nz-max 1000000000000` used to build a row per thickness
+    monkeypatch.setattr(latcas.report, "_casimir_rows", lambda *a: pytest.fail("rows computed"))
+    with pytest.raises(ValueError, match="at most 1048576 thicknesses"):
+        classify_behavior(DispersionSpec(2), 3, PER, nz_max=2**20 + 1)
 
 
 def test_requires_a_meaningful_sweep() -> None:
@@ -165,7 +178,7 @@ def test_chain_flat_band_is_no_effect() -> None:
 
 
 def test_quartic_remnant_with_reduced_quadrature() -> None:
-    cfg = QuadratureConfig(base_points=32, max_refinements=2)
+    cfg = QuadratureConfig(max_refinements=2)
     c = classify_behavior(DispersionSpec(4), 3, PER, nz_max=10, cfg=cfg)
     assert c.kind is BehaviorKind.REMNANT
     assert c.n_max == 2
@@ -176,9 +189,9 @@ def test_quartic_remnant_with_reduced_quadrature() -> None:
     "bc", [PER, BoundaryCondition.antiperiodic(), BoundaryCondition.phenomenological()], ids=lambda bc: bc.value
 )
 def test_even_orders_in_three_dimensions_are_remnants(s: int, bc: BoundaryCondition) -> None:
-    # the tail past the support is exactly zero: rounding noise there reaches
-    # 5e-9 at s=14, above eps_zero, and would leave the sweep Unclassified;
-    # the phenomenological support is 2nz <= s/2, empty for s=2
+    # the tail past the support is structural zeros (e_cas = quad_error =
+    # 0.0), which the classifier reads as zero, not rounding noise (up to
+    # 5e-9 at s=14); the phenomenological support is 2nz <= s/2, empty for s=2
     n_max = s // 4 if bc == BoundaryCondition.phenomenological() else s // 2
     c = classify_behavior(DispersionSpec(s), 3, bc, 32)
     if n_max == 0:

@@ -210,11 +210,15 @@ def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
         ["reference", "--s", "1", "--L", "inf"],
         ["mass-expansion", "--am", "0.5", "--d", "1", "--nz", "1", "--orders", "600"],
         ["classify", "--s", "1", "--d", "2", "--nz-max", "8", "--delta-tail", "inf"],
+        # the magnitude thresholds are gone: their flags are unknown
         ["classify", "--s", "2", "--d", "2", "--nz-max", "8", "--eps-nonzero", "inf", "--eps-zero", "1e-300"],
+        ["sweep", "--s", "2", "--d", "3", "--nz-max", "1048577"],
+        ["classify", "--s", "2", "--d", "3", "--nz-max", "1048577"],
     ],
     ids=[
         "samples-huge", "nz-huge", "k-perp-nan", "rectangles-s-huge-odd", "rectangles-s-huge-even", "L-inf",
         "mass-expansion-light-mass-many-orders", "classify-delta-tail-inf", "classify-eps-nonzero-inf",
+        "sweep-nz-max-huge", "classify-nz-max-huge",
     ],
 )
 def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> None:

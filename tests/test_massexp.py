@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import latcas.casimir
 import latcas.massexp as massexp
 from latcas import (
     BoundaryCondition,
@@ -149,6 +150,23 @@ def test_partial_sums_are_cumulative() -> None:
     sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, 3, CFG)
     assert sums == pytest.approx([-0.1, -0.089, -0.09112], rel=1e-9)
     assert remnant_partial_sums(5.0, Geometry(3, 1), PER, 3, CFG)[-1] == sums[-1]
+
+
+def test_partial_sums_stop_at_the_first_nan(monkeypatch) -> None:
+    # in d = 3 at nz = 1 the point budget refuses the order of K = 101 and
+    # every higher one, so the partial sums are NaN from there on; no energy
+    # past that order is computed, and the sums keep every bit of the loop
+    # over all orders
+    energy, orders, calls = casimir_energy, 120, []
+    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda spec, *a: calls.append(spec.s) or energy(spec, *a))
+    sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, orders, CFG)
+    assert calls == [2 * n for n in range(1, 102)]
+    total, every_order = 0.0, []
+    for term in expansion_coefficients(5.0, orders):
+        total += term.c_n * energy(DispersionSpec(2 * term.n), Geometry(3, 1), PER, CFG).e_cas
+        every_order.append(total)
+    assert math.isnan(every_order[100]) and not math.isnan(every_order[99])
+    assert np.array(sums).tobytes() == np.array(every_order).tobytes()
 
 
 def test_reconstruction_error_shrinks_with_order() -> None:

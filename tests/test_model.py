@@ -101,12 +101,12 @@ def test_numpy_integers_are_stored_as_int(kind) -> None:
 
 
 def _real_fields(x) -> list:
-    """The real fields of every boundary type, built from x (eps_nonzero from 2 x)."""
+    """The real fields of every boundary type, built from x."""
     return [
         DispersionSpec(1, am=x).am,
         ContinuumParams(1, 3, L=x).L,
         *astuple(QuadratureConfig(rel_tol=x, abs_tol=x))[2:],
-        *astuple(ClassifyThresholds(x, 2 * x, x)),
+        *astuple(ClassifyThresholds(x)),
     ]
 
 
@@ -114,7 +114,7 @@ def _real_fields(x) -> list:
 def test_real_fields_are_stored_as_float(kind) -> None:
     # a float32 field computed in float32, and a Fraction failed inside numpy
     values = _real_fields(kind(1))
-    assert len(values) == 7 and all(type(v) is float and v in (1.0, 2.0) for v in values)
+    assert len(values) == 5 and all(type(v) is float and v == 1.0 for v in values)
 
 
 @pytest.mark.parametrize(
@@ -127,8 +127,6 @@ def test_real_fields_refuse_what_is_not_a_real_number(value) -> None:
         lambda: ContinuumParams(1, 3, L=value),
         lambda: QuadratureConfig(rel_tol=value),
         lambda: QuadratureConfig(abs_tol=value),
-        lambda: ClassifyThresholds(eps_zero=value),
-        lambda: ClassifyThresholds(eps_nonzero=value),
         lambda: ClassifyThresholds(delta_tail=value),
     ]
     for call in calls:

@@ -22,7 +22,7 @@ from latcas import (
 )
 
 EPS = float(np.finfo(float).eps)
-FAST = QuadratureConfig(base_points=16, max_refinements=2)
+FAST = QuadratureConfig(max_refinements=2)
 BCS = st.sampled_from(
     [BoundaryCondition.periodic(), BoundaryCondition.antiperiodic(), BoundaryCondition.phenomenological()]
 )

@@ -23,6 +23,7 @@ from latcas import (
     sweep,
 )
 from latcas.quadrature import _MAX_POINTS
+import latcas.report as report
 from latcas.report import CSV_COLUMNS, _row_values
 
 import moment_oracle as mo
@@ -187,6 +188,16 @@ def test_sweep_validation() -> None:
         sweep(DispersionSpec(2), 3, PER, [3, 2, 1], CFG)
     with pytest.raises(ValueError):
         sweep(DispersionSpec(2), 3, PER, [1, 1, 2], CFG)
+
+
+def test_sweep_takes_at_most_the_point_budget_of_thicknesses(monkeypatch) -> None:
+    # a structural-zero row costs no point of the budget, so the count of
+    # thicknesses has its own bound; an endless iterable used to never return
+    monkeypatch.setattr(report, "_casimir_rows", lambda *a: pytest.fail("rows computed"))
+    nzs = itertools.count(1)
+    with pytest.raises(ValueError, match="at most 1048576 thicknesses"):
+        sweep(DispersionSpec(2), 3, PER, nzs, CFG)
+    assert next(nzs) == _MAX_POINTS + 2  # no more than 2**20 + 1 were read
 
 
 @pytest.mark.parametrize("nzs", [[1.9, 2.5], [True, 2], [1, 2.0]], ids=["floats", "bool", "integral-float"])
