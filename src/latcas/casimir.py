@@ -29,9 +29,10 @@ as the error. The whole tanh-sinh rule is in this module: the
 double-exponential nodes and weights on (0, 1) (Takahasi & Mori, Publ.
 RIMS 9, 1974), nested so that each level, at half the step, adds only its
 new nodes, the values of t at them, and the level sums that
-quadrature._converge refines. The rule converges exponentially even with
-algebraic or logarithmic singularities at the interval ends, which is
-where the density of states puts all of them:
+quadrature._converge refines, one dot product with the weights a level
+stores per value of t, step and density of states in them. The rule
+converges exponentially even with algebraic or logarithmic singularities
+at the interval ends, where the density of states puts all of them:
 
 - d=1 has the single point t = 0, one exact level;
 - d=2 averages kx over [0, pi] with t = 4 sin^2(kx/2);
@@ -247,36 +248,38 @@ def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     complements xc = 1 - x and their weights w.
 
     Node u = k h maps to x = (1 + tanh(pi/2 sinh u)) / 2 with weight
-    dx/du = pi cosh(u) x (1 - x). Both distances to the endpoints, lo = 1 - x
-    and hi = x for u >= 0 (mirrored for -u), come from e = exp(-pi sinh u)
-    without cancellation, so no node rounds onto an endpoint. Level j has
-    step h = 2^-j and adds the odd multiples of it, out to |u| <= _TS_REACH.
+    h dx/du = h pi cosh(u) x (1 - x). Both distances to the endpoints,
+    lo = 1 - x and hi = x for u >= 0 (mirrored for -u), come from
+    e = exp(-pi sinh u) without cancellation, so no node rounds onto an
+    endpoint. Level j has step h = 2^-j and adds the odd multiples of it,
+    out to |u| <= _TS_REACH.
     """
     h = math.ldexp(1.0, -level)
     top = int(_TS_REACH / h)
     u = (np.arange(0, top + 1) if level == 0 else np.arange(1, top + 1, 2)) * h
     e = np.exp(-math.pi * np.sinh(u))
     lo, hi = e / (1.0 + e), 1.0 / (1.0 + e)
-    w = math.pi * np.cosh(u) * lo * hi
+    w = h * math.pi * np.cosh(u) * lo * hi  # a power of two times pi: the step scales exactly
     side = u > 0  # u = 0 is one node
     return np.concatenate([hi, lo[side]]), np.concatenate([lo, hi[side]]), np.concatenate([w, w[side]])
 
 
 def _dos_level(d: int, level: int) -> tuple:
     """Tanh-sinh level `level` of the density-of-states integral in d = 2, 3:
-    (w, t, scale), the weights of the nodes the level adds, the values of t
-    at them, and the scale that divides each value (None in d=2).
+    (w, t), one weight per value of t, the level's step 2^-level in it, and
+    the values of t at the nodes the level adds.
 
     d=2: t = 4 sin^2(pi x / 2), the kx average over [0, pi]. d=3: t = 4x on
     [0, 4] and t = 4 + 4x on [4, 8], two values per node, where |t-4|/4 =
     sqrt(1-m) is xc and x, taken from the complements and never from t, so
-    no node rounds onto t = 4; scale = pi M(1, sqrt(1-m)) = 1 / (4 rho).
+    no node rounds onto t = 4; each weight carries the density 4 rho =
+    1 / (pi M(1, sqrt(1-m))) of its value of t.
     """
     x, xc, w = _tanh_sinh_nodes(level)
     if d == 2:
-        return w, 4.0 * np.sin(0.5 * math.pi * x) ** 2, None
+        return w, 4.0 * np.sin(0.5 * math.pi * x) ** 2
     a, _ = _agm(np.concatenate([xc, x]), 0.0)
-    return w, np.concatenate([4.0 * x, 4.0 + 4.0 * x]), math.pi * a
+    return np.concatenate([w, w]) / (math.pi * a), np.concatenate([4.0 * x, 4.0 + 4.0 * x])
 
 
 class _Rule:
@@ -298,19 +301,19 @@ class _Rule:
         self.continuum: float | None = None  # even s: A, once a row past the support asks
 
     def level(self, j: int) -> tuple:
-        """Level j as (w, t, scale, kz), read-only arrays: the weights, the
-        values of t, the d=3 scale (None elsewhere) and _kz_average at each
-        t. The one exact level of even s, and of odd s in d=1 (t = 0), is
-        the uniform grid without weights, in _grid_average's row-major
-        order; odd s in d = 2, 3 take the _dos_level tanh-sinh levels."""
+        """Level j as (w, t, kz), read-only arrays: the weights, the values
+        of t and _kz_average at each t. The one exact level of even s, and
+        of odd s in d=1 (t = 0), is the uniform grid without weights
+        (w = None), in _grid_average's row-major order; odd s in d = 2, 3
+        take the _dos_level tanh-sinh levels."""
         if j == len(self.levels):  # callers ask for levels in order
             if self.n:
-                k, t, w, scale = _node_kernels(self.n), np.zeros(1), None, None
+                k, t, w = _node_kernels(self.n), np.zeros(1), None
                 for _ in range(self.d - 1):
                     t = (t[:, None] + k).ravel()
             else:
-                w, t, scale = _dos_level(self.d, j)
-            arrays = (w, t, scale, _kz_average(self.spec, t))
+                w, t = _dos_level(self.d, j)
+            arrays = (w, t, _kz_average(self.spec, t))
             for a in arrays:
                 if a is not None:
                     a.flags.writeable = False
@@ -364,30 +367,24 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     level is the mean of each row, summed in extended precision as
     _grid_average sums, with no refinement, zero errors and every row
     converged; cfg is not consulted, and _row judges its values. Tanh-sinh
-    levels refine the rows together under cfg, each value of t charged
-    costs[i] points against the budget of row i, and each row stops on its
-    own verdict with the change between its last two levels as the error.
+    levels refine the rows together under cfg, each half the last plus the
+    dot product of its weights with f, each value of t charged costs[i]
+    points against the budget of row i, and each row stops on its own
+    verdict with the change between its last two levels as the error.
     Either way the error is at least the rounding floor of the largest
     component, which for the Casimir integrand is at least |e0_int|, the
     size of the terms that cancel pointwise; it is applied to all rows at
     once.
     """
     if rule.n:
-        _, t, _, kz = rule.level(0)
+        _, t, kz = rule.level(0)
         values = f(t, kz, np.arange(len(costs))).sum(axis=1, dtype=np.longdouble).astype(float) / t.size
         errors, converged, points = np.zeros_like(values), np.ones(len(costs), dtype=bool), np.full(len(costs), rule.n)
     else:
-        nodes = 0
-
         def level(j: int, live: np.ndarray, prev) -> tuple:
-            nonlocal nodes
-            w, t, scale, kz = rule.level(j)
-            nodes += w.size
-            vals = f(t, kz, live)
-            if scale is not None:  # d=3: fold the two values of t of each node
-                vals = (vals / scale[:, None]).reshape(live.size, 2, w.size, -1).sum(axis=1)
-            part = math.ldexp(1.0, -j) * (w @ vals)  # stacked: each row gets the bits of its own w @ vals[i]
-            return (part if prev is None else 0.5 * prev + part), nodes
+            w, t, kz = rule.level(j)
+            part = w @ f(t, kz, live)  # stacked: each row gets the bits of its own w @ f(...)[i]
+            return (part if prev is None else 0.5 * prev + part), 2 * int(_TS_REACH * 2**j) + 1  # the rule's nodes
 
         # the budget counts values of t: one per node in d=2, two in d=3
         values, errors, converged, points = _converge(level, lambda j: (rule.d - 1) * _tanh_sinh_size(j), costs, cfg)
@@ -435,7 +432,7 @@ def _casimir_rows(
             if rule.continuum is None:
                 rule.continuum = math.nan  # unless the budget admits the level
                 if rule.first * rule.kz_nodes <= _MAX_POINTS:
-                    kz = rule.level(0)[3]
+                    kz = rule.level(0)[2]
                     rule.continuum = float(kz.sum(dtype=np.longdouble)) / kz.size
             e0 = (0.5 * nz) * rule.continuum
             rows[i] = _row(spec, d, nz, e0 - e0, e0, 0.0, True)  # mode sum = continuum term; NaN if e0 is not finite

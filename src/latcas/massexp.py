@@ -7,6 +7,7 @@ so the reconstruction is a weighted sum of massless even-order energies.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -58,27 +59,45 @@ def _check_orders(orders) -> None:
         raise ValueError(f"orders must be at most {_MAX_POINTS}, the point budget of one energy")
 
 
+def _check_expansion(am, orders) -> float:
+    """am as the float it stores, once am and orders are valid (see
+    expansion_coefficients); otherwise ValueError naming the limit."""
+    am = _check_mass(am)
+    _check_orders(orders)
+    if _power(am, orders) is None:  # |am**(1 - 2n)| is monotone in n, so the last power tells
+        n = next(n for n in range(1, orders + 1) if _power(am, n) is None)
+        raise ValueError(f"orders must be at most {n - 1} at am={am!r}, past which am**(1 - 2n) leaves the float range")
+    return am
+
+
+def _power(am: float, n: int) -> float | None:
+    """am**(1 - 2n), or None past the float range, where a float power raises."""
+    try:
+        return am ** (1 - 2 * n)
+    except OverflowError:
+        return None
+
+
+def _coefficients(am: float, orders: int):
+    """c_1, ..., c_orders one at a time, for a checked am and orders.
+
+    The binomial coefficients follow the recurrence
+    binom(1/2, n) = binom(1/2, n-1) * (3/2 - n) / n, avoiding factorials.
+    """
+    binom = 1.0
+    for n in range(1, orders + 1):
+        binom *= (1.5 - n) / n
+        yield binom * am ** (1 - 2 * n)
+
+
 def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
     """Terms n = 1..orders; c_n = binom(1/2, n) * am**(1 - 2n). orders is
     at most 2**20, the point budget, past which no energy is computed, and
     for am < 1 at most the last n whose am**(1 - 2n) is within the float
     range; past either the call raises ValueError naming the limit.
-
-    The binomial coefficients follow the recurrence
-    binom(1/2, n) = binom(1/2, n-1) * (3/2 - n) / n, avoiding factorials.
     """
-    am = _check_mass(am)
-    _check_orders(orders)
-    terms = []
-    binom = 1.0
-    for n in range(1, orders + 1):
-        binom *= (1.5 - n) / n
-        try:
-            power = am ** (1 - 2 * n)
-        except OverflowError:  # a float power past the float range raises
-            raise ValueError(f"orders must be at most {n - 1} at am={am!r}, past which am**(1 - 2n) leaves the float range")
-        terms.append(ExpansionTerm(n, binom * power))
-    return terms
+    am = _check_expansion(am, orders)
+    return [ExpansionTerm(n, c_n) for n, c_n in enumerate(_coefficients(am, orders), 1)]
 
 
 def convergence_check(am: float, d: int) -> ConvergenceReport:
@@ -107,7 +126,7 @@ def remnant_partial_sums(
     """
     from .casimir import casimir_energy  # numpy loads with the first energy, not with this module
 
-    terms = expansion_coefficients(am, orders)  # refuses bad input before any warning
+    am = _check_expansion(am, orders)  # refuses bad input before any warning
     report = convergence_check(am, geom.d)
     if not report.converges:
         warnings.warn(
@@ -118,11 +137,12 @@ def remnant_partial_sums(
         )
     sums = []
     total = 0.0
-    for term in terms:
-        energy = casimir_energy(DispersionSpec(s=2 * term.n), geom, bc, cfg).e_cas
-        total += term.c_n * energy
+    for n, c_n in enumerate(_coefficients(am, orders), 1):  # no term is built past the first NaN
+        energy = casimir_energy(DispersionSpec(s=2 * n), geom, bc, cfg).e_cas
+        total += c_n * energy
         sums.append(total)
         if math.isnan(total):  # NaN plus anything is NaN
-            return sums + [total] * (len(terms) - len(sums))
+            sums.extend(itertools.repeat(total, orders - len(sums)))
+            break
     return sums
 

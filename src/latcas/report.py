@@ -64,8 +64,9 @@ def sweep(
     """One Casimir evaluation per thickness; rows keep ascending unique nz.
 
     Thicknesses are integers (numpy integers too; not bool or float), at
-    most _MAX_POINTS (2**20) of them: a longer nz_range is refused after
-    its first 2**20 + 1 are read, so an endless one ends too. Each row is
+    most _MAX_POINTS (2**20) of them: a longer range is refused by its
+    length before any of it is read, and another iterable after its first
+    2**20 + 1 are read, so an endless one ends too. Each row is
     the casimir_energy result of its thickness, bit for bit. The
     thicknesses share each transverse level's values of t, density of
     states and kz average, which do not depend on nz or g, so those are
@@ -79,6 +80,8 @@ def sweep(
     like any other (its quad_error and converged flag tell the story) and
     the sweep continues.
     """
+    if isinstance(nz_range, range) and nz_range[_MAX_POINTS:]:  # a slice, as len() fails past sys.maxsize
+        raise ValueError(f"a sweep takes at most {_MAX_POINTS} thicknesses")
     nzs = []
     for nz in itertools.islice(nz_range, _MAX_POINTS + 1):
         if isinstance(nz, bool):  # an int subclass, but not a thickness

@@ -26,7 +26,6 @@ from latcas import (
     continuum_casimir,
     expansion_coefficients,
     generate_modes,
-    integrate_bz_multi,
     rectangle_decomposition,
     remnant_partial_sums,
     richardson_extrapolate,
@@ -36,6 +35,7 @@ from latcas.casimir import _join, _kernel, _kz_average, _mode_sum, _node_sum, _r
 from latcas.quadrature import _MAX_POINTS
 
 import moment_oracle as mo
+import oracles
 
 PER = BoundaryCondition.periodic()
 ANTI = BoundaryCondition.antiperiodic()
@@ -392,14 +392,25 @@ def test_dos_average_matches_the_direct_grid() -> None:
 
     values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG, [1])
     assert converged.tolist() == [True]
-    grids = [
-        integrate_bz_multi(lambda pts: f(_kernel(pts).sum(axis=1)), 3, QuadratureConfig(n, 0)).values[0]
-        for n in (128, 256, 512)
-    ]
+    grids = [oracles.uniform_grid_mean(f, 3, n) for n in (128, 256, 512)]
     limit, order = richardson_extrapolate(grids)
     assert order == pytest.approx(3.0, abs=0.05)
     assert abs(grids[-1] - values[0, 0]) > 1e-9  # the finest grid alone is far off
     assert abs(limit - values[0, 0]) <= 1e-10
+
+
+@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("d", [2, 3])
+def test_dos_levels_integrate_the_transverse_moments_exactly(d, m) -> None:
+    # the zone average of t^m is an integer (moment_oracle); the stored
+    # weights, step and density of states included, give it within 4 ulps,
+    # and the reported error covers the true one
+    exact = mo.transverse_moment(m, d)
+    f = lambda t, kz, rows: (t**m)[None, :, None]
+    values, errors, converged, _ = _transverse_average(_rule(DispersionSpec(1), d), f, QuadratureConfig(), [1])
+    assert converged.tolist() == [True]
+    assert abs(values[0, 0] - exact) <= 4 * math.ulp(exact)
+    assert errors[0, 0] >= abs(values[0, 0] - exact)
 
 
 def test_point_budget_ends_in_nonconvergence() -> None:

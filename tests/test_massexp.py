@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -167,6 +168,21 @@ def test_partial_sums_stop_at_the_first_nan(monkeypatch) -> None:
         every_order.append(total)
     assert math.isnan(every_order[100]) and not math.isnan(every_order[99])
     assert np.array(sums).tobytes() == np.array(every_order).tobytes()
+
+
+def test_partial_sums_build_no_term_past_the_first_nan() -> None:
+    # in d = 3 at nz = 1 every partial sum from K = 101 on is NaN; the
+    # 2**20 terms built up front used to peak at about 170 MiB, where the
+    # returned list itself takes 8 MiB
+    remnant_partial_sums(5.0, Geometry(3, 1), PER, 2, CFG)  # numpy's first use outside the trace
+    tracemalloc.start()
+    try:
+        sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, _MAX_POINTS, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sums) == _MAX_POINTS and math.isnan(sums[100]) and not math.isnan(sums[99])
+    assert peak < 32 << 20
 
 
 def test_reconstruction_error_shrinks_with_order() -> None:

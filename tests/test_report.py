@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,22 @@ def test_sweep_takes_at_most_the_point_budget_of_thicknesses(monkeypatch) -> Non
     with pytest.raises(ValueError, match="at most 1048576 thicknesses"):
         sweep(DispersionSpec(2), 3, PER, nzs, CFG)
     assert next(nzs) == _MAX_POINTS + 2  # no more than 2**20 + 1 were read
+
+
+@pytest.mark.parametrize("nzs", [range(1, _MAX_POINTS + 2), range(1, 10**19 + 1)], ids=["budget-plus-one", "past-maxsize"])
+def test_a_long_range_is_refused_by_its_length(monkeypatch, nzs) -> None:
+    # a range is refused before any thickness is read: reading 2**20 + 1 of
+    # them into a list took about 40 MiB; len() of the second raises
+    # OverflowError
+    monkeypatch.setattr(report, "_casimir_rows", lambda *a: pytest.fail("rows computed"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most 1048576 thicknesses"):
+            sweep(DispersionSpec(2), 3, PER, nzs, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("nzs", [[1.9, 2.5], [True, 2], [1, 2.0]], ids=["floats", "bool", "integral-float"])
