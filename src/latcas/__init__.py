@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # module -> the public names it holds
 _EXPORTS = {
     "casimir": ("casimir_energy", "eval_from_kernel_sum"),
-    "classify": ("BehaviorKind", "Classification", "ClassifyThresholds", "classify_behavior", "classify_rows"),
+    "classify": ("BehaviorKind", "Classification", "classify_behavior", "classify_rows"),
     "continuum": ("ContinuumParams", "continuum_casimir", "zeta_fn"),
     "massexp": (
         "ConvergenceReport",

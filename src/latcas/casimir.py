@@ -125,13 +125,9 @@ def _omega_inplace(spec: DispersionSpec, v: np.ndarray) -> np.ndarray:
     if spec.am:
         v += spec.am * spec.am
     s = spec.s
-    if s == 0:
-        v[...] = 1.0
-    elif s == 1:
+    if s == 1:
         np.sqrt(v, out=v)
-    elif s == 2:
-        pass
-    elif s % 2 == 0:
+    elif s % 2 == 0:  # x**0 is 1.0 even at nan and inf, and x**1 is x
         np.power(v, s // 2, out=v)
     else:
         root = np.sqrt(v)

@@ -1,10 +1,10 @@
 """Classification of Casimir behavior over a thickness sweep.
 
 Four regular outcomes: NoEffect (zero everywhere), Remnant (nonzero head,
-exactly-zero tail), Damping (coefficient collapses toward zero), Lasting
-(coefficient stabilizes at a nonzero value). A tail that neither collapses
-nor stabilizes, and a sweep with a non-finite e_cas or coeff in any row, are
-reported as Unclassified with the sweep attached.
+exactly-zero tail), Damping (the last coefficient at most _DELTA_TAIL of the
+largest), Lasting (the tail coefficients within _DELTA_TAIL, relative, of
+the last). A tail that neither collapses nor stabilizes, and a sweep with a
+non-finite e_cas or coeff in any row, are Unclassified with the sweep attached.
 
 Each row's own fields say whether it is zero or clearly nonzero. A row is
 zero when it is a structural zero (e_cas and quad_error both exactly 0.0),
@@ -23,10 +23,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import BoundaryCondition, CasimirResult, DispersionSpec, QuadratureConfig, _store
+from .model import BoundaryCondition, CasimirResult, DispersionSpec, QuadratureConfig
 from .report import sweep
 
-__all__ = ["BehaviorKind", "ClassifyThresholds", "Classification", "classify_rows", "classify_behavior"]
+__all__ = ["BehaviorKind", "Classification", "classify_rows", "classify_behavior"]
+
+_DELTA_TAIL = 1e-2  # relative collapse/stability margin of the coefficient tail
 
 
 class BehaviorKind(Enum):
@@ -35,20 +37,6 @@ class BehaviorKind(Enum):
     DAMPING = "Damping"
     REMNANT = "Remnant"
     UNCLASSIFIED = "Unclassified"
-
-
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    """delta_tail: relative stability/collapse margin for the coefficient
-    tail, finite and stored as a float.
-    """
-
-    delta_tail: float = 1e-2
-
-    def __post_init__(self) -> None:
-        _store(self, float, "delta_tail")
-        if not 0 < self.delta_tail < math.inf:
-            raise ValueError("delta_tail must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,7 @@ class Classification:
             raise ValueError("a nonzero coeff_limit is present exactly for Lasting outcomes")
 
 
-def classify_rows(rows: list[CasimirResult], thresholds: ClassifyThresholds = ClassifyThresholds()) -> Classification:
+def classify_rows(rows: list[CasimirResult]) -> Classification:
     """Classify precomputed sweep rows (ascending nz); the rows are kept as given."""
     if len(rows) < 2:
         raise ValueError("need at least two sweep rows to classify")
@@ -85,9 +73,9 @@ def classify_rows(rows: list[CasimirResult], thresholds: ClassifyThresholds = Cl
     peak = max(abs(c) for c in coeffs)
     tail = coeffs[-max(2, len(rows) // 4) :]
     c_end = tail[-1]
-    if abs(c_end) <= thresholds.delta_tail * peak:
+    if abs(c_end) <= _DELTA_TAIL * peak:
         return Classification(BehaviorKind.DAMPING, rows=frozen)
-    if max(abs(c - c_end) for c in tail) <= thresholds.delta_tail * abs(c_end):
+    if max(abs(c - c_end) for c in tail) <= _DELTA_TAIL * abs(c_end):
         return Classification(BehaviorKind.LASTING, coeff_limit=c_end, rows=frozen)
     return Classification(BehaviorKind.UNCLASSIFIED, rows=frozen)
 
@@ -98,11 +86,10 @@ def classify_behavior(
     bc: BoundaryCondition,
     nz_max: int,
     cfg: QuadratureConfig = QuadratureConfig(),
-    thresholds: ClassifyThresholds = ClassifyThresholds(),
 ) -> Classification:
     """Sweep nz = 1..nz_max and classify the behavior; nz_max is at most
     2**20, the thicknesses a sweep takes."""
     if nz_max < 8:
         raise ValueError(f"nz_max must be at least 8 for a meaningful tail, got {nz_max!r}")
     rows = sweep(spec, d, bc, range(1, nz_max + 1), cfg)
-    return classify_rows(rows, thresholds)
+    return classify_rows(rows)

@@ -145,10 +145,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 @_numeric
 def _cmd_classify(args: argparse.Namespace) -> int:
-    from .classify import ClassifyThresholds, classify_behavior
+    from .classify import classify_behavior
 
-    thresholds = ClassifyThresholds(args.delta_tail)
-    c = classify_behavior(_spec(args), args.d, BoundaryCondition(args.bc), args.nz_max, _quad_config(args), thresholds)
+    c = classify_behavior(_spec(args), args.d, BoundaryCondition(args.bc), args.nz_max, _quad_config(args))
     if c.n_max is not None:
         print(f"{c.kind.value} n_max={c.n_max}")
     elif c.coeff_limit is not None:
@@ -165,7 +164,7 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     from .massexp import DivergentExpansionWarning, convergence_check, remnant_partial_sums
 
     report = convergence_check(args.am, args.d)  # rejects am <= 0 before any energy
-    spec = DispersionSpec(1, am=args.am, g=args.g)
+    spec = DispersionSpec(1, am=args.am)  # g = 1, as in the partial sums
     geom = Geometry(args.d, args.nz)
     bc = BoundaryCondition(args.bc)
     cfg = _quad_config(args)
@@ -179,6 +178,9 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     print(f"{'K':>3} {'partial_sum':>22} {'difference':>22}")
     for k, p in enumerate(partials, start=1):
         print(f"{k:>3} {p:>22.15g} {p - massive.e_cas:>22.3e}")
+        if math.isnan(p) and k < len(partials):  # every later partial sum is NaN too
+            print(f"K = {k + 1}..{len(partials)}: nan")
+            break
     return _exit_code([massive], partial_sum=partials)
 
 
@@ -236,13 +238,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="behavior class over a sweep")
     common(p)
     p.add_argument("--nz-max", type=int, default=30)
-    p.add_argument("--delta-tail", type=float, default=1e-2)
     _add_quadrature_flags(p)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("mass-expansion", help="massive energy vs even-order reconstruction")
     p.add_argument("--am", type=float, required=True)
-    p.add_argument("--g", type=int, default=1)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--bc", choices=bc_choices, default="periodic")
     p.add_argument("--nz", type=int, required=True)

@@ -192,10 +192,10 @@ def integrate_bz_multi(
     return _refine(f, d - 1, cfg)
 
 
-def richardson_extrapolate(values: Sequence[float], ratio: float = 2.0) -> tuple[float, float]:
+def richardson_extrapolate(values: Sequence[float]) -> tuple[float, float]:
     """Extrapolate a geometrically refined sequence to its limit.
 
-    values[k] is taken at step h/ratio**k (coarsest first). The convergence
+    values[k] is taken at step h/2**k (coarsest first). The convergence
     order is estimated from the last three entries. Returns (limit, order);
     when the differences do not shrink geometrically the last value is
     returned with order nan.
@@ -203,8 +203,6 @@ def richardson_extrapolate(values: Sequence[float], ratio: float = 2.0) -> tuple
     v = [float(x) for x in values]
     if len(v) < 3:
         raise ValueError("need at least three values to extrapolate")
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
     d1 = v[-2] - v[-3]
     d2 = v[-1] - v[-2]
     if d2 == 0.0:
@@ -212,5 +210,5 @@ def richardson_extrapolate(values: Sequence[float], ratio: float = 2.0) -> tuple
     q = d1 / d2
     if q <= 1.0:
         return v[-1], math.nan
-    order = math.log(q) / math.log(ratio)
+    order = math.log(q) / math.log(2.0)
     return v[-1] + d2 / (q - 1.0), order

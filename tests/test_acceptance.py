@@ -14,7 +14,6 @@ import pytest
 from latcas import (
     BehaviorKind,
     BoundaryCondition,
-    ClassifyThresholds,
     ContinuumParams,
     DispersionSpec,
     Geometry,
@@ -166,26 +165,25 @@ def test_criterion_06_boundary_variants() -> None:
 def test_criterion_07_classification_table() -> None:
     t0 = time.perf_counter()
     cfg = QuadratureConfig(max_refinements=4)
-    thresholds = ClassifyThresholds()
     outcomes = {}
 
-    c = classify_behavior(DispersionSpec(1), 3, PER, 30, cfg, thresholds)
+    c = classify_behavior(DispersionSpec(1), 3, PER, 30, cfg)
     outcomes["s=1 massless"] = (
         c.kind is BehaviorKind.LASTING
         and abs(c.coeff_limit - TARGET_COEFF) / abs(TARGET_COEFF) < 0.05,
         f"{c.kind.value} limit={c.coeff_limit}",
     )
-    c = classify_behavior(DispersionSpec(1, am=5.0), 3, PER, 30, cfg, thresholds)
+    c = classify_behavior(DispersionSpec(1, am=5.0), 3, PER, 30, cfg)
     outcomes["s=1 am=5"] = (c.kind is BehaviorKind.DAMPING, c.kind.value)
     for s in (2, 4, 6):
-        c = classify_behavior(DispersionSpec(s), 3, PER, 16, cfg, thresholds)
+        c = classify_behavior(DispersionSpec(s), 3, PER, 16, cfg)
         outcomes[f"s={s}"] = (
             c.kind is BehaviorKind.REMNANT and c.n_max == s // 2,
             f"{c.kind.value} n_max={c.n_max}",
         )
-    c = classify_behavior(DispersionSpec(3), 3, PER, 36, cfg, thresholds)
+    c = classify_behavior(DispersionSpec(3), 3, PER, 36, cfg)
     outcomes["s=3 massless"] = (c.kind is BehaviorKind.LASTING, f"{c.kind.value} limit={c.coeff_limit}")
-    c = classify_behavior(DispersionSpec(0), 3, PER, 16, cfg, thresholds)
+    c = classify_behavior(DispersionSpec(0), 3, PER, 16, cfg)
     outcomes["s=0 flat"] = (c.kind is BehaviorKind.NO_EFFECT, c.kind.value)
 
     elapsed = time.perf_counter() - t0

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
 
 import pytest
 
@@ -9,11 +8,10 @@ import latcas.report
 from latcas import (
     BehaviorKind,
     BoundaryCondition,
+    CasimirResult,
     Classification,
-    ClassifyThresholds,
     DispersionSpec,
     QuadratureConfig,
-    SweepRow,
     classify_behavior,
     classify_rows,
 )
@@ -24,7 +22,7 @@ PER = BoundaryCondition.periodic()
 def _rows(e_cas_values, alpha=3):
     rows = []
     for nz, e in enumerate(e_cas_values, start=1):
-        rows.append(SweepRow(nz, 0.0, 0.0, e, nz**alpha * e, 0.0))
+        rows.append(CasimirResult(nz, 0.0, 0.0, e, nz**alpha * e, 0.0))
     return rows
 
 
@@ -54,7 +52,7 @@ def test_an_unresolved_row_is_never_a_remnant_head(e_cas, quad_error) -> None:
     # an error past a tenth of |e_cas| makes a row neither zero nor clearly
     # nonzero (its converged flag is False), so it can end no remnant head
     rows = _rows([5.0, -2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    rows[1] = SweepRow(2, 0.0, 0.0, e_cas, 8 * e_cas, quad_error, converged=False)
+    rows[1] = CasimirResult(2, 0.0, 0.0, e_cas, 8 * e_cas, quad_error, converged=False)
     c = classify_rows(rows)
     assert c.kind is not BehaviorKind.REMNANT and c.n_max is None
     assert classify_rows(rows[:1] + rows[2:]).kind is BehaviorKind.REMNANT
@@ -100,7 +98,7 @@ def test_non_finite_rows_are_unclassified(values) -> None:
 def test_a_non_finite_coefficient_alone_is_unclassified() -> None:
     # a finite e_cas whose nz**alpha * e_cas passes the float range
     rows = _rows([1.0 / nz**3 for nz in range(1, 9)])
-    rows[-1] = SweepRow(8, 0.0, 0.0, rows[-1].e_cas, math.inf, 0.0)
+    rows[-1] = CasimirResult(8, 0.0, 0.0, rows[-1].e_cas, math.inf, 0.0)
     assert classify_rows(rows).kind is BehaviorKind.UNCLASSIFIED
     assert classify_rows(rows[:-1]).kind is BehaviorKind.LASTING
 
@@ -123,14 +121,6 @@ def test_classification_invariants_enforced() -> None:
         Classification(BehaviorKind.DAMPING, n_max=2)
     with pytest.raises(ValueError):
         Classification(BehaviorKind.LASTING)  # missing coeff_limit
-
-
-def test_thresholds_validation() -> None:
-    # an inf delta_tail called a Lasting branch Damping
-    for delta_tail in (0.0, -1e-2, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            ClassifyThresholds(delta_tail=delta_tail)
-    assert [f.name for f in fields(ClassifyThresholds)] == ["delta_tail"]
 
 
 def test_nz_max_past_the_sweep_bound_is_refused(monkeypatch) -> None:

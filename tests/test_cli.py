@@ -209,15 +209,17 @@ def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
         ["rectangles", "--s", "2000000000000", "--nz", "4", "--d", "1", "--samples", "64"],
         ["reference", "--s", "1", "--L", "inf"],
         ["mass-expansion", "--am", "0.5", "--d", "1", "--nz", "1", "--orders", "600"],
+        # the classify thresholds and the mass-expansion degeneracy are gone: their flags are unknown
         ["classify", "--s", "1", "--d", "2", "--nz-max", "8", "--delta-tail", "inf"],
-        # the magnitude thresholds are gone: their flags are unknown
         ["classify", "--s", "2", "--d", "2", "--nz-max", "8", "--eps-nonzero", "inf", "--eps-zero", "1e-300"],
+        ["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--g", "2"],
         ["sweep", "--s", "2", "--d", "3", "--nz-max", "1048577"],
         ["classify", "--s", "2", "--d", "3", "--nz-max", "1048577"],
     ],
     ids=[
         "samples-huge", "nz-huge", "k-perp-nan", "rectangles-s-huge-odd", "rectangles-s-huge-even", "L-inf",
         "mass-expansion-light-mass-many-orders", "classify-delta-tail-inf", "classify-eps-nonzero-inf",
+        "mass-expansion-g",
         "sweep-nz-max-huge", "classify-nz-max-huge",
     ],
 )
@@ -225,7 +227,8 @@ def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> No
     # a MemoryError traceback, NaN areas and a printed -0 before; the huge
     # orders ran past a 20 s timeout or would build 7.28 TiB of kz nodes;
     # 0.5**(1 - 2n) past n = 512 ended in an OverflowError traceback; an inf
-    # threshold classified a Lasting and a Remnant branch as Damping
+    # threshold classified a Lasting and a Remnant branch as Damping; --g 2
+    # doubled the massive energy but not the partial sums it was compared with
     monkeypatch.setattr(latcas.modes, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     assert run(argv) == 1
     out, err = _grab(capsys)
@@ -336,6 +339,16 @@ def test_nonfinite_partial_sums_and_areas_exit_two(capsys, argv, names) -> None:
     # partial sum is NaN, and am**2 overflows every height: both exited 0
     assert run(argv) == 2
     assert _grab(capsys)[1] == f"warning: non-finite {names}\n"
+
+
+def test_partial_sums_past_the_first_nan_print_as_one_line(capsys) -> None:
+    # every partial sum from K = 101 on is NaN (the s = 202 term passes the
+    # point budget); the table printed each of the 2**20 rows
+    with np.errstate(all="ignore"):
+        assert run(["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--orders", "1048576"]) == 2
+    lines = _grab(capsys)[0].splitlines()
+    assert len(lines) < 200
+    assert lines[-2].split()[:2] == ["101", "nan"] and lines[-1] == "K = 102..1048576: nan"
 
 
 def test_partial_sums_within_the_point_budget_exit_zero(capsys) -> None:

@@ -10,7 +10,6 @@ import pytest
 
 from latcas import (
     CasimirResult,
-    ClassifyThresholds,
     ContinuumParams,
     DispersionSpec,
     Geometry,
@@ -106,7 +105,6 @@ def _real_fields(x) -> list:
         DispersionSpec(1, am=x).am,
         ContinuumParams(1, 3, L=x).L,
         *astuple(QuadratureConfig(rel_tol=x, abs_tol=x))[2:],
-        *astuple(ClassifyThresholds(x)),
     ]
 
 
@@ -114,7 +112,7 @@ def _real_fields(x) -> list:
 def test_real_fields_are_stored_as_float(kind) -> None:
     # a float32 field computed in float32, and a Fraction failed inside numpy
     values = _real_fields(kind(1))
-    assert len(values) == 5 and all(type(v) is float and v == 1.0 for v in values)
+    assert len(values) == 4 and all(type(v) is float and v == 1.0 for v in values)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +125,6 @@ def test_real_fields_refuse_what_is_not_a_real_number(value) -> None:
         lambda: ContinuumParams(1, 3, L=value),
         lambda: QuadratureConfig(rel_tol=value),
         lambda: QuadratureConfig(abs_tol=value),
-        lambda: ClassifyThresholds(delta_tail=value),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="real number"):
@@ -188,6 +185,10 @@ def test_kernel_sum_evaluation_leaves_its_input_alone() -> None:
         eval_from_kernel_sum(spec, t)
         assert t.tolist() == [0.0, 1.5, 7.25]
     assert isinstance(eval_from_kernel_sum(DispersionSpec(2), 1.5), float)
+    # even orders take one power: x**0 is 1.0 and x**1 is x, at inf and nan too
+    t = np.array([0.0, 4.0, 12.0, math.inf, math.nan])
+    assert eval_from_kernel_sum(DispersionSpec(0), t).tolist() == [1.0] * 5
+    np.testing.assert_array_equal(eval_from_kernel_sum(DispersionSpec(2), t), t)
 
 
 def test_result_carries_fields() -> None:

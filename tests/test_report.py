@@ -373,7 +373,7 @@ def test_csv_header_and_roundtrip(tmp_path) -> None:
 
 
 def test_csv_17_digit_roundtrip_awkward_values(tmp_path) -> None:
-    rows = [SweepRow(7, 1.0 / 3.0, math.pi, -3.357443657127e-06, 0.1 + 0.2, 5e-324)]
+    rows = [CasimirResult(7, 1.0 / 3.0, math.pi, -3.357443657127e-06, 0.1 + 0.2, 5e-324)]
     path = tmp_path / "awkward.csv"
     emit(rows, "csv", path)
     fields = path.read_text().strip().split("\n")[1].split(",")
@@ -426,7 +426,7 @@ def test_json_rows_are_the_text_of_json_dumps(tmp_path) -> None:
 
 
 def test_json_rows_carry_converged(tmp_path) -> None:
-    rows = [SweepRow(1, 2.0, 3.0, -1.0, -1.0, 0.0, True), SweepRow(2, 1.0, 1.0, 0.0, 0.0, 0.5, False)]
+    rows = [CasimirResult(1, 2.0, 3.0, -1.0, -1.0, 0.0, True), CasimirResult(2, 1.0, 1.0, 0.0, 0.0, 0.5, False)]
     path = tmp_path / "rows.json"
     emit(rows, "json", path)
     assert [rec["converged"] for rec in json.loads(path.read_text())] == [True, False]
@@ -454,7 +454,7 @@ def test_decomposition_emission(tmp_path) -> None:
 
 
 def test_emit_to_stdout(capsys) -> None:
-    emit([SweepRow(1, 2.0, 3.0, -1.0, -1.0, 0.0)], "csv", "-")
+    emit([CasimirResult(1, 2.0, 3.0, -1.0, -1.0, 0.0)], "csv", "-")
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "Nz,e0_sum,e0_int,e_cas,coeff,quad_error,converged"
     assert out.splitlines()[1] == "1,2,3,-1,-1,0,true"
