@@ -2,27 +2,49 @@
 nearest-neighbor kernel and dispersion evaluator every energy is built on.
 
 The Casimir energy is the mode-sum zero-point energy minus the continuum
-one at equal thickness. The two are combined pointwise in the transverse
-integrand, mode sum minus kz average at each transverse momentum, and the
-difference is integrated once. Subtracting two separately integrated O(nz)
-quantities instead would lose most significant digits: for a linear branch
-at nz=20 the difference is ~1e-5 while either term is ~20.
+one at equal thickness. For even orders both are integers over 2, read
+from one table; for odd orders the two are combined pointwise in the
+transverse integrand, mode sum minus kz average at each transverse
+momentum, and the difference is integrated once. Subtracting two
+separately integrated O(nz) quantities instead would lose most significant
+digits: for a linear branch at nz=20 the difference is ~1e-5 while either
+term is ~20.
 
-The inner kz average is exact up to rounding, so its error never
-masquerades as a Casimir signal. For even s the integrand is a
-trigonometric polynomial of degree s/2 in kz and the uniform (s/2+1)-node
-rule integrates it exactly. For odd s it is a closed form in the complete
-elliptic integrals K and E, evaluated by the arithmetic-geometric mean.
+Even orders are exact integers (the aliasing identity). For s = 2n the
+dispersion (t + 2 - 2 cos kz)^n, averaged over the transverse zone, is a
+trigonometric polynomial of degree n in kz with the integer Fourier
+coefficients
+
+    F_k = (-1)^k sum_(j<=n) C(n, j) T_d(n-j) C(2j, j-k),  k = 0..n,
+
+where T_d(m) is the zone average of t^m over the d-1 transverse axes:
+T_1(m) = [m = 0], T_2(m) = C(2m, m) and
+T_3(m) = sum_i C(m, i) C(2i, i) C(2m-2i, m-i). Every mode family is a
+uniform rule in kz of total weight nz, the antiperiodic one shifted by
+half a step, and a uniform rule of m nodes keeps the coefficients at the
+multiples of m. So with m modes (nz periodic and antiperiodic, 2nz
+phenomenological) e0_int = g nz F_0 / 2 and
+e_cas = g nz sum_(r>=1, r m<=n) F_(r m), with a factor (-1)^r for the
+antiperiodic family. At g = 1 each is one correctly rounded conversion
+of an integer, and quad_error is one ulp of e_cas, twice the bound of
+that rounding; g multiplies all three, as it does every row. Past the
+support (m > n) the sum is empty and the row is exactly 0.0 with error
+0.0, the structural zero, with no branch of its own. The table of
+(s, d), n+1 integers, is built in about n^2 integer steps when the first
+row asks and kept with the rule; a row takes no modes, no grid and no kz
+average.
+
+For odd s the inner kz average is a closed form in the complete elliptic
+integrals K and E, evaluated by the arithmetic-geometric mean, exact up to
+rounding, so its error never masquerades as a Casimir signal.
 
 Every transverse integrand depends on the transverse momentum only through
 the kernel sum t = sum_i (2 - 2 cos k_i), so the integrands take t and its
 kz average. Every call reads one transverse rule, a table of levels that
 hold the values of t and the kz average at each, filled as the first
-thickness asks; both parities, every thickness and the continuum term of
-even orders read it. Its levels split by parity. For even s the integrand
-is of degree s/2 on every transverse axis too, so one exact level, the
-uniform grid of s/2+1 points per axis, suffices: no refinement and no
-QuadratureConfig. For odd s the zone average is the one-dimensional
+thickness asks, with the integer table of even orders beside them. d=1
+has the single point t = 0, one exact level with no refinement and no
+QuadratureConfig. In d = 2, 3 the zone average is the one-dimensional
 integral of F(t) against the lattice density of states, by tanh-sinh
 levels under QuadratureConfig with the change between the last two levels
 as the error. The whole tanh-sinh rule is in this module: the
@@ -34,44 +56,37 @@ stores per value of t, step and density of states in them. The rule
 converges exponentially even with algebraic or logarithmic singularities
 at the interval ends, where the density of states puts all of them:
 
-- d=1 has the single point t = 0, one exact level;
 - d=2 averages kx over [0, pi] with t = 4 sin^2(kx/2);
 - d=3 uses the square-lattice density rho(t) = K(m) / (2 pi^2) on [0, 8],
   sqrt(1-m) = |t-4|/4 (Economou, Green's Functions in Quantum Physics),
   split at the van Hove point t = 4 so that its logarithm sits at the
   interval ends, like the sqrt(t) cusp of the kz=0 mode at t = 0.
 
-Both parities report at least a rounding floor of 16 ulps of the largest
+Odd rows report at least a rounding floor of 16 ulps of the largest
 integrated term, because the pointwise difference rounds at that size, and
 level changes within that floor count as converged. _row alone turns a
-row's averages into its flag and error: a row whose error passes a tenth
+row's values into its flag and error: a row whose error passes a tenth
 of |e_cas| is not converged, so a tail lost in that floor says so.
 
-Even orders vanish by structure past the support (the aliasing identity):
-every mode family is a uniform rule in kz, the antiperiodic one shifted,
-and a uniform rule of more than s/2 nodes integrates the degree-s/2
-trigonometric polynomial exactly. So once a thickness has more than s/2
-modes (nz > s/2 periodic or antiperiodic, 2nz > s/2 phenomenological) its
-mode sum is the continuum term at every transverse point. Such a row is
-answered without modes: e_cas, coeff and quad_error are exactly 0.0, as
-there is no cancellation, and e0_sum = e0_int = g (nz/2) A, where A is the
-rule's average of the kz average, taken once and kept with the rule. The
-row is written straight from those numbers, with no quadrature result.
-
-Each value of t costs the kz average, s/2+1 kz nodes for even s and the
-closed form with its s//2 recurrence steps, s//2+1, for odd s, in
-dispersion evaluations, plus the modes of the thickness where the mode
-sum is taken. The point budget of quadrature charges that cost for a
-level an earlier call built as for a new one, and work whose first level
-would pass it is refused before any mode is generated or any level built.
+For odd s each value of t costs the kz average, the closed form with its
+s//2 recurrence steps, s//2+1 dispersion evaluations, plus the modes of
+the thickness where the mode sum is taken. The point budget of quadrature
+charges that cost for a level an earlier call built as for a new one, and
+work whose first level would pass it is refused before any mode is
+generated or any level built. An even row is charged as the uniform grid
+that answered it before the table, (s/2+1)^(d-1) values of t each of s/2+1
+kz nodes and, inside the support, its modes, so the budget refuses the
+same rows (in d=3 every s >= 202); an even s past _EVEN_S_MAX (1030),
+where e0_int >= (nz/2) C(s, s/2) passes the float range, is refused before
+any integer work.
 
 The rule depends on s, am and d only, not on nz, g or the call, so it
 lives across calls: the calls of a process with the same (s, am, d) read
 and extend one table, and each result has the bits it would have from a
 table of its own. The tables stay in a least-recently-used store of at
 most _MAX_RULES (64) rules that holds at most _HELD_BYTES (8 MiB) of level
-arrays besides the table used last, so its memory beyond 8 MiB is one
-call's table, which the point budget bounds.
+arrays and integer tables besides the rule used last, so its memory beyond
+8 MiB is one call's table, which the point budget bounds.
 
 One kernel, _casimir_rows, computes a list of thicknesses, and
 casimir_energy is its one-thickness case. The thicknesses of the pointwise
@@ -109,6 +124,7 @@ __all__ = ["casimir_energy", "eval_from_kernel_sum"]
 _MAT_BUDGET = _MAX_POINTS
 _AGM_MAX_ITER = 64  # convergence is quadratic; the cap bounds NaN or inf input
 _TS_REACH = 3.5  # tanh-sinh nodes at |u| <= _TS_REACH; the weights beyond are below 1e-20
+_EVEN_S_MAX = 1030  # past it e0_int >= (nz/2) C(s, s/2) passes the float range: C(1032, 516)/2 > 1.8e308
 
 
 def _kernel(ak: np.ndarray) -> np.ndarray:
@@ -182,8 +198,9 @@ def _mode_sum(
 def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
     """Per-point kz average (1/2pi) int omega(t + 2 - 2 cos x) dx, exact to rounding.
 
-    Even s: the uniform (s/2+1)-node rule, exact for the degree-s/2
-    trigonometric polynomial. Odd s: with v = t + am^2 and q = 4/(v+4),
+    Even s (rectangle_decomposition's one value of t; the energies read
+    the integer table): the uniform (s/2+1)-node rule, exact for the
+    degree-s/2 trigonometric polynomial. Odd s: with v = t + am^2 and q = 4/(v+4),
     v + 2 - 2 cos x = (v+4)(1 - q cos^2(x/2)), so the average is
     (v+4)^(s/2) (2/pi) I_s with I_p = int_0^(pi/2) (1 - q sin^2 phi)^(p/2) dphi.
     I_-1 = K(q) and I_1 = E(q) come from one arithmetic-geometric mean
@@ -280,35 +297,31 @@ def _dos_level(d: int, level: int) -> tuple:
 
 class _Rule:
     """The transverse rule of (s, am) in d dimensions (module docstring): a
-    table of levels, filled in order as callers first ask for them, that
-    _rule keeps across calls."""
+    table of levels, filled in order as callers first ask for them, and
+    for even s the integer table of its rows, that _rule keeps across
+    calls."""
 
     def __init__(self, spec: DispersionSpec, d: int):
-        even = spec.s % 2 == 0
         self.spec, self.d = spec, d
-        # points per axis of the one exact level; 0 for tanh-sinh levels
-        self.n = spec.s // 2 + 1 if even else int(d == 1)
-        # values of t of level 0, which callers check against the budget
-        self.first = self.n ** (d - 1) if self.n else (d - 1) * _tanh_sinh_size(0)
+        self.n = int(d == 1)  # 1: the one exact point t = 0 of d=1; 0: tanh-sinh levels
+        if spec.s % 2:
+            # values of t of level 0, which callers check against the budget
+            self.first = 1 if self.n else (d - 1) * _tanh_sinh_size(0)
+        else:  # the charge of the uniform grid of s/2+1 points per axis (module docstring)
+            self.first = (spec.s // 2 + 1) ** (d - 1)
         # dispersion evaluations of the kz average at one t; odd: s//2 recurrence steps too
-        self.kz_nodes = self.n if even else spec.s // 2 + 1
+        self.kz_nodes = spec.s // 2 + 1
         self.levels: list[tuple] = []
-        self.nbytes = 0  # of the level arrays
-        self.continuum: float | None = None  # even s: A, once a row past the support asks
+        self.table: list[int] | None = None  # even s: _even_table, once a row asks
+        self.nbytes = 0  # of the level arrays and the table
 
     def level(self, j: int) -> tuple:
         """Level j as (w, t, kz), read-only arrays: the weights, the values
-        of t and _kz_average at each t. The one exact level of even s, and
-        of odd s in d=1 (t = 0), is the uniform grid without weights
-        (w = None), in _grid_average's row-major order; odd s in d = 2, 3
-        take the _dos_level tanh-sinh levels."""
+        of t and _kz_average at each t. The one exact level of d=1 is the
+        point t = 0 without weights (w = None); d = 2, 3 take the
+        _dos_level tanh-sinh levels."""
         if j == len(self.levels):  # callers ask for levels in order
-            if self.n:
-                k, t, w = _node_kernels(self.n), np.zeros(1), None
-                for _ in range(self.d - 1):
-                    t = (t[:, None] + k).ravel()
-            else:
-                w, t = _dos_level(self.d, j)
+            w, t = (None, np.zeros(1)) if self.n else _dos_level(self.d, j)
             arrays = (w, t, _kz_average(self.spec, t))
             for a in arrays:
                 if a is not None:
@@ -316,6 +329,42 @@ class _Rule:
                     self.nbytes += a.nbytes
             self.levels.append(arrays)
         return self.levels[j]
+
+
+def _even_table(s: int, d: int) -> list[int]:
+    """The Fourier coefficients F_k, k = 0..s/2, in kz of the transverse
+    average of omega for even s in d dimensions (module docstring), as
+    Python integers, in about (s/2)^2 integer steps.
+
+    d=1: F_k = (-1)^k C(s, s/2-k), each from the last by the ratio
+    -(s/2-k)/(s/2+k+1). d = 2, 3: omega averages to the polynomial
+    sum_j C(n, j) T_d(n-j) u^j in u = 2 - 2 cos kz, n = s/2, taken by
+    Horner's rule; multiplying by u takes the coefficients c_k
+    (c_-k = c_k) to 2 c_k - c_(k-1) - c_(k+1), additions only.
+    """
+    n = s // 2
+    if d == 1:
+        table, c = [], math.comb(s, n)
+        for k in range(n + 1):
+            table.append(c)
+            c = c * (k - n) // (n + k + 1)
+        return table
+    central = [1]  # C(2m, m) = T_2(m)
+    for m in range(1, n + 1):
+        central.append(central[-1] * (4 * m - 2) // m)
+    if d == 2:
+        moments = central
+    else:
+        moments = [sum(math.comb(m, i) * central[i] * central[m - i] for i in range(m + 1)) for m in range(n + 1)]
+    table = [moments[0], 0]  # the coefficients of the Horner step, then a zero
+    for j in range(n - 1, -1, -1):
+        table.append(0)
+        table = [
+            2 * (table[0] - table[1]) + math.comb(n, j) * moments[n - j],
+            *[2 * table[k] - table[k - 1] - table[k + 1] for k in range(1, len(table) - 1)],
+            0,
+        ]
+    return table[:-1]
 
 
 # the rules of earlier calls by (s, am, d), least recently used first; g does
@@ -359,10 +408,10 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
 
     f(t, kz, rows) gives the integrands of the rows asked for, an index
     array, at the level's values of t (the transverse kernel sum) and kz
-    (its kz average), as a (rows.size, t.size, ncomp) array. One exact
-    level is the mean of each row, summed in extended precision as
-    _grid_average sums, with no refinement, zero errors and every row
-    converged; cfg is not consulted, and _row judges its values. Tanh-sinh
+    (its kz average), as a (rows.size, t.size, ncomp) array. The one
+    exact point of d=1 gives each row its value there, with no
+    refinement, zero errors and every row converged; cfg is not
+    consulted, and _row judges its values. Tanh-sinh
     levels refine the rows together under cfg, each half the last plus the
     dot product of its weights with f, each value of t charged costs[i]
     points against the budget of row i, and each row stops on its own
@@ -374,7 +423,7 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     """
     if rule.n:
         _, t, kz = rule.level(0)
-        values = f(t, kz, np.arange(len(costs))).sum(axis=1, dtype=np.longdouble).astype(float) / t.size
+        values = f(t, kz, np.arange(len(costs)))[:, 0]
         errors, converged, points = np.zeros_like(values), np.ones(len(costs), dtype=bool), np.full(len(costs), rule.n)
     else:
         def level(j: int, live: np.ndarray, prev) -> tuple:
@@ -400,39 +449,28 @@ def _casimir_rows(
 ) -> list[CasimirResult]:
     """Casimir energies at the thicknesses nzs, one CasimirResult each.
 
-    Every row reads the one stored transverse rule of (s, am, d) (_rule),
-    so each level's values of t and kz average are built once per process,
-    when the first row of any call asks, and every row charges them to its
-    budget whether this call built them or an earlier one. Even orders past
-    the support, more modes than s/2, are structural zeros by the aliasing
-    identity: e_cas, coeff and quad_error are exactly 0.0 and e0_sum =
-    e0_int = g (nz/2) A, where A is the mean of the kz average over the
-    rule's exact level, taken when the first such row asks and stored with
-    the rule. Those rows generate no modes and take no mode sum; A is NaN
-    when the budget refuses the level. A row whose first level the budget
-    refuses is NaN and builds nothing either. Every branch hands _row plain
-    numbers, and _row gives each row its verdict and error. The
-    other rows take the pointwise route together (module docstring), in
-    groups of consecutive rows whose joined modes times the first level's
-    values of t stay within _MAT_BUDGET, so memory does not grow with the
-    sum of the thicknesses. A row the point budget admits fits a group
-    alone.
+    Every row reads the one stored transverse rule of (s, am, d) (_rule).
+    Even orders read its integer table (_even_rows). For odd orders each
+    level's values of t and kz average are built once per process, when
+    the first row of any call asks, and every row charges them to its
+    budget whether this call built them or an earlier one. A row whose
+    first level the budget refuses is NaN and builds nothing. The other
+    rows take the pointwise route together (module docstring), in groups
+    of consecutive rows whose joined modes times the first level's values
+    of t stay within _MAT_BUDGET, so memory does not grow with the sum of
+    the thicknesses. A row the point budget admits fits a group alone.
+    Every route hands _row plain numbers, and _row gives each row its
+    verdict and error.
     """
     rule = _rule(spec, d)
+    if spec.s % 2 == 0:
+        return _even_rows(spec, d, rule, bc, nzs)
     rows: list = [None] * len(nzs)
     groups: list[list[int]] = []  # indices of the rows of the pointwise route
     joined = 0  # modes of the last group
     for i, nz in enumerate(nzs):
         n = _mode_count(bc, nz)
-        if spec.s % 2 == 0 and n > spec.s // 2:
-            if rule.continuum is None:
-                rule.continuum = math.nan  # unless the budget admits the level
-                if rule.first * rule.kz_nodes <= _MAX_POINTS:
-                    kz = rule.level(0)[2]
-                    rule.continuum = float(kz.sum(dtype=np.longdouble)) / kz.size
-            e0 = (0.5 * nz) * rule.continuum
-            rows[i] = _row(spec, d, nz, e0 - e0, e0, 0.0, True)  # mode sum = continuum term; NaN if e0 is not finite
-        elif rule.first * (n + rule.kz_nodes) > _MAX_POINTS:
+        if rule.first * (n + rule.kz_nodes) > _MAX_POINTS:
             rows[i] = _row(spec, d, nz, math.nan, math.nan, math.nan, False)
         else:
             if not groups or (joined + n) * rule.first > _MAT_BUDGET:
@@ -445,6 +483,43 @@ def _casimir_rows(
         for i, (e_cas, e0_int), error, ok in zip(group, values.tolist(), errors[:, 0].tolist(), converged.tolist()):
             rows[i] = _row(spec, d, nzs[i], e_cas, e0_int, error, ok)
     return rows
+
+
+def _even_rows(spec: DispersionSpec, d: int, rule: _Rule, bc: BoundaryCondition, nzs) -> list[CasimirResult]:
+    """Casimir energies of even order at the thicknesses nzs from the
+    integer table of rule (module docstring): with m modes,
+    e_cas / g = nz sum_(r>=1) F_(r m), (-1)^r in it antiperiodic, and
+    e0_int / g = nz F_0 / 2, each one correctly rounded conversion, and
+    exactly 0.0 past the support. The error is one ulp of e_cas / g, twice
+    the bound of its rounding, which _row scales by g with the values. A
+    row the budget refuses, or of an order past _EVEN_S_MAX, is NaN and
+    takes no integer work."""
+    rows = []
+    for nz in nzs:
+        m = _mode_count(bc, nz)
+        if spec.s > _EVEN_S_MAX or rule.first * (rule.kz_nodes + (m if 2 * m <= spec.s else 0)) > _MAX_POINTS:
+            rows.append(_row(spec, d, nz, math.nan, math.nan, math.nan, False))
+            continue
+        if rule.table is None:
+            rule.table = _even_table(spec.s, d)
+            rule.nbytes += sum(f.bit_length() for f in rule.table) // 8
+        table = rule.table
+        if bc is BoundaryCondition.ANTIPERIODIC:
+            aliased = sum(table[2 * m :: 2 * m]) - sum(table[m :: 2 * m])
+        else:
+            aliased = sum(table[m::m])
+        e_cas = _quotient(nz * aliased)
+        e0_int = _quotient(nz * table[0], 2)
+        rows.append(_row(spec, d, nz, e_cas, e0_int, math.ulp(e_cas) if e_cas else 0.0, True))
+    return rows
+
+
+def _quotient(num: int, den: int = 1) -> float:
+    """num / den correctly rounded, signed inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _pointwise(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: list, cfg: QuadratureConfig) -> tuple:
@@ -474,12 +549,12 @@ def _pointwise(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: li
 def _row(
     spec: DispersionSpec, d: int, nz: int, e_cas: float, e0_int: float, error: float, converged: bool
 ) -> CasimirResult:
-    """The CasimirResult of thickness nz from the averages e_cas / g and
-    e0_int / g, the error of the first, and the verdict of their refinement.
+    """The CasimirResult of thickness nz from the values e_cas / g and
+    e0_int / g, the error of the first, and the verdict of their route.
 
     Every row's flag and error are decided here, on the reported (g-scaled)
     values: a non-finite e_cas or e0_int gives quad_error inf, and a row
-    is converged only when its refinement converged, its values are finite
+    is converged only when its route converged, its values are finite
     and quad_error <= |e_cas| / 10. A structural zero, e_cas = quad_error =
     0.0, is converged.
     """

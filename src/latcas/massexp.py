@@ -120,9 +120,9 @@ def remnant_partial_sums(
 
     Terms whose massless energy vanishes (order below the remnant support)
     contribute exactly zero; no support rule is imposed by hand. Once a
-    partial sum is NaN (an order refused by the point budget, whose every
-    higher order is refused too) so is every later one, and no further
-    energy is computed.
+    partial sum is NaN (an order refused by the point budget or past the
+    float range, whose every higher order is refused too) so is every
+    later one, and no further energy is computed.
     """
     from .casimir import casimir_energy  # numpy loads with the first energy, not with this module
 

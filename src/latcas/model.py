@@ -127,7 +127,7 @@ class BoundaryCondition(Enum):
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Refinement settings for integrands that no finite rule integrates
-    exactly (odd dispersion orders); even orders use one exact grid and do
+    exactly (odd dispersion orders); even orders are exact integers and do
     not consult them.
 
     max_refinements caps the number of refinements after the first level:

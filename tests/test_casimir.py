@@ -103,20 +103,85 @@ def test_even_order_quad_error_bounds_the_oracle_error() -> None:
 
 @pytest.mark.parametrize("s", [0, 2, 4, 8])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_even_orders_use_one_exact_grid(s: int, d: int) -> None:
-    # s/2+1 points per axis, no refinement, whatever the config says
-    seen = []
+def test_even_orders_use_one_exact_grid(monkeypatch, s: int, d: int) -> None:
+    # the one exact rule of an even order is its table of integer Fourier
+    # coefficients: built once per (s, d), it answers every family and
+    # thickness, in the support and past it, with no modes, no transverse
+    # level and no kz average, whatever the config says
+    tables = []
+    even_table = casimir._even_table
 
-    def f(t: np.ndarray, kz: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        seen.append(t.size)
-        return np.ones((rows.size, t.size, 1))
+    def counted(s: int, d: int) -> list:
+        tables.append((s, d))
+        return even_table(s, d)
 
+    monkeypatch.setattr(casimir, "_even_table", counted)
+    for name in ("_joined_modes", "_kz_average", "_dos_level", "_transverse_average"):
+        monkeypatch.setattr(casimir, name, lambda *a, name=name: pytest.fail(f"{name} called"))
     cfg = QuadratureConfig(max_refinements=0)
-    values, errors, converged, points = _transverse_average(_rule(DispersionSpec(s), d), f, cfg, [1])
-    assert points.tolist() == [s // 2 + 1]
-    assert seen == [(s // 2 + 1) ** (d - 1)]
-    assert converged.tolist() == [True] and values.tolist() == [[1.0]]
-    assert errors.tolist() == [[16 * np.finfo(float).eps]]
+    for name, bc in _BC.items():
+        for r in sweep(DispersionSpec(s), d, bc, range(1, s // 2 + 3), cfg):
+            assert r.converged and r.e_cas == float(mo.casimir_exact(s, d, r.nz, name)), (name, r.nz)
+    assert tables == [(s, d)]
+    rule = _rule(DispersionSpec(s), d)
+    assert rule.levels == [] and rule.nbytes == sum(f.bit_length() for f in rule.table) // 8  # held by the store
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_even_rows_are_the_correctly_rounded_oracle(d: int) -> None:
+    # the rounding wall of a float difference misclassified s >= 30 in d=3
+    # (0.049 relative off at s=30): every value is now one rounding of an integer
+    for s in range(0, 61, 2):
+        zero_point_int = {}
+        for name, bc in _BC.items():
+            for r in sweep(DispersionSpec(s), d, bc, range(1, s // 2 + 3), CFG):
+                where = (s, name, r.nz)
+                e0 = zero_point_int.setdefault(r.nz, float(mo.zero_point_int_exact(s, d, r.nz)))
+                assert r.e_cas == float(mo.casimir_exact(s, d, r.nz, name)) and r.e0_int == e0, where
+                assert r.converged and r.quad_error == (math.ulp(r.e_cas) if r.e_cas else 0.0), where
+
+
+@pytest.mark.parametrize("s", range(0, 9, 2))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_even_rows_match_a_direct_mode_sum(s: int, d: int) -> None:
+    # a route without the aliasing identity: the explicit modes summed on
+    # the exact transverse grid, whose difference rounds at the size of e0_int
+    for bc in _BC.values():
+        for nz in range(1, 7):
+            r = casimir_energy(DispersionSpec(s), Geometry(d, nz), bc, CFG)
+            e_cas, e0_int = oracles.direct_even_mode_sum(s, d, *generate_modes(bc, nz))
+            tol = 16 * math.ulp(abs(r.e0_int))
+            assert abs(r.e_cas - e_cas) <= tol and abs(r.e0_int - e0_int) <= tol, (s, d, bc, nz)
+
+
+@pytest.mark.parametrize("s, d", [(2_000_000, 1), (1400, 2)])
+def test_even_orders_past_the_float_range_are_refused_before_integer_work(monkeypatch, s: int, d: int) -> None:
+    # e0_int >= (nz/2) C(s, s/2) passes the float range from s = 1032: the
+    # row at s = 2,000,000 took 0.1 s of kz nodes to read -inf
+    import tracemalloc
+
+    casimir_energy(DispersionSpec(2), Geometry(d, 1), PER, CFG)  # first-call allocations
+    monkeypatch.setattr(casimir, "_even_table", lambda *a: pytest.fail("table built"))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        r = casimir_energy(DispersionSpec(s), Geometry(d, 1), PER, CFG)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isnan(r.e_cas) and not r.converged and r.quad_error == math.inf
+    assert elapsed < 0.1 and peak < 1 << 20
+
+
+def test_the_last_even_order_in_the_float_range_is_finite() -> None:
+    # e0_int = C(1030, 515) / 2 = 1.43e308, where the float difference read inf
+    r = casimir_energy(DispersionSpec(1030), Geometry(1, 1), PER, CFG)
+    assert r.converged and r.e0_int == float(mo.zero_point_int_exact(1030, 1, 1)) > 1.4e308
+    assert r.e_cas == -r.e0_int and r.e0_sum == 0.0
+    # in d=2 the integers of s = 1000 pass the float range: signed infinities, refused
+    r = casimir_energy(DispersionSpec(1000), Geometry(2, 1), PER, CFG)
+    assert (r.e0_int, r.e_cas, r.quad_error, r.converged) == (math.inf, -math.inf, math.inf, False)
 
 
 def test_nonfinite_values_are_not_converged() -> None:
@@ -125,7 +190,7 @@ def test_nonfinite_values_are_not_converged() -> None:
         with np.errstate(all="ignore"):
             r = casimir_energy(DispersionSpec(1, am=1e160), Geometry(d, 2), PER, FAST)
         assert math.isnan(r.e_cas) and not r.converged and r.quad_error == math.inf, d
-    # 4**550 overflows: even order, the single exact grid
+    # 4**550 overflows: an even order past the float range, refused
     with np.errstate(all="ignore"):
         r = casimir_energy(DispersionSpec(1100), Geometry(1, 1), ANTI, CFG)
     assert math.isnan(r.e_cas) and not r.converged and r.quad_error == math.inf
@@ -462,8 +527,8 @@ def test_levels_that_agree_at_the_rounding_floor_converge() -> None:
 )
 def test_work_per_point_is_charged_to_the_budget(monkeypatch, spec, geom) -> None:
     # s/2 + 1 kz nodes or nz modes per value of t pass the budget on the first
-    # level: refused before any mode is generated or any point evaluated; past
-    # the support (the last case) the kz nodes of the continuum term alone do
+    # level: refused before any mode is generated or any point evaluated; the
+    # even orders are past the float range too
     import tracemalloc
 
     import latcas.casimir as casimir
@@ -502,7 +567,7 @@ def test_node_sum_blocking_is_bit_identical(monkeypatch) -> None:
         # go alone, their values of t in blocks
         (DispersionSpec(1, am=0.5), 3, PER, range(1, 9)),
         (DispersionSpec(3), 2, PHEN, [1, 2]),  # one group; the kernels part once the levels grow
-        (DispersionSpec(8), 3, ANTI, range(1, 7)),  # in-support rows, one group each, read the exact level
+        (DispersionSpec(8), 3, ANTI, range(1, 7)),  # even rows read the integer table whatever the budget
     ]
     want = [casimir_energy(*case, FAST) for case in cases]
     want_rows = [sweep(*case, FAST) for case in sweeps]
@@ -668,7 +733,7 @@ def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
         return np.array([[e_cas, 1.0]]), np.zeros((1, 2)), np.array([True]), np.array([1])
 
     monkeypatch.setattr(casimir, "_transverse_average", fake)
-    r = casimir_energy(DispersionSpec(1100), Geometry(1, 2), PER, CFG)
+    r = casimir_energy(DispersionSpec(1101), Geometry(1, 2), PER, CFG)  # nz**alpha = 2**1101
     assert r.coeff == want or (math.isnan(want) and math.isnan(r.coeff))
 
 
@@ -709,21 +774,23 @@ def test_a_stored_rule_is_charged_to_the_budget_like_a_cold_one() -> None:
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, first",
     [
-        lambda: casimir_energy(DispersionSpec(1), Geometry(3, 6), PER, CFG),
-        lambda: casimir_energy(DispersionSpec(1, am=0.5), Geometry(2, 6), PHEN, CFG),
-        lambda: sweep(DispersionSpec(3), 3, ANTI, range(1, 9), CFG),
-        lambda: sweep(DispersionSpec(4), 3, PER, range(1, 9), CFG),
+        (lambda: casimir_energy(DispersionSpec(1), Geometry(3, 6), PER, CFG), "kz"),
+        (lambda: casimir_energy(DispersionSpec(1, am=0.5), Geometry(2, 6), PHEN, CFG), "kz"),
+        (lambda: sweep(DispersionSpec(3), 3, ANTI, range(1, 9), CFG), "kz"),
+        (lambda: sweep(DispersionSpec(4), 3, PER, range(1, 9), CFG), "table"),
         # past the support the row is the continuum term alone
-        lambda: casimir_energy(DispersionSpec(6), Geometry(2, 6), PER, CFG).e0_int,
-        lambda: casimir_energy(DispersionSpec(6), Geometry(2, 3), PER, CFG).e0_sum,
+        (lambda: casimir_energy(DispersionSpec(6), Geometry(2, 6), PER, CFG).e0_int, "table"),
+        (lambda: casimir_energy(DispersionSpec(6), Geometry(2, 3), PER, CFG).e0_sum, "table"),
     ],
     ids=["energy-d3", "energy-massive-d2", "sweep-odd", "sweep-even", "zero-point-int", "zero-point-sum-even"],
 )
-def test_a_repeated_call_builds_no_level(monkeypatch, call) -> None:
+def test_a_repeated_call_builds_no_level(monkeypatch, call, first) -> None:
+    # odd orders build levels with their kz averages, even orders one
+    # integer table and nothing else; a repeated call builds neither
     built = []
-    kz_average, dos_level = casimir._kz_average, casimir._dos_level
+    kz_average, dos_level, even_table = casimir._kz_average, casimir._dos_level, casimir._even_table
 
     def counted_kz(spec, t):
         built.append("kz")
@@ -733,31 +800,46 @@ def test_a_repeated_call_builds_no_level(monkeypatch, call) -> None:
         built.append("dos")
         return dos_level(d, level)
 
+    def counted_table(s, d):
+        built.append("table")
+        return even_table(s, d)
+
     monkeypatch.setattr(casimir, "_kz_average", counted_kz)
     monkeypatch.setattr(casimir, "_dos_level", counted_dos)
-    first = call()
-    assert "kz" in built
+    monkeypatch.setattr(casimir, "_even_table", counted_table)
+    result = call()
+    assert first in built and (built == ["table"]) is (first == "table")
     built.clear()
-    assert repr(call()) == repr(first)
+    assert repr(call()) == repr(result)
     assert built == []
 
 
 def test_even_rows_past_the_support_read_a_stored_continuum_average(monkeypatch) -> None:
-    reads = []
-    level = casimir._Rule.level
+    # the continuum average is F_0 of the stored integer table, built once
+    # and read by every row and by the g = 2 sweep, which is the g = 1
+    # sweep scaled; no row reads a transverse level or takes a quadrature
+    tables = []
+    even_table = casimir._even_table
 
-    def counted(rule, j):
-        reads.append(j)
-        return level(rule, j)
+    def counted(s: int, d: int) -> list:
+        tables.append((s, d))
+        return even_table(s, d)
 
-    monkeypatch.setattr(casimir._Rule, "level", counted)
-    monkeypatch.setattr(casimir, "_transverse_average", None)  # such rows take no quadrature
-    first = sweep(DispersionSpec(4), 3, PER, range(3, 9), CFG)  # every row past nz = 2
-    assert reads == [0]  # A is taken once, from the exact level
-    assert repr(sweep(DispersionSpec(4, g=2), 3, PER, range(3, 9), CFG)) == repr(
-        [replace(r, e0_sum=2 * r.e0_sum, e0_int=2 * r.e0_int) for r in first]
-    )
-    assert reads == [0]
+    monkeypatch.setattr(casimir, "_even_table", counted)
+    monkeypatch.setattr(casimir._Rule, "level", None)
+    monkeypatch.setattr(casimir, "_transverse_average", None)
+    first = sweep(DispersionSpec(4), 3, PER, range(1, 9), CFG)
+    assert tables == [(4, 3)]
+    for r in first[2:]:  # every row past nz = 2
+        assert (r.e_cas, r.quad_error, r.coeff, r.e0_sum) == (0.0, 0.0, 0.0, r.e0_int)
+        assert r.e0_int == float(mo.zero_point_int_exact(4, 3, r.nz))
+    doubled = [
+        replace(r, e0_sum=2 * r.e0_sum, e0_int=2 * r.e0_int, e_cas=2 * r.e_cas, coeff=2 * r.coeff,
+                quad_error=2 * r.quad_error)
+        for r in first
+    ]
+    assert repr(sweep(DispersionSpec(4, g=2), 3, PER, range(1, 9), CFG)) == repr(doubled)
+    assert tables == [(4, 3)]
 
 
 def _held_bytes() -> int:

@@ -189,3 +189,23 @@ def test_even_orders_in_three_dimensions_are_remnants(s: int, bc: BoundaryCondit
     else:
         assert (c.kind, c.n_max) == (BehaviorKind.REMNANT, n_max)
     assert all(r.e_cas == 0.0 for r in c.rows[n_max:])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_high_even_orders_are_remnants(d: int) -> None:
+    # the support edge rows were float differences of terms of size e0_int,
+    # not converged from s=30 in d=3 (s=34 in d=2, s=50 in d=1), and these
+    # orders read Damping; every even row is now an exact integer, rounded once
+    for s in range(4, 61, 2):
+        for bc in (PER, BoundaryCondition.antiperiodic(), BoundaryCondition.phenomenological()):
+            n_max = s // 4 if bc is BoundaryCondition.phenomenological() else s // 2
+            c = classify_behavior(DispersionSpec(s), d, bc, max(8, s // 2 + 2))
+            assert (c.kind, c.n_max) == (BehaviorKind.REMNANT, n_max), (s, bc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_phenomenological_quadratic_order_has_no_effect(d: int) -> None:
+    # 2nz modes of the phenomenological family pass s/2 = 1 at every nz
+    c = classify_behavior(DispersionSpec(2), d, BoundaryCondition.phenomenological(), 8)
+    assert c.kind is BehaviorKind.NO_EFFECT
+    assert all(r.e_cas == r.quad_error == 0.0 for r in c.rows)

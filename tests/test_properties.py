@@ -1,6 +1,6 @@
 """Property tests of casimir_energy over random orders, sizes and boundaries.
 
-Even orders run on one exact grid and odd orders on a few hundred
+Even orders read one table of integers and odd orders a few hundred
 tanh-sinh nodes, so every case takes milliseconds and both parities are
 drawn in every dimension.
 """

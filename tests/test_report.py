@@ -132,31 +132,29 @@ def test_odd_sweep_takes_one_dispersion_call_per_level(monkeypatch, s, d) -> Non
 )
 def test_even_sweep_answers_the_tail_from_one_continuum_grid(monkeypatch, bc, support) -> None:
     # past nz = s/2 modes (2nz for phenomenological) the mode sum equals the
-    # continuum term: those rows take no modes, and one grid serves them all
+    # continuum term: every row, in the support or past it, reads one integer
+    # table built once, whose F_0 is the continuum average, and no row takes
+    # modes or a kz average
     import latcas.casimir as casimir
 
     spec = DispersionSpec(4)
-    generated, kz_grids = [], []
-    joined_modes = casimir._joined_modes
-    kz_average = casimir._kz_average
+    tables = []
+    even_table = casimir._even_table
 
-    def counted_modes(bc, nzs):
-        generated.extend(nzs)
-        return joined_modes(bc, nzs)
+    def counted_table(s, d):
+        tables.append((s, d))
+        return even_table(s, d)
 
-    def counted_kz(spec, t):
-        kz_grids.append(t.size)
-        return kz_average(spec, t)
-
-    monkeypatch.setattr(casimir, "_joined_modes", counted_modes)
-    monkeypatch.setattr(casimir, "_kz_average", counted_kz)
+    monkeypatch.setattr(casimir, "_joined_modes", lambda *a: pytest.fail("modes generated"))
+    monkeypatch.setattr(casimir, "_kz_average", lambda *a: pytest.fail("kz average taken"))
+    monkeypatch.setattr(casimir, "_even_table", counted_table)
     rows = sweep(spec, 3, bc, range(1, 33), CFG)
-    assert set(generated) == support and len(generated) == len(support)
-    assert len(kz_grids) == 1  # one level, read by the in-support rows and the shared grid
+    assert tables == [(4, 3)]
     monkeypatch.undo()
     for r in rows:
+        assert repr(r) == repr(casimir_energy(spec, Geometry(3, r.nz), bc, CFG))
         if r.nz in support:
-            assert repr(r) == repr(casimir_energy(spec, Geometry(3, r.nz), bc, CFG))
+            assert r.converged and r.e_cas != 0.0 and r.quad_error == math.ulp(r.e_cas)
         else:
             assert (r.e_cas, r.coeff, r.quad_error, r.converged) == (0.0, 0.0, 0.0, True)
             assert r.e0_sum == r.e0_int
