@@ -8,7 +8,8 @@ transverse integrand, mode sum minus kz average at each transverse
 momentum, and the difference is integrated once. Subtracting two
 separately integrated O(nz) quantities instead would lose most significant
 digits: for a linear branch at nz=20 the difference is ~1e-5 while either
-term is ~20.
+term is ~20. Every energy is that of one branch; a degeneracy of
+branches multiplies all of them.
 
 Even orders are exact integers (the aliasing identity). For s = 2n the
 dispersion (t + 2 - 2 cos kz)^n, averaged over the transverse zone, is a
@@ -23,13 +24,13 @@ T_3(m) = sum_i C(m, i) C(2i, i) C(2m-2i, m-i). Every mode family is a
 uniform rule in kz of total weight nz, the antiperiodic one shifted by
 half a step, and a uniform rule of m nodes keeps the coefficients at the
 multiples of m. So with m modes (nz periodic and antiperiodic, 2nz
-phenomenological) e0_int = g nz F_0 / 2 and
-e_cas = g nz sum_(r>=1, r m<=n) F_(r m), with a factor (-1)^r for the
-antiperiodic family. At g = 1 each is one correctly rounded conversion
-of an integer, and quad_error is one ulp of e_cas, twice the bound of
-that rounding; g multiplies all three, as it does every row. Past the
-support (m > n) the sum is empty and the row is exactly 0.0 with error
-0.0, the structural zero, with no branch of its own. The table of
+phenomenological) e0_int = nz F_0 / 2,
+e_cas = nz sum_(r>=1, r m<=n) F_(r m), with a factor (-1)^r for the
+antiperiodic family, and e0_sum = e0_int + e_cas. Each is one correctly
+rounded conversion of an integer, and quad_error is one ulp of e_cas,
+twice the bound of that rounding. Past the support (m > n) the sum is
+empty and the row is exactly 0.0 with error 0.0, the structural zero,
+with no branch of its own. The table of
 (s, d), n+1 integers, is built in about n^2 integer steps when the first
 row asks and kept with the rule; a row takes no modes, no grid and no kz
 average.
@@ -80,7 +81,7 @@ same rows (in d=3 every s >= 202); an even s past _EVEN_S_MAX (1030),
 where e0_int >= (nz/2) C(s, s/2) passes the float range, is refused before
 any integer work.
 
-The rule depends on s, am and d only, not on nz, g or the call, so it
+The rule depends on s, am and d only, not on nz or the call, so it
 lives across calls: the calls of a process with the same (s, am, d) read
 and extend one table, and each result has the bits it would have from a
 table of its own. The tables stay in a least-recently-used store of at
@@ -89,21 +90,24 @@ arrays and integer tables besides the rule used last, so its memory beyond
 8 MiB is one call's table, which the point budget bounds.
 
 One kernel, _casimir_rows, computes a list of thicknesses, and
-casimir_energy is its one-thickness case. The thicknesses of the pointwise
-route refine level by level together: each level takes one dispersion call
+casimir_energy is its one-thickness case. One loop over the thicknesses
+takes each one's mode count once and applies the one refusal test of both
+parities; it reads a row of even order from the table as it goes and puts
+one of odd order in a group of the pointwise route. The thicknesses of a
+group refine level by level together: each level takes one dispersion call
 over the joined mode kernels of the thicknesses still refining, one
 segmented sum (np.add.reduceat) that gives each thickness the sum of its
 own columns, and one vectorised convergence test. A segment's sum depends
 on its own columns only, and each thickness keeps its own budget and gets
-its own verdict, and retires when it converges, reaches max_refinements
-or cannot afford its next level, so a sweep row is bit for bit the
-casimir_energy result of its thickness. The
-thicknesses go in groups whose joined modes take at most _MAT_BUDGET values
-on the first level, and each dispersion call stays within that budget, so
-memory does not grow with the sum of the thicknesses. A group builds the
-modes of all its thicknesses in one call (modes._joined_modes) and takes
-their kernels once; its values, errors and verdicts come back as arrays,
-one row per thickness, and each CasimirResult is made from their floats.
+its own verdict, and retires when it converges, reaches max_refinements or
+cannot afford its next level, so a sweep row is bit for bit the
+casimir_energy result of its thickness. The thicknesses go in groups whose
+joined modes take at most _MAT_BUDGET values on the first level, and each
+dispersion call stays within that budget, so memory does not grow with the
+sum of the thicknesses. A group builds the modes of all its thicknesses in
+one call (modes._joined_modes) and takes their kernels once; its values,
+errors and verdicts come back as arrays, one row per thickness, and each
+CasimirResult is made from their floats.
 """
 from __future__ import annotations
 
@@ -367,8 +371,7 @@ def _even_table(s: int, d: int) -> list[int]:
     return table[:-1]
 
 
-# the rules of earlier calls by (s, am, d), least recently used first; g does
-# not enter a rule
+# the rules of earlier calls by (s, am, d), least recently used first
 _RULES: dict[tuple, _Rule] = {}
 _HELD_BYTES = 8 << 20  # level arrays kept besides those of the most recently used rule
 _MAX_RULES = 64  # rules kept, the most recently used included, with or without levels
@@ -449,69 +452,65 @@ def _casimir_rows(
 ) -> list[CasimirResult]:
     """Casimir energies at the thicknesses nzs, one CasimirResult each.
 
-    Every row reads the one stored transverse rule of (s, am, d) (_rule).
-    Even orders read its integer table (_even_rows). For odd orders each
-    level's values of t and kz average are built once per process, when
-    the first row of any call asks, and every row charges them to its
-    budget whether this call built them or an earlier one. A row whose
-    first level the budget refuses is NaN and builds nothing. The other
-    rows take the pointwise route together (module docstring), in groups
-    of consecutive rows whose joined modes times the first level's values
-    of t stay within _MAT_BUDGET, so memory does not grow with the sum of
-    the thicknesses. A row the point budget admits fits a group alone.
-    Every route hands _row plain numbers, and _row gives each row its
-    verdict and error.
+    Every row reads the one stored transverse rule of (s, am, d) (_rule),
+    and one test here refuses the rows of either parity that the point
+    budget does not admit, or of an even order past _EVEN_S_MAX: such a row
+    is NaN and builds nothing. An even row reads the integer table of the
+    rule (_exact). For odd orders each level's values of t and kz average
+    are built once per process, when the first row of any call asks, and
+    every row charges them to its budget whether this call built them or
+    an earlier one. The odd rows take the pointwise route together (module
+    docstring), in groups of consecutive rows whose joined modes times the
+    first level's values of t stay within _MAT_BUDGET, so memory does not
+    grow with the sum of the thicknesses. A row the point budget admits
+    fits a group alone. Every route hands _row plain numbers, and _row
+    gives each row its verdict and error.
     """
     rule = _rule(spec, d)
-    if spec.s % 2 == 0:
-        return _even_rows(spec, d, rule, bc, nzs)
+    even = spec.s % 2 == 0
     rows: list = [None] * len(nzs)
     groups: list[list[int]] = []  # indices of the rows of the pointwise route
     joined = 0  # modes of the last group
     for i, nz in enumerate(nzs):
-        n = _mode_count(bc, nz)
-        if rule.first * (n + rule.kz_nodes) > _MAX_POINTS:
-            rows[i] = _row(spec, d, nz, math.nan, math.nan, math.nan, False)
+        m = _mode_count(bc, nz)
+        charged = 0 if even and 2 * m > spec.s else m  # an even row's modes count inside the support only
+        if (even and spec.s > _EVEN_S_MAX) or rule.first * (rule.kz_nodes + charged) > _MAX_POINTS:
+            rows[i] = _row(spec, d, nz, math.nan, math.nan, math.nan, math.nan, False)
+        elif even:
+            rows[i] = _row(spec, d, nz, *_exact(spec, rule, bc, nz, m))
         else:
-            if not groups or (joined + n) * rule.first > _MAT_BUDGET:
+            if not groups or (joined + m) * rule.first > _MAT_BUDGET:
                 groups.append([])
                 joined = 0
             groups[-1].append(i)
-            joined += n
+            joined += m
     for group in groups:
         values, errors, converged, _ = _pointwise(spec, rule, bc, [nzs[i] for i in group], cfg)
         for i, (e_cas, e0_int), error, ok in zip(group, values.tolist(), errors[:, 0].tolist(), converged.tolist()):
-            rows[i] = _row(spec, d, nzs[i], e_cas, e0_int, error, ok)
+            rows[i] = _row(spec, d, nzs[i], e0_int + e_cas, e0_int, e_cas, error, ok)
     return rows
 
 
-def _even_rows(spec: DispersionSpec, d: int, rule: _Rule, bc: BoundaryCondition, nzs) -> list[CasimirResult]:
-    """Casimir energies of even order at the thicknesses nzs from the
-    integer table of rule (module docstring): with m modes,
-    e_cas / g = nz sum_(r>=1) F_(r m), (-1)^r in it antiperiodic, and
-    e0_int / g = nz F_0 / 2, each one correctly rounded conversion, and
-    exactly 0.0 past the support. The error is one ulp of e_cas / g, twice
-    the bound of its rounding, which _row scales by g with the values. A
-    row the budget refuses, or of an order past _EVEN_S_MAX, is NaN and
-    takes no integer work."""
-    rows = []
-    for nz in nzs:
-        m = _mode_count(bc, nz)
-        if spec.s > _EVEN_S_MAX or rule.first * (rule.kz_nodes + (m if 2 * m <= spec.s else 0)) > _MAX_POINTS:
-            rows.append(_row(spec, d, nz, math.nan, math.nan, math.nan, False))
-            continue
-        if rule.table is None:
-            rule.table = _even_table(spec.s, d)
-            rule.nbytes += sum(f.bit_length() for f in rule.table) // 8
-        table = rule.table
-        if bc is BoundaryCondition.ANTIPERIODIC:
-            aliased = sum(table[2 * m :: 2 * m]) - sum(table[m :: 2 * m])
-        else:
-            aliased = sum(table[m::m])
-        e_cas = _quotient(nz * aliased)
-        e0_int = _quotient(nz * table[0], 2)
-        rows.append(_row(spec, d, nz, e_cas, e0_int, math.ulp(e_cas) if e_cas else 0.0, True))
-    return rows
+def _exact(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nz: int, m: int) -> tuple:
+    """(e0_sum, e0_int, e_cas, error, converged) of the even row of
+    thickness nz with m modes from the integer table of rule (module
+    docstring): e_cas = nz sum_(r>=1) F_(r m), (-1)^r in it antiperiodic,
+    e0_int = nz F_0 / 2 and e0_sum = nz (F_0 + 2 sum_(r>=1) F_(r m)) / 2,
+    each one correctly rounded conversion, and e_cas exactly 0.0 past the
+    support. The error is one ulp of e_cas, twice the bound of its
+    rounding."""
+    if rule.table is None:
+        rule.table = _even_table(spec.s, rule.d)
+        rule.nbytes += sum(f.bit_length() for f in rule.table) // 8
+    table = rule.table
+    if bc is BoundaryCondition.ANTIPERIODIC:
+        aliased = sum(table[2 * m :: 2 * m]) - sum(table[m :: 2 * m])
+    else:
+        aliased = sum(table[m::m])
+    e_cas, e0_int = _quotient(nz * aliased), _quotient(nz * table[0], 2)
+    # the same rounding as e0_int where nothing aliases, past the support
+    e0_sum = _quotient(nz * (table[0] + 2 * aliased), 2) if aliased else e0_int
+    return e0_sum, e0_int, e_cas, math.ulp(e_cas) if e_cas else 0.0, True
 
 
 def _quotient(num: int, den: int = 1) -> float:
@@ -523,7 +522,7 @@ def _quotient(num: int, den: int = 1) -> float:
 
 
 def _pointwise(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: list, cfg: QuadratureConfig) -> tuple:
-    """Averages of (e_cas, e0_int) / g at the thicknesses nzs, refined
+    """Averages of (e_cas, e0_int) at the thicknesses nzs, refined
     together in one _transverse_average, as its arrays. The modes of all
     thicknesses are built in one call and their kernels taken once, and
     joined again only when a row retires."""
@@ -538,7 +537,7 @@ def _pointwise(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: li
             joins.clear()
             joins[live.size] = (*_join([k[bounds[i] : bounds[i + 1]] for i in live]), half[live])
         joined, cols, half_live = joins[live.size]
-        vals = np.empty((live.size, t.size, 2))  # (e_cas, e0_int) / g
+        vals = np.empty((live.size, t.size, 2))  # (e_cas, e0_int)
         int_part = np.multiply(half_live, kz, out=vals[..., 1])
         np.subtract(_mode_sum(spec, joined, cols, w, t), int_part, out=vals[..., 0])
         return vals
@@ -547,20 +546,18 @@ def _pointwise(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: li
 
 
 def _row(
-    spec: DispersionSpec, d: int, nz: int, e_cas: float, e0_int: float, error: float, converged: bool
+    spec: DispersionSpec, d: int, nz: int, e0_sum: float, e0_int: float, e_cas: float, error: float, converged: bool
 ) -> CasimirResult:
-    """The CasimirResult of thickness nz from the values e_cas / g and
-    e0_int / g, the error of the first, and the verdict of their route.
+    """The CasimirResult of thickness nz from the values of its route, the
+    error of e_cas, and the verdict of the route.
 
-    Every row's flag and error are decided here, on the reported (g-scaled)
-    values: a non-finite e_cas or e0_int gives quad_error inf, and a row
-    is converged only when its route converged, its values are finite
-    and quad_error <= |e_cas| / 10. A structural zero, e_cas = quad_error =
-    0.0, is converged.
+    Every row's flag and error are decided here: a non-finite e_cas or
+    e0_int gives quad_error inf, and a row is converged only when its route
+    converged, its values are finite and quad_error <= |e_cas| / 10. A
+    structural zero, e_cas = quad_error = 0.0, is converged.
     """
-    e_cas, e0_int = spec.g * e_cas, spec.g * e0_int
     finite = math.isfinite(e_cas) and math.isfinite(e0_int)
-    error = spec.g * error if finite else math.inf
+    error = error if finite else math.inf
     converged = converged and finite and error <= abs(e_cas) / 10
     alpha = (d - 1) + spec.s
     try:
@@ -569,7 +566,7 @@ def _row(
         coeff = float(nz**alpha) * e_cas
     except OverflowError:  # nz**alpha passes the float range
         coeff = math.inf * e_cas if e_cas else 0.0
-    return CasimirResult(nz, e0_int + e_cas, e0_int, e_cas, coeff, error, converged)
+    return CasimirResult(nz, e0_sum, e0_int, e_cas, coeff, error, converged)
 
 
 def casimir_energy(

@@ -60,7 +60,7 @@ def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
 
 
 def _spec(args: argparse.Namespace) -> DispersionSpec:
-    return DispersionSpec(s=args.s, am=args.am, g=args.g)
+    return DispersionSpec(s=args.s, am=args.am)
 
 
 def _print_result(r: CasimirResult, d: int, s: int) -> None:
@@ -164,7 +164,7 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     from .massexp import DivergentExpansionWarning, convergence_check, remnant_partial_sums
 
     report = convergence_check(args.am, args.d)  # rejects am <= 0 before any energy
-    spec = DispersionSpec(1, am=args.am)  # g = 1, as in the partial sums
+    spec = DispersionSpec(1, am=args.am)
     geom = Geometry(args.d, args.nz)
     bc = BoundaryCondition(args.bc)
     cfg = _quad_config(args)
@@ -216,7 +216,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--s", type=int, default=1, help="dispersion order (0 = flat band)")
         p.add_argument("--am", type=float, default=0.0, help="mass in lattice units (s=1 only)")
-        p.add_argument("--g", type=int, default=1, help="branch degeneracy multiplier")
         p.add_argument("--d", type=int, default=3, help="spatial dimension (1-3)")
         p.add_argument("--bc", choices=bc_choices, default="periodic")
 
@@ -264,7 +263,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--g", type=int, default=1)
+    p.add_argument("--g", type=int, default=1, help="branch degeneracy multiplier (2 for two branches)")
     p.set_defaults(handler=_cmd_reference)
 
     return parser

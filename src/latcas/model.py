@@ -57,18 +57,17 @@ def _store(obj, kind: type, *names: str) -> None:
 
 @dataclass(frozen=True)
 class DispersionSpec:
-    """Power-law dispersion w(k) = |k~|^s built on the nearest-neighbor kernel.
+    """Power-law dispersion w(k) = |k~|^s of one branch, built on the
+    nearest-neighbor kernel; a degeneracy of branches multiplies every
+    zero-point energy, and the caller applies it.
 
     s:  dispersion order (0 = flat band, 1 = linear, 2 = quadratic, ...)
     am: mass in lattice units, stored as a float; a massive branch is only
         defined for s=1, where w = sqrt(k~^2 + am^2)
-    g:  branch degeneracy, a pure multiplier on all zero-point energies,
-        at most 2**53 so that it is exact as a float
     """
 
     s: int
     am: float = 0.0
-    g: int = 1
 
     def __post_init__(self) -> None:
         _store(self, float, "am")
@@ -78,11 +77,7 @@ class DispersionSpec:
             raise ValueError(f"lattice mass am must be finite and nonnegative, got {self.am!r}")
         if self.am > 0 and self.s != 1:
             raise ValueError("a nonzero mass is only supported for the linear branch (s=1)")
-        if not _is_int(self.g) or self.g < 1:
-            raise ValueError(f"degeneracy g must be a positive integer, got {self.g!r}")
-        if self.g > 2**53:  # no value in the message: it may not print
-            raise ValueError("degeneracy g must be at most 2**53, the integers that floats hold exactly")
-        _store(self, int, "s", "g")
+        _store(self, int, "s")
 
 
 @dataclass(frozen=True)
@@ -161,8 +156,10 @@ class CasimirResult:
     """Zero-point energies per transverse site and their difference at
     thickness nz: one row of a sweep table, and of CSV and JSON output.
 
-    e0_sum is derived as e0_int + e_cas from one shared quadrature pass, so
-    e_cas = e0_sum - e0_int holds at the rounding level by construction.
+    For even orders e0_sum is one rounding of the exact integer
+    e0_int + e_cas; for odd orders it is the float sum e0_int + e_cas of
+    one shared quadrature pass. Either way e_cas = e0_sum - e0_int holds
+    at the rounding level.
     coeff = nz**alpha * e_cas with alpha = (d-1) + s; inf (nan for a nan
     e_cas) where nz**alpha passes the float range.
     """

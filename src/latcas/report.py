@@ -66,16 +66,16 @@ def sweep(
     Thicknesses are integers (numpy integers too; not bool or float), at
     most _MAX_POINTS (2**20) of them: a longer range is refused by its
     length before any of it is read, and another iterable after its first
-    2**20 + 1 are read, so an endless one ends too. Each row is
-    the casimir_energy result of its thickness, bit for bit. Even-order
-    thicknesses read one table of integers per (s, d), and odd-order ones
-    share each transverse level's values of t, density of states and kz
-    average; none of these depends on nz or g, so each is computed once
-    per process for each (s, am, d) and kept for later calls in a store
-    bounded to 8 MiB besides the table used last. Every row charges its
-    point budget all the same, so a row does not depend on what ran
-    before. The odd-order thicknesses also
-    refine level by level together: one dispersion call per level covers
+    2**20 + 1 are read, so an endless one ends too. Each row is the
+    casimir_energy result of its thickness, bit for bit: the energies of
+    one branch. Even-order thicknesses read one table of integers per
+    (s, d), and odd-order ones share each transverse level's values of t,
+    density of states and kz average; none of these depends on nz, so each
+    is computed once per process for each (s, am, d) and kept for later
+    calls in a store bounded to 8 MiB besides the table used last. Every
+    row charges its point budget all the same, so a row does not depend on
+    what ran before. The odd-order thicknesses also refine level by level
+    together: one dispersion call per level covers
     the modes of every thickness still refining, and each keeps its own
     convergence test, budget and verdict. A non-converged row is recorded
     like any other (its quad_error and converged flag tell the story) and

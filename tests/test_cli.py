@@ -116,11 +116,12 @@ def test_mass_expansion_rejects_zero_mass_before_any_energy(monkeypatch, capsys)
         ["compute", "--s", "1", "--d", "3", "--nz", "4", "--g", "9007199254740993"],
         ["compute", "--s", "1", "--d", "3", "--nz", "4", "--g", "9" * 401],
     ],
-    ids=["orders-past-budget", "g-past-2**53", "g-401-digits"],
+    ids=["orders-past-budget", "removed-g-past-2**53", "removed-g-401-digits"],
 )
 def test_unbounded_counts_exit_one_before_any_energy(monkeypatch, capsys, argv) -> None:
-    # the 401-digit g ended in an OverflowError traceback; the massive energy
-    # was computed before the orders were looked at
+    # the massive energy was computed before the orders were looked at; a
+    # 401-digit g ended in an OverflowError traceback, and the lattice
+    # commands now take no --g at all
     monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
     assert run(argv) == 1
     out, err = _grab(capsys)
@@ -209,17 +210,21 @@ def test_work_past_the_point_budget_exits_two(capsys, argv) -> None:
         ["rectangles", "--s", "2000000000000", "--nz", "4", "--d", "1", "--samples", "64"],
         ["reference", "--s", "1", "--L", "inf"],
         ["mass-expansion", "--am", "0.5", "--d", "1", "--nz", "1", "--orders", "600"],
-        # the classify thresholds and the mass-expansion degeneracy are gone: their flags are unknown
+        # the classify thresholds and the degeneracy of every command but
+        # reference are gone: their flags are unknown
         ["classify", "--s", "1", "--d", "2", "--nz-max", "8", "--delta-tail", "inf"],
         ["classify", "--s", "2", "--d", "2", "--nz-max", "8", "--eps-nonzero", "inf", "--eps-zero", "1e-300"],
         ["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--g", "2"],
+        ["sweep", "--s", "2", "--d", "3", "--nz-max", "8", "--g", "2"],
+        ["classify", "--s", "2", "--d", "3", "--nz-max", "8", "--g", "2"],
+        ["rectangles", "--s", "2", "--nz", "2", "--g", "2"],
         ["sweep", "--s", "2", "--d", "3", "--nz-max", "1048577"],
         ["classify", "--s", "2", "--d", "3", "--nz-max", "1048577"],
     ],
     ids=[
         "samples-huge", "nz-huge", "k-perp-nan", "rectangles-s-huge-odd", "rectangles-s-huge-even", "L-inf",
         "mass-expansion-light-mass-many-orders", "classify-delta-tail-inf", "classify-eps-nonzero-inf",
-        "mass-expansion-g",
+        "mass-expansion-g", "sweep-g", "classify-g", "rectangles-g",
         "sweep-nz-max-huge", "classify-nz-max-huge",
     ],
 )
@@ -228,7 +233,8 @@ def test_unbounded_or_nonfinite_input_exits_one(monkeypatch, capsys, argv) -> No
     # orders ran past a 20 s timeout or would build 7.28 TiB of kz nodes;
     # 0.5**(1 - 2n) past n = 512 ended in an OverflowError traceback; an inf
     # threshold classified a Lasting and a Remnant branch as Damping; --g 2
-    # doubled the massive energy but not the partial sums it was compared with
+    # doubled the massive energy but not the partial sums it was compared with,
+    # and rectangles took it and ignored it
     monkeypatch.setattr(latcas.modes, "_joined_modes", lambda *a: pytest.fail("modes generated"))
     assert run(argv) == 1
     out, err = _grab(capsys)

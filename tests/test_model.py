@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -59,23 +59,19 @@ def test_rejects_invalid_specs() -> None:
         DispersionSpec(s=1, am=-0.5)
     with pytest.raises(ValueError):
         DispersionSpec(s=2, am=1.0)  # mass only combines with the linear branch
-    with pytest.raises(ValueError):
-        DispersionSpec(s=1, g=0)
     for am in (math.nan, math.inf, -math.inf, True):
         with pytest.raises(ValueError):
             DispersionSpec(s=1, am=am)
-    for field in ("s", "g"):
-        for flag in (True, np.True_):
-            with pytest.raises(ValueError):
-                DispersionSpec(**{"s": 1, field: flag})
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError):
+            DispersionSpec(s=flag)
 
 
-def test_degeneracy_is_bounded_by_the_exact_float_integers() -> None:
-    # g multiplies float energies; a 401-digit g ended in an OverflowError
-    assert DispersionSpec(s=1, g=2**53).g == 2**53
-    for g in (2**53 + 1, 10**400, 10**5000):
-        with pytest.raises(ValueError, match="at most 2\\*\\*53"):
-            DispersionSpec(s=1, g=g)
+def test_spec_is_one_branch_without_degeneracy() -> None:
+    # a degeneracy only multiplied every energy; the caller applies it
+    assert [f.name for f in fields(DispersionSpec)] == ["s", "am"]
+    with pytest.raises(TypeError):
+        DispersionSpec(1, g=2)
 
 
 def test_geometry_validation() -> None:
@@ -94,9 +90,9 @@ def test_numpy_integers_are_stored_as_int(kind) -> None:
     # as sweep takes np.arange thicknesses; stored as int, so no integer
     # arithmetic downstream (nz**alpha, JSON output) sees a numpy integer
     geom = Geometry(kind(3), kind(4))
-    spec = DispersionSpec(kind(2), g=kind(2))
-    assert geom == Geometry(3, 4) and spec == DispersionSpec(2, g=2)
-    assert all(type(v) is int for v in (geom.d, geom.nz, spec.s, spec.g))
+    spec = DispersionSpec(kind(2))
+    assert geom == Geometry(3, 4) and spec == DispersionSpec(2)
+    assert all(type(v) is int for v in (geom.d, geom.nz, spec.s))
 
 
 def _real_fields(x) -> list:
