@@ -52,11 +52,11 @@ def _check_mass(am) -> float:
 
 
 def _check_orders(orders) -> None:
-    # past the point budget every order's energy is refused, in every d
+    # every energy past order 515 (s > casimir._EVEN_S_MAX) is refused: more orders add only NaN sums
     if not _is_int(orders) or orders < 1:
         raise ValueError(f"orders must be a positive integer, got {orders!r}")
     if orders > _MAX_POINTS:  # no value in the message: it may not print
-        raise ValueError(f"orders must be at most {_MAX_POINTS}, the point budget of one energy")
+        raise ValueError(f"orders must be at most {_MAX_POINTS}")
 
 
 def _check_expansion(am, orders) -> float:
@@ -92,9 +92,9 @@ def _coefficients(am: float, orders: int):
 
 def expansion_coefficients(am: float, orders: int) -> list[ExpansionTerm]:
     """Terms n = 1..orders; c_n = binom(1/2, n) * am**(1 - 2n). orders is
-    at most 2**20, the point budget, past which no energy is computed, and
-    for am < 1 at most the last n whose am**(1 - 2n) is within the float
-    range; past either the call raises ValueError naming the limit.
+    at most 2**20 (every energy past n = 515 is refused, past the float
+    range), and for am < 1 at most the last n whose am**(1 - 2n) is within
+    the float range; past either the call raises ValueError naming the limit.
     """
     am = _check_expansion(am, orders)
     return [ExpansionTerm(n, c_n) for n, c_n in enumerate(_coefficients(am, orders), 1)]
@@ -120,9 +120,8 @@ def remnant_partial_sums(
 
     Terms whose massless energy vanishes (order below the remnant support)
     contribute exactly zero; no support rule is imposed by hand. Once a
-    partial sum is NaN (an order refused by the point budget or past the
-    float range, whose every higher order is refused too) so is every
-    later one, and no further energy is computed.
+    partial sum is NaN (an energy past the float range) so is every later
+    one, and no further energy is computed.
     """
     from .casimir import casimir_energy  # numpy loads with the first energy, not with this module
 

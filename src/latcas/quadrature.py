@@ -19,8 +19,8 @@ and spectrally accurate for analytic integrands. Grid sums are accumulated
 in a fixed deterministic order: chunk subtotals use numpy's pairwise
 reduction and the subtotals are combined with math.fsum, so results are
 bit-stable run to run regardless of internal evaluation batching. The
-energies do not take this route: it is public, and the tests' independent
-check of the density-of-states route.
+energies do not take this route; it stays public because the benchmark's
+tracer names it, and the tests check theirs by tests/oracles.py.
 
 Every call hands each integrand at most _MAX_POINTS points in total, each
 point counted cost times where the integrand does cost units of work per

@@ -73,8 +73,8 @@ def sweep(
     density of states and kz average; none of these depends on nz, so each
     is computed once per process for each (s, am, d) and kept for later
     calls in a store bounded to 8 MiB besides the table used last. Every
-    row charges its point budget all the same, so a row does not depend on
-    what ran before. The odd-order thicknesses also refine level by level
+    odd row charges its point budget all the same, so a row does not depend
+    on what ran before. The odd-order thicknesses also refine level by level
     together: one dispersion call per level covers
     the modes of every thickness still refining, and each keeps its own
     convergence test, budget and verdict. A non-converged row is recorded
@@ -90,7 +90,7 @@ def sweep(
         nzs.append(operator.index(nz))  # a float raises instead of truncating
     if not nzs:
         raise ValueError("nz_range must be nonempty")
-    if len(nzs) > _MAX_POINTS:  # a structural-zero row costs no point, so the budget alone bounds nothing
+    if len(nzs) > _MAX_POINTS:  # an even row costs no point, so the budget alone bounds nothing
         raise ValueError(f"a sweep takes at most {_MAX_POINTS} thicknesses")
     if sorted(set(nzs)) != nzs:
         raise ValueError("nz_range must be strictly ascending")

@@ -15,6 +15,7 @@ values and the package is a genuine two-route check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 PERIODIC = "periodic"
@@ -22,6 +23,7 @@ ANTIPERIODIC = "antiperiodic"
 PHENOMENOLOGICAL = "phenomenological"
 
 
+@cache  # the d=3 moments ask for every C(2i, i) again for each m
 def kernel_moment(j: int) -> int:
     """Zone average of (2 - 2 cos x)^j."""
     return comb(2 * j, j)

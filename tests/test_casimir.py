@@ -186,6 +186,33 @@ def test_the_last_even_order_in_the_float_range_is_finite() -> None:
     assert (r.e0_int, r.e_cas, r.quad_error, r.converged) == (math.inf, -math.inf, math.inf, False)
 
 
+@pytest.mark.parametrize("s, nzs", [(160, [79, 80]), (200, [2, 100]), (202, [1, 101, 102, 103])])
+def test_even_rows_past_the_retired_grid_charge_are_the_correctly_rounded_oracle(s: int, nzs: list) -> None:
+    # the point budget of the grid that the integer table replaced refused
+    # these d=3 rows as NaN; the table answers them exactly
+    for name, bc in _BC.items():
+        for r in sweep(DispersionSpec(s), 3, bc, nzs, CFG):
+            where = (s, name, r.nz)
+            assert r.e_cas == float(mo.casimir_exact(s, 3, r.nz, name)), where
+            assert r.e0_int == float(mo.zero_point_int_exact(s, 3, r.nz)), where
+            assert r.converged and r.quad_error == (math.ulp(r.e_cas) if r.e_cas else 0.0), where
+
+
+def test_transverse_moments_are_the_oracle_moments() -> None:
+    # d=3 by a three-term recurrence in place of an O(m) sum per moment
+    for d in (2, 3):
+        assert casimir._transverse_moments(515, d) == [mo.transverse_moment(m, d) for m in range(516)], d
+    assert casimir._transverse_moments(0, 3) == [1]
+
+
+def test_a_row_whose_zero_point_sum_passes_the_float_range_is_not_converged() -> None:
+    # e0_int (8.95e306 at nz=1) and e_cas (1.71e308) are finite, but their
+    # sum is not: such a row read converged=True with e0_sum = inf
+    for r in sweep(DispersionSpec(1026), 1, PHEN, range(1, 21), CFG):
+        assert math.isfinite(r.e0_int) and math.isfinite(r.e_cas) and r.e0_sum == math.inf, r.nz
+        assert not r.converged and r.quad_error == math.inf, r.nz
+
+
 def test_nonfinite_values_are_not_converged() -> None:
     # am**2 overflows: odd order, both without (d=1) and with grid doubling
     for d in (1, 2):
@@ -512,7 +539,7 @@ def test_work_per_point_is_charged_to_the_budget(monkeypatch, spec, geom) -> Non
 
 
 def test_even_grid_past_the_point_budget_is_not_converged() -> None:
-    # 2^20 + 1 points per axis in d=2: refused before any point is evaluated
+    # past _EVEN_S_MAX: refused before any integer work
     with np.errstate(all="ignore"):
         r = casimir_energy(DispersionSpec(2 << 20), Geometry(2, 1), PER, CFG)
     assert not r.converged and math.isnan(r.e_cas) and r.quad_error == math.inf

@@ -333,7 +333,7 @@ def test_nonfinite_result_is_named_without_numpy_warnings(capsys) -> None:
 @pytest.mark.parametrize(
     "argv, names",
     [
-        (["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--orders", "101"], "partial_sum"),
+        (["mass-expansion", "--am", "5", "--d", "1", "--nz", "1", "--orders", "516"], "partial_sum"),
         (["rectangles", "--s", "1", "--am", "1e200", "--nz", "2"], "height, aomega, sum_area, int_area"),
         (["rectangles", "--s", "1", "--am", "1e200", "--nz", "2", "--format", "json"],
          "height, aomega, sum_area, int_area"),
@@ -341,20 +341,20 @@ def test_nonfinite_result_is_named_without_numpy_warnings(capsys) -> None:
     ids=["partial-sums", "rectangles", "rectangles-json"],
 )
 def test_nonfinite_partial_sums_and_areas_exit_two(capsys, argv, names) -> None:
-    # the s = 202 term's continuum level passes the point budget, so the last
+    # the s = 1032 term is past the float range and refused, so the last
     # partial sum is NaN, and am**2 overflows every height: both exited 0
     assert run(argv) == 2
     assert _grab(capsys)[1] == f"warning: non-finite {names}\n"
 
 
 def test_partial_sums_past_the_first_nan_print_as_one_line(capsys) -> None:
-    # every partial sum from K = 101 on is NaN (the s = 202 term passes the
-    # point budget); the table printed each of the 2**20 rows
+    # every partial sum from K = 516 on is NaN (the s = 1032 term is past
+    # the float range); the table printed each of the 2**20 rows
     with np.errstate(all="ignore"):
-        assert run(["mass-expansion", "--am", "5", "--d", "3", "--nz", "1", "--orders", "1048576"]) == 2
+        assert run(["mass-expansion", "--am", "5", "--d", "1", "--nz", "1", "--orders", "1048576"]) == 2
     lines = _grab(capsys)[0].splitlines()
-    assert len(lines) < 200
-    assert lines[-2].split()[:2] == ["101", "nan"] and lines[-1] == "K = 102..1048576: nan"
+    assert len(lines) < 600
+    assert lines[-2].split()[:2] == ["516", "nan"] and lines[-1] == "K = 517..1048576: nan"
 
 
 def test_partial_sums_within_the_point_budget_exit_zero(capsys) -> None:

@@ -154,35 +154,43 @@ def test_partial_sums_are_cumulative() -> None:
 
 
 def test_partial_sums_stop_at_the_first_nan(monkeypatch) -> None:
-    # in d = 3 at nz = 1 the point budget refuses the order of K = 101 and
-    # every higher one, so the partial sums are NaN from there on; no energy
-    # past that order is computed, and the sums keep every bit of the loop
-    # over all orders
-    energy, orders, calls = casimir_energy, 120, []
+    # in d = 1 at nz = 1 the order s = 1032 of K = 516 is past the float
+    # range and refused, like every higher one, so the partial sums are NaN
+    # from there on; no energy past that order is computed, and the sums
+    # keep every bit of the loop over all orders
+    energy, orders, calls = casimir_energy, 530, []
     monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda spec, *a: calls.append(spec.s) or energy(spec, *a))
-    sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, orders, CFG)
-    assert calls == [2 * n for n in range(1, 102)]
+    sums = remnant_partial_sums(5.0, Geometry(1, 1), PER, orders, CFG)
+    assert calls == [2 * n for n in range(1, 517)]
     total, every_order = 0.0, []
     for term in expansion_coefficients(5.0, orders):
-        total += term.c_n * energy(DispersionSpec(2 * term.n), Geometry(3, 1), PER, CFG).e_cas
+        total += term.c_n * energy(DispersionSpec(2 * term.n), Geometry(1, 1), PER, CFG).e_cas
         every_order.append(total)
-    assert math.isnan(every_order[100]) and not math.isnan(every_order[99])
+    assert math.isnan(every_order[515]) and not math.isnan(every_order[514])
     assert np.array(sums).tobytes() == np.array(every_order).tobytes()
 
 
 def test_partial_sums_build_no_term_past_the_first_nan() -> None:
-    # in d = 3 at nz = 1 every partial sum from K = 101 on is NaN; the
+    # in d = 1 at nz = 1 every partial sum from K = 516 on is NaN; the
     # 2**20 terms built up front used to peak at about 170 MiB, where the
     # returned list itself takes 8 MiB
-    remnant_partial_sums(5.0, Geometry(3, 1), PER, 2, CFG)  # numpy's first use outside the trace
+    remnant_partial_sums(5.0, Geometry(1, 1), PER, 2, CFG)  # numpy's first use outside the trace
     tracemalloc.start()
     try:
-        sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, _MAX_POINTS, CFG)
+        sums = remnant_partial_sums(5.0, Geometry(1, 1), PER, _MAX_POINTS, CFG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sums) == _MAX_POINTS and math.isnan(sums[100]) and not math.isnan(sums[99])
+    assert len(sums) == _MAX_POINTS and math.isnan(sums[515]) and not math.isnan(sums[514])
     assert peak < 32 << 20
+
+
+def test_partial_sums_in_d3_run_past_the_retired_grid_charge() -> None:
+    # the even orders of d = 3 were refused from s = 202 (K = 101) by the
+    # point budget of the grid that the integer table replaced; the partial
+    # sums now run on to the float range (the first NaN is at K = 290)
+    sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, 102, CFG)
+    assert all(math.isfinite(x) for x in sums)
 
 
 def test_reconstruction_error_shrinks_with_order() -> None:
