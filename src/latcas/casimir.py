@@ -30,9 +30,12 @@ antiperiodic family, and e0_sum = e0_int + e_cas. Each is one correctly
 rounded conversion of an integer, and quad_error is one ulp of e_cas,
 twice the bound of that rounding. Past the support (m > n) the sum is
 empty and the row is exactly 0.0 with error 0.0, the structural zero,
-with no branch of its own. The table of (s, d), n+1 integers, is built in
-about n^2 integer steps when the first row asks and kept with the rule; a
-row takes no modes, no grid and no kz average.
+with no branch of its own. The table of (s, d), n+1 integers, is that
+sum over the binomial rows (-1)^k C(2j, j-k) of u^j, u = 2 - 2 cos kz,
+built in about n^2 integer steps when the first row asks and kept with
+the rule; a row takes no modes, no grid and no kz average. The alias sum
+is linear in the table, so the mass expansion aliases each row once and
+takes each order as one dot product with its weights (_even_orders).
 
 For odd s the inner kz average is a closed form in the complete elliptic
 integrals K and E, evaluated by the arithmetic-geometric mean, exact up to
@@ -76,7 +79,7 @@ work whose first level would pass it is refused before any mode is
 generated or any level built. Even rows take no points and no charge: an
 even s past _EVEN_S_MAX (1030), where e0_int >= (nz/2) C(s, s/2) passes
 the float range, is refused before any integer work, and below it a table
-takes at most 0.03 s (d=3, s = 1030, on a 2-core machine).
+takes at most 0.11 s (d = 2, 3, s = 1030, on a 2-core machine).
 
 The rule depends on s, am and d only, not on nz or the call, so it
 lives across calls: the calls of a process with the same (s, am, d) read
@@ -330,40 +333,47 @@ class _Rule:
 def _even_table(s: int, d: int) -> list[int]:
     """The Fourier coefficients F_k, k = 0..s/2, in kz of the transverse
     average of omega for even s in d dimensions (module docstring), as
-    Python integers, in about (s/2)^2 integer steps.
-
-    d=1: F_k = (-1)^k C(s, s/2-k), each from the last by the ratio
-    -(s/2-k)/(s/2+k+1). d = 2, 3: omega averages to the polynomial
-    sum_j C(n, j) T_d(n-j) u^j in u = 2 - 2 cos kz, n = s/2, taken by
-    Horner's rule; multiplying by u takes the coefficients c_k
-    (c_-k = c_k) to 2 c_k - c_(k-1) - c_(k+1), additions only.
-    """
+    Python integers: the rows _binomial_row(j) summed with their _weights,
+    in about (s/2)^2 integer steps."""
     n = s // 2
-    if d == 1:
-        table, c = [], math.comb(s, n)
-        for k in range(n + 1):
-            table.append(c)
-            c = c * (k - n) // (n + k + 1)
-        return table
-    moments = _transverse_moments(n, d)
-    table = [moments[0], 0]  # the coefficients of the Horner step, then a zero
-    for j in range(n - 1, -1, -1):
-        table.append(0)
-        table = [
-            2 * (table[0] - table[1]) + math.comb(n, j) * moments[n - j],
-            *[2 * table[k] - table[k - 1] - table[k + 1] for k in range(1, len(table) - 1)],
-            0,
-        ]
-    return table[:-1]
+    table = [0] * (n + 1)
+    for j, w in _weights(n, _transverse_moments(n, d)):
+        table[: j + 1] = [f + w * c for f, c in zip(table, _binomial_row(j))]
+    return table
+
+
+def _binomial_row(j: int) -> list[int]:
+    """F_k = (-1)^k C(2j, j-k), k = 0..j, the Fourier coefficients of u^j,
+    each from the last by the ratio -(j-k)/(j+k+1): the even table of
+    s = 2j in d=1, and the rows every even table sums."""
+    row, c = [], math.comb(2 * j, j)
+    for k in range(j + 1):
+        row.append(c)
+        c = c * (k - j) // (j + k + 1)
+    return row
+
+
+def _weights(n: int, moments: list[int]):
+    """(j, C(n, j) T_d(n-j)) for j = n, n-1, ..., 0 while T_d(n-j) =
+    moments[n-j] is not zero, past which every moment is zero: the weights
+    of the rows _binomial_row(j) in the table of s = 2n, the single (n, 1)
+    in d=1."""
+    c = 1  # C(n, i) = C(n, j)
+    for i in range(n + 1):
+        if not moments[i]:
+            return
+        yield n - i, c * moments[i]
+        c = c * (n - i) // (i + 1)
 
 
 def _transverse_moments(n: int, d: int) -> list[int]:
-    """T_d(m), m = 0..n, for d = 2, 3 (module docstring), each by one exact
-    step: m T_2(m) = (4m - 2) T_2(m-1), and m^2 T_3(m) =
-    4 (3m^2 - 3m + 1) T_3(m-1) - 32 (m-1)^2 T_3(m-2), T_3(1) = 4 (OEIS A081085)."""
+    """T_d(m), m = 0..n (module docstring), each by one exact step:
+    m T_2(m) = (4m - 2) T_2(m-1), which from T_1(1) = 0 keeps T_1(m) =
+    [m = 0], and m^2 T_3(m) = 4 (3m^2 - 3m + 1) T_3(m-1) - 32 (m-1)^2
+    T_3(m-2), T_3(1) = 4 (OEIS A081085)."""
     moments = [1, 2 * (d - 1)]
     for m in range(2, n + 1):
-        if d == 2:
+        if d < 3:
             moments.append(moments[-1] * (4 * m - 2) // m)
         else:
             moments.append((4 * (3 * m * m - 3 * m + 1) * moments[-1] - 32 * (m - 1) ** 2 * moments[-2]) // (m * m))
@@ -501,14 +511,33 @@ def _exact(rule: _Rule, bc: BoundaryCondition, nz: int, m: int) -> tuple:
         rule.table = _even_table(rule.spec.s, rule.d)
         rule.nbytes += sum(f.bit_length() for f in rule.table) // 8
     table = rule.table
-    if bc is BoundaryCondition.ANTIPERIODIC:
-        aliased = sum(table[2 * m :: 2 * m]) - sum(table[m :: 2 * m])
-    else:
-        aliased = sum(table[m::m])
+    aliased = _aliased(table, bc, m)
     e_cas, e0_int = _quotient(nz * aliased), _quotient(nz * table[0], 2)
     # the same rounding as e0_int where nothing aliases, past the support
     e0_sum = _quotient(nz * (table[0] + 2 * aliased), 2) if aliased else e0_int
     return e0_sum, e0_int, e_cas, math.ulp(e_cas) if e_cas else 0.0, True
+
+
+def _aliased(table: list[int], bc: BoundaryCondition, m: int) -> int:
+    """sum_(r>=1) F_(r m) of an even table (or binomial row) for m modes,
+    with (-1)^r in it antiperiodic: e_cas over nz."""
+    if bc is BoundaryCondition.ANTIPERIODIC:
+        return sum(table[2 * m :: 2 * m]) - sum(table[m :: 2 * m])
+    return sum(table[m::m])
+
+
+def _even_orders(d: int, bc: BoundaryCondition, nz: int, orders: int):
+    """e_cas of the even orders s = 2, 4, ..., 2 min(orders, _EVEN_S_MAX // 2)
+    at thickness nz, each the float _exact gives, one at a time as it is
+    asked for: order n aliases the binomial row n once, then takes one dot
+    product of the rows so far with its _weights, about orders^2 integer
+    steps and no rule, table or mode."""
+    m = _mode_count(bc, nz)
+    moments = _transverse_moments(min(orders, _EVEN_S_MAX // 2), d)
+    aliased = [_aliased(_binomial_row(0), bc, m)]
+    for n in range(1, len(moments)):
+        aliased.append(_aliased(_binomial_row(n), bc, m))
+        yield _quotient(nz * sum(w * aliased[j] for j, w in _weights(n, moments)))
 
 
 def _quotient(num: int, den: int = 1) -> float:

@@ -170,7 +170,7 @@ def _cmd_mass_expansion(args: argparse.Namespace) -> int:
     cfg = _quad_config(args)
     with warnings.catch_warnings():  # the table names a divergent domain
         warnings.simplefilter("ignore", DivergentExpansionWarning)
-        partials = remnant_partial_sums(args.am, geom, bc, args.orders, cfg)  # refuses bad orders before any energy
+        partials = remnant_partial_sums(args.am, geom, bc, args.orders)  # refuses bad orders before any energy
     massive = casimir_energy(spec, geom, bc, cfg)
     print(f"massive e_cas = {massive.e_cas:.15g}")
     print(f"expansion domain: {'convergent' if report.converges else 'divergent'} "

@@ -4,6 +4,10 @@ sqrt(k~^2 + am^2) = am + k~^2/(2 am) - k~^4/(8 am^3) + k~^6/(16 am^5) - ...
 
 The constant term is a flat band and drops out of every Casimir difference,
 so the reconstruction is a weighted sum of massless even-order energies.
+They come from one binomial transform of exact integers (casimir._even_orders),
+with the bits casimir_energy gives each order: all 515 orders within the float
+range would take about 0.15 s in d = 2, 3 and 0.05 s in d = 1 (2-core
+machine), and the sums stop at the first NaN.
 """
 from __future__ import annotations
 
@@ -12,8 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .model import (_MAX_POINTS, DEFAULT_ORDERS, BoundaryCondition, DispersionSpec, Geometry, QuadratureConfig,
-                    _is_int, _real)
+from .model import _MAX_POINTS, DEFAULT_ORDERS, BoundaryCondition, Geometry, _is_int, _real
 
 __all__ = [
     "ExpansionTerm",
@@ -114,17 +117,22 @@ def remnant_partial_sums(
     geom: Geometry,
     bc: BoundaryCondition,
     orders: int = DEFAULT_ORDERS,
-    cfg: QuadratureConfig = QuadratureConfig(),
 ) -> list[float]:
     """Cumulative reconstruction sum_{n<=K} c_n e_cas(s=2n) for K = 1..orders.
 
-    Terms whose massless energy vanishes (order below the remnant support)
-    contribute exactly zero; no support rule is imposed by hand. Once a
-    partial sum is NaN (an energy past the float range) so is every later
-    one, and no further energy is computed.
+    The energies are those casimir_energy gives, all orders from one
+    binomial transform (casimir._even_orders). Terms whose massless
+    energy vanishes (order below the remnant support) contribute exactly
+    zero; no support rule is imposed by hand. Once a partial sum is NaN
+    (an energy past the float range, or an order past 515, s > 1030) so
+    is every later one, and no further term is built.
     """
-    from .casimir import casimir_energy  # numpy loads with the first energy, not with this module
+    from .casimir import _even_orders  # numpy loads with the first energy, not with this module
 
+    if not isinstance(geom, Geometry):
+        raise TypeError("geom must be a Geometry")
+    if not isinstance(bc, BoundaryCondition):
+        raise TypeError("bc must be a BoundaryCondition")
     am = _check_expansion(am, orders)  # refuses bad input before any warning
     report = convergence_check(am, geom.d)
     if not report.converges:
@@ -134,14 +142,13 @@ def remnant_partial_sums(
             DivergentExpansionWarning,
             stacklevel=2,
         )
-    sums = []
-    total = 0.0
-    for n, c_n in enumerate(_coefficients(am, orders), 1):  # no term is built past the first NaN
-        energy = casimir_energy(DispersionSpec(s=2 * n), geom, bc, cfg).e_cas
+    # an order past 515 reads NaN, the value casimir_energy refuses s > 1030 with
+    energies = itertools.chain(_even_orders(geom.d, bc, geom.nz, orders), itertools.repeat(math.nan))
+    sums, total = [], 0.0
+    for c_n, energy in zip(_coefficients(am, orders), energies):  # no term is built past the first NaN
         total += c_n * energy
         sums.append(total)
         if math.isnan(total):  # NaN plus anything is NaN
             sums.extend(itertools.repeat(total, orders - len(sums)))
             break
     return sums
-

@@ -207,7 +207,7 @@ def test_criterion_08_mass_expansion_reconstruction() -> None:
     for nz in (1, 2, 3):
         geom = Geometry(3, nz)
         massive = casimir_energy(DispersionSpec(1, am=am), geom, PER, CFG).e_cas
-        sums = remnant_partial_sums(am, geom, PER, nz + 2, CFG)
+        sums = remnant_partial_sums(am, geom, PER, nz + 2)
         rel_k = abs(sums[nz] - massive) / abs(massive)  # K = nz+1
         rel_k1 = abs(sums[nz + 1] - massive) / abs(massive)  # K = nz+2
         details.append(f"nz={nz}: rel(K={nz + 1})={rel_k:.2%}, rel(K={nz + 2})={rel_k1:.2%}")

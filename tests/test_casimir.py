@@ -199,10 +199,23 @@ def test_even_rows_past_the_retired_grid_charge_are_the_correctly_rounded_oracle
 
 
 def test_transverse_moments_are_the_oracle_moments() -> None:
-    # d=3 by a three-term recurrence in place of an O(m) sum per moment
-    for d in (2, 3):
+    # d=3 by a three-term recurrence in place of an O(m) sum per moment;
+    # d=1 by the d=2 step from T_1(1) = 0
+    for d in (1, 2, 3):
         assert casimir._transverse_moments(515, d) == [mo.transverse_moment(m, d) for m in range(516)], d
     assert casimir._transverse_moments(0, 3) == [1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_even_tables_are_the_oracle_fourier_coefficients(d: int) -> None:
+    # the binomial transform against F_k = sum_j C(n, j) T_d(n-j) [e^(ikx)] (2 - 2 cos x)^j
+    # taken term by term from the oracle
+    for s in (0, 2, 8, 62, 200):
+        n = s // 2
+        moments = [mo.transverse_moment(m, d) for m in range(n + 1)]
+        coefficients = [math.comb(n, j) * moments[n - j] for j in range(n + 1)]
+        expected = [sum(c * mo.fourier_coefficient(j, k) for j, c in enumerate(coefficients) if j >= k) for k in range(n + 1)]
+        assert casimir._even_table(s, d) == expected, s
 
 
 def test_a_row_whose_zero_point_sum_passes_the_float_range_is_not_converged() -> None:
@@ -668,7 +681,7 @@ def test_massive_requires_positive_mass() -> None:
     # the massive branch is DispersionSpec(1, am > 0); am = 0 is the massless
     # branch, so the mass-expansion entry point is the one that rejects it
     with pytest.raises(ValueError):
-        remnant_partial_sums(0.0, Geometry(3, 1), PER, 2, CFG)
+        remnant_partial_sums(0.0, Geometry(3, 1), PER, 2)
     with pytest.raises(ValueError):
         DispersionSpec(1, am=-1.0)
 
@@ -885,8 +898,8 @@ def test_a_real_mass_computes_as_the_float_it_equals(kind) -> None:
     assert results(am) == results(float(am))
     assert len(casimir._RULES) == 2  # one per d, shared by the two masses
     heavy = kind(5.0)
-    sums = remnant_partial_sums(heavy, Geometry(3, 2), PER, 4, CFG)
-    assert sums == remnant_partial_sums(5.0, Geometry(3, 2), PER, 4, CFG) and {type(x) for x in sums} == {float}
+    sums = remnant_partial_sums(heavy, Geometry(3, 2), PER, 4)
+    assert sums == remnant_partial_sums(5.0, Geometry(3, 2), PER, 4) and {type(x) for x in sums} == {float}
     terms = expansion_coefficients(heavy, 4)
     assert terms == expansion_coefficients(5.0, 4) and {type(t.c_n) for t in terms} == {float}
     with warnings.catch_warnings():

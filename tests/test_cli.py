@@ -102,6 +102,7 @@ def test_mass_expansion_rejects_zero_mass_before_any_energy(monkeypatch, capsys)
         raise AssertionError("no energy may be computed for am <= 0")
 
     monkeypatch.setattr(latcas.casimir, "casimir_energy", spy)
+    monkeypatch.setattr(latcas.casimir, "_even_orders", spy)
     code = run(["mass-expansion", "--am", "0", "--nz", "1"])
     _, err = _grab(capsys)
     assert code == 1
@@ -123,6 +124,7 @@ def test_unbounded_counts_exit_one_before_any_energy(monkeypatch, capsys, argv) 
     # 401-digit g ended in an OverflowError traceback, and the lattice
     # commands now take no --g at all
     monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
+    monkeypatch.setattr(latcas.casimir, "_even_orders", lambda *a: pytest.fail("energy computed"))
     assert run(argv) == 1
     out, err = _grab(capsys)
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1

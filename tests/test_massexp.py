@@ -23,6 +23,8 @@ from latcas import (
 )
 from latcas.model import _MAX_POINTS
 
+import moment_oracle as mo
+
 PER = BoundaryCondition.periodic()
 CFG = QuadratureConfig()
 
@@ -87,13 +89,17 @@ def test_rejects_what_dispersion_spec_rejects(call) -> None:
         call()
 
 
+def _refuse_energies(monkeypatch) -> None:
+    # both routes to an even-order energy: the public one and the transform of the partial sums
+    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
+    monkeypatch.setattr(latcas.casimir, "_even_orders", lambda *a: pytest.fail("energy computed"))
+
+
 @pytest.mark.parametrize("orders", [_MAX_POINTS + 1, 10**5000], ids=["budget-plus-one", "5001-digits"])
 def test_orders_past_the_point_budget_are_refused_before_any_term(monkeypatch, orders) -> None:
     # past 2**20 every order's energy is refused; the term list alone grew
     # by about 100 B per order
-    import latcas.casimir
-
-    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
+    _refuse_energies(monkeypatch)
     monkeypatch.setattr(massexp, "ExpansionTerm", lambda *a: pytest.fail("term built"))
     with pytest.raises(ValueError, match="at most"):
         expansion_coefficients(5.0, orders)
@@ -109,10 +115,8 @@ def test_orders_up_to_the_point_budget_are_accepted() -> None:
 def test_light_mass_orders_past_the_float_range_are_refused(monkeypatch, am) -> None:
     # 0.5**(1 - 2n) passes the float range at n = 513 and ended in an
     # OverflowError traceback; a numpy float mass is taken as a float
-    import latcas.casimir
-
     assert len(expansion_coefficients(am, 512)) == 512
-    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
+    _refuse_energies(monkeypatch)
     with pytest.raises(ValueError, match="at most 512"):
         expansion_coefficients(am, 600)
     with warnings.catch_warnings():
@@ -138,31 +142,34 @@ def test_series_reproduces_square_root() -> None:
 def test_partial_sum_vanishes_when_no_order_contributes() -> None:
     # every order up to s=6 is past its remnant support at nz=4; only
     # pointwise cancellation noise (well below 1e-12) remains
-    assert remnant_partial_sums(5.0, Geometry(3, 4), PER, 3, CFG)[-1] == pytest.approx(0.0, abs=1e-12)
+    assert remnant_partial_sums(5.0, Geometry(3, 4), PER, 3)[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_divergent_domain_warns_but_computes() -> None:
     with pytest.warns(DivergentExpansionWarning):
-        value = remnant_partial_sums(3.0, Geometry(3, 1), PER, 2, CFG)[-1]
+        value = remnant_partial_sums(3.0, Geometry(3, 1), PER, 2)[-1]
     assert value == pytest.approx(1.0 / 6.0 * -1.0 + (-1.0 / (8 * 27)) * -11.0, rel=1e-9)
 
 
 def test_partial_sums_are_cumulative() -> None:
-    sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, 3, CFG)
+    sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, 3)
     assert sums == pytest.approx([-0.1, -0.089, -0.09112], rel=1e-9)
-    assert remnant_partial_sums(5.0, Geometry(3, 1), PER, 3, CFG)[-1] == sums[-1]
+    assert remnant_partial_sums(5.0, Geometry(3, 1), PER, 3)[-1] == sums[-1]
 
 
 def test_partial_sums_stop_at_the_first_nan(monkeypatch) -> None:
     # in d = 1 at nz = 1 the order s = 1032 of K = 516 is past the float
     # range and refused, like every higher one, so the partial sums are NaN
-    # from there on; no energy past that order is computed, and the sums
-    # keep every bit of the loop over all orders
-    energy, orders, calls = casimir_energy, 530, []
-    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda spec, *a: calls.append(spec.s) or energy(spec, *a))
-    sums = remnant_partial_sums(5.0, Geometry(1, 1), PER, orders, CFG)
-    assert calls == [2 * n for n in range(1, 517)]
-    total, every_order = 0.0, []
+    # from there on; one transform gives every energy, no row past order
+    # 515 is built, and the sums keep every bit of the loop over all orders
+    orders, calls, rows = 530, [], []
+    even_orders, binomial_row = latcas.casimir._even_orders, latcas.casimir._binomial_row
+    monkeypatch.setattr(latcas.casimir, "_even_orders", lambda *a: calls.append(a) or even_orders(*a))
+    monkeypatch.setattr(latcas.casimir, "_binomial_row", lambda j: rows.append(j) or binomial_row(j))
+    sums = remnant_partial_sums(5.0, Geometry(1, 1), PER, orders)
+    assert calls == [(1, PER, 1, orders)] and max(rows) == 515
+    monkeypatch.undo()
+    energy, total, every_order = casimir_energy, 0.0, []
     for term in expansion_coefficients(5.0, orders):
         total += term.c_n * energy(DispersionSpec(2 * term.n), Geometry(1, 1), PER, CFG).e_cas
         every_order.append(total)
@@ -170,14 +177,26 @@ def test_partial_sums_stop_at_the_first_nan(monkeypatch) -> None:
     assert np.array(sums).tobytes() == np.array(every_order).tobytes()
 
 
+@pytest.mark.parametrize("d, first_nan", [(2, 345), (3, 290)])
+def test_partial_sums_build_no_row_past_the_first_nan(monkeypatch, d, first_nan) -> None:
+    # at nz = 1 an energy of order first_nan passes the float range; the
+    # rows of the orders past it, which no sum reads, took about half the
+    # time of the sums when every row to order 515 was aliased up front
+    rows, binomial_row = [], latcas.casimir._binomial_row
+    monkeypatch.setattr(latcas.casimir, "_binomial_row", lambda j: rows.append(j) or binomial_row(j))
+    sums = remnant_partial_sums(5.0, Geometry(d, 1), PER, 1000)
+    assert math.isnan(sums[first_nan - 1]) and not math.isnan(sums[first_nan - 2])
+    assert rows == list(range(first_nan + 1))
+
+
 def test_partial_sums_build_no_term_past_the_first_nan() -> None:
     # in d = 1 at nz = 1 every partial sum from K = 516 on is NaN; the
     # 2**20 terms built up front used to peak at about 170 MiB, where the
     # returned list itself takes 8 MiB
-    remnant_partial_sums(5.0, Geometry(1, 1), PER, 2, CFG)  # numpy's first use outside the trace
+    remnant_partial_sums(5.0, Geometry(1, 1), PER, 2)  # numpy's first use outside the trace
     tracemalloc.start()
     try:
-        sums = remnant_partial_sums(5.0, Geometry(1, 1), PER, _MAX_POINTS, CFG)
+        sums = remnant_partial_sums(5.0, Geometry(1, 1), PER, _MAX_POINTS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -189,15 +208,55 @@ def test_partial_sums_in_d3_run_past_the_retired_grid_charge() -> None:
     # the even orders of d = 3 were refused from s = 202 (K = 101) by the
     # point budget of the grid that the integer table replaced; the partial
     # sums now run on to the float range (the first NaN is at K = 290)
-    sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, 102, CFG)
+    sums = remnant_partial_sums(5.0, Geometry(3, 1), PER, 102)
     assert all(math.isfinite(x) for x in sums)
+
+
+@pytest.mark.parametrize(
+    "geom, bc", [("x", PER), (None, PER), (Geometry(3, 1), "periodic"), (Geometry(3, 1), None)],
+    ids=["geom-str", "geom-none", "bc-str", "bc-none"],
+)
+def test_ill_typed_geometry_or_family_is_refused_before_the_warning(monkeypatch, geom, bc) -> None:
+    # a str geometry ended in an AttributeError, and a str family raised
+    # only after the divergent domain of am = 3 in d = 3 had been warned of
+    _refuse_energies(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DivergentExpansionWarning)
+        with pytest.raises(TypeError, match="geom must be a Geometry" if bc is PER else "bc must be a BoundaryCondition"):
+            remnant_partial_sums(3.0, geom, bc, 2)
+
+
+def test_partial_sums_compute_no_energy_and_store_no_rule(monkeypatch) -> None:
+    # one energy per order went through casimir_energy, each building an
+    # integer table and storing a rule of its own
+    rules = len(latcas.casimir._RULES)
+    monkeypatch.setattr(latcas.casimir, "casimir_energy", lambda *a: pytest.fail("energy computed"))
+    monkeypatch.setattr(latcas.casimir, "_even_table", lambda *a: pytest.fail("table built"))
+    for d in (1, 2, 3):
+        assert len(remnant_partial_sums(5.0, Geometry(d, 2), PER, 40)) == 40
+    assert len(latcas.casimir._RULES) == rules
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_even_orders_are_the_energies_of_casimir_energy(d: int) -> None:
+    # every order of one transform has the bits of its own casimir_energy,
+    # and a sample of them is the exact oracle rounded once
+    for name in ("periodic", "antiperiodic", "phenomenological"):
+        bc = BoundaryCondition(name)
+        for nz in (1, 2, 3, 5):
+            energies = list(latcas.casimir._even_orders(d, bc, nz, 60))
+            assert len(energies) == 60 and {type(e) for e in energies} == {float}
+            for n, e_cas in enumerate(energies, 1):
+                assert repr(e_cas) == repr(casimir_energy(DispersionSpec(2 * n), Geometry(d, nz), bc).e_cas), (name, nz, n)
+            for n in (1, nz, nz + 1, 2 * nz + 3, 60):
+                assert energies[n - 1] == float(mo.casimir_exact(2 * n, d, nz, name)), (name, nz, n)
 
 
 def test_reconstruction_error_shrinks_with_order() -> None:
     for nz in (1, 2, 3):
         geom = Geometry(3, nz)
         massive = casimir_energy(DispersionSpec(1, am=5.0), geom, PER, CFG).e_cas
-        sums = remnant_partial_sums(5.0, geom, PER, nz + 3, CFG)
+        sums = remnant_partial_sums(5.0, geom, PER, nz + 3)
         errors = [abs(s - massive) for s in sums[nz - 1 :]]
         assert all(a > b for a, b in zip(errors, errors[1:])), (nz, errors)
 
@@ -207,5 +266,5 @@ def test_reconstruction_converges_to_massive_value() -> None:
     for nz in (1, 2, 3):
         geom = Geometry(3, nz)
         massive = casimir_energy(DispersionSpec(1, am=5.0), geom, PER, CFG).e_cas
-        partial = remnant_partial_sums(5.0, geom, PER, 2 * nz + 1, CFG)[-1]
+        partial = remnant_partial_sums(5.0, geom, PER, 2 * nz + 1)[-1]
         assert abs(partial - massive) / abs(massive) < 0.05, nz
