@@ -55,7 +55,9 @@ double-exponential nodes and weights on (0, 1) (Takahasi & Mori, Publ.
 RIMS 9, 1974), nested so that each level, at half the step, adds only its
 new nodes, the values of t at them, and the level sums that
 quadrature._converge refines, one dot product with the weights a level
-stores per value of t, step and density of states in them. The rule
+stores per value of t, step and density of states in them. The level
+sizes do not depend on the integrand, so the last level of every row is
+known before the first (_TS_ENDS). The rule
 converges exponentially even with algebraic or logarithmic singularities
 at the interval ends, where the density of states puts all of them:
 
@@ -84,23 +86,34 @@ takes at most 0.11 s (d = 2, 3, s = 1030, on a 2-core machine).
 The rule depends on s, am and d only, not on nz or the call, so it
 lives across calls: the calls of a process with the same (s, am, d) read
 and extend one table, and each result has the bits it would have from a
-table of its own. The tables stay in a least-recently-used store of at
-most _MAX_RULES (64) rules that holds at most _HELD_BYTES (8 MiB) of level
-arrays and integer tables besides the rule used last, so its memory beyond
-8 MiB is one call's table, which the point budget or _EVEN_S_MAX bounds.
+table of its own. A table holds its levels flat, one array each of
+weights, values of t and kz averages with the offset of every level, so
+that a run of levels is one slice; each level is still built by its own
+calls, so its bits do not depend on the levels built with it. The tables
+stay in a least-recently-used store of at most _MAX_RULES (64) rules that
+holds at most _HELD_BYTES (8 MiB) of level arrays and integer tables
+besides the rule used last, so its memory beyond 8 MiB is one call's
+table, which the point budget or _EVEN_S_MAX bounds.
 
 One kernel, _casimir_rows, computes a list of thicknesses, and
 casimir_energy is its one-thickness case. It tests the parity of s once:
 an even order reads every row from the table, and an odd one refuses each
 row past the budget and puts the others in groups of the pointwise route.
-The thicknesses of a group refine level by level together: each level
-takes one dispersion call over the joined mode kernels of the thicknesses
-still refining, one segmented sum (np.add.reduceat) that gives each
-thickness the sum of its own columns, and one vectorised convergence test.
-A segment's sum depends on its own columns only, and each thickness keeps
-its own budget and gets its own verdict, and retires when it converges,
+The thicknesses of a group refine together, in runs of consecutive
+levels: a run takes one dispersion call over its values of t and the
+joined mode kernels of the thicknesses still refining, one segmented sum
+(np.add.reduceat) that gives each thickness the sum of its own columns,
+one dot product per level and one vectorised convergence test of all its
+levels. A run from level 0 takes level 1 too, which every thickness needs
+before its first verdict; past it, a run takes a further level while its
+values of t times the live columns stay within _BATCH, no level passes the
+last level of a live thickness and no thickness has converged yet
+(_transverse_average). A segment's sum depends on its own
+columns only, and each thickness keeps its own budget and gets its own
+verdict, and retires at the first level where it converges, or where it
 reaches max_refinements or cannot afford its next level, so a sweep row is
-bit for bit the casimir_energy result of its thickness. The thicknesses go
+bit for bit the casimir_energy result of its thickness, however the
+levels fall into runs. The thicknesses go
 in groups whose joined modes take at most _MAT_BUDGET values on the first
 level, and each dispersion call stays within that budget, so memory does
 not grow with the sum of the thicknesses. A group builds the modes of all
@@ -118,17 +131,27 @@ import numpy as np
 
 from .model import BoundaryCondition, CasimirResult, DispersionSpec, Geometry, QuadratureConfig
 from .modes import _joined_modes, _mode_count
-from .quadrature import _EPS, _MAX_POINTS, _converge, _rounding_floor
+from .quadrature import _EPS, _MAX_POINTS, _converge, _ends, _rounding_floor
 
 __all__ = ["casimir_energy", "eval_from_kernel_sum"]
 
 # elements per (values of t, joined mode kernels) temporary; the point budget
 # already keeps one thickness's level, values of t times modes, within it
 _MAT_BUDGET = _MAX_POINTS
+# (values of t) x (mode columns) past which a run of tanh-sinh levels takes no
+# further level: where the arithmetic of a run matches the fixed cost of one
+# more level. On a 2-core x86-64 host (Python 3.11, numpy 2.4) the integrand
+# and its dot product cost 3.7-3.9 ns per value of t and column (30 rows, 465
+# columns, 112-784 values of t), and a level's fixed cost, the integrand's
+# calls, the dot product and the verdicts, is about 30 us: 30 us / 3.7 ns =
+# 8,100
+_BATCH = 1 << 13
 _AGM_MAX_ITER = 64  # convergence is quadratic; the cap bounds NaN or inf input
 _TS_REACH = 3.5  # tanh-sinh nodes at |u| <= _TS_REACH; the weights beyond are below 1e-20
 _EVEN_S_MAX = 1030  # past it e0_int >= (nz/2) C(s, s/2) passes the float range: C(1032, 516)/2 > 1.8e308
 _REFUSED = (math.nan, math.nan, math.nan, math.nan, False)  # _row's (e0_sum, e0_int, e_cas, error, converged)
+_NONE = np.empty(0)  # the flat levels of a rule before its first
+_NONE.flags.writeable = False
 
 
 def _kernel(ak: np.ndarray) -> np.ndarray:
@@ -195,8 +218,11 @@ def _mode_sum(
     """(1/2) w sum_l omega(t + k_i[l]) for every entry of t, one row per
     thickness i, with k_i its mode kernels, the columns of joined that
     bounds gives it (see _node_sum); every generate_modes family has one
-    uniform weight w."""
-    return 0.5 * (w * _node_sum(spec, t, joined, bounds))
+    uniform weight w, 1 or 1/2. Both scalings are exact, so (w/2) sum has
+    the bits of (1/2)(w sum) in one multiplication: a sum of weight 1/2
+    (phenomenological) holds the mode at kz = pi, at least omega(4) >= 2,
+    so it never reaches the subnormal range."""
+    return (0.5 * w) * _node_sum(spec, t, joined, bounds)
 
 
 def _kz_average(spec: DispersionSpec, t: np.ndarray) -> np.ndarray:
@@ -260,6 +286,11 @@ def _tanh_sinh_size(level: int) -> int:
     return 2 * top + 1 if level == 0 else 2 * ((top + 1) // 2)
 
 
+_TS_ENDS = _ends(_tanh_sinh_size)  # tanh-sinh nodes through each level, to one past the point budget
+# values of t through each level in d = 2, 3, two per node in d=3, as an array and as Python ints
+_TS_VALUES = {d: ((d - 1) * _TS_ENDS, ((d - 1) * _TS_ENDS).tolist()) for d in (2, 3)}
+
+
 def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nodes that tanh-sinh level `level` on (0, 1) adds: x, their
     complements xc = 1 - x and their weights w.
@@ -300,34 +331,43 @@ def _dos_level(d: int, level: int) -> tuple:
 
 
 class _Rule:
-    """The transverse rule of (s, am) in d dimensions (module docstring): a
-    table of levels, filled in order as callers first ask for them, and
-    for even s the integer table of its rows, that _rule keeps across
-    calls."""
+    """The transverse rule of (s, am) in d dimensions (module docstring): its
+    levels, built in order as callers first ask for them, and for even s
+    the integer table of its rows, that _rule keeps across calls.
+
+    The levels are stored flat, as read-only arrays w, t and kz: the
+    weights, the values of t and _kz_average at each t, level j at the
+    entries ends[j]:ends[j+1], so that a run of levels is one slice. The
+    one exact level of d=1 is the point t = 0, whose average takes no
+    weight (w stays empty); d = 2, 3 take the _dos_level tanh-sinh levels.
+    """
 
     def __init__(self, spec: DispersionSpec, d: int):
         self.spec, self.d = spec, d
         self.n = int(d == 1)  # 1: the one exact point t = 0 of d=1; 0: tanh-sinh levels
         # values of t of level 0, which odd rows check against the budget
-        self.first = 1 if self.n else (d - 1) * _tanh_sinh_size(0)
-        self.levels: list[tuple] = []
+        self.first = 1 if self.n else (d - 1) * int(_TS_ENDS[0])
+        self.w = self.t = self.kz = _NONE
+        self.ends = [0]
         self.table: list[int] | None = None  # even s: _even_table, once a row asks
         self.nbytes = 0  # of the level arrays and the table
 
-    def level(self, j: int) -> tuple:
-        """Level j as (w, t, kz), read-only arrays: the weights, the values
-        of t and _kz_average at each t. The one exact level of d=1 is the
-        point t = 0 without weights (w = None); d = 2, 3 take the
-        _dos_level tanh-sinh levels."""
-        if j == len(self.levels):  # callers ask for levels in order
-            w, t = (None, np.zeros(1)) if self.n else _dos_level(self.d, j)
-            arrays = (w, t, _kz_average(self.spec, t))
-            for a in arrays:
-                if a is not None:
-                    a.flags.writeable = False
-                    self.nbytes += a.nbytes
-            self.levels.append(arrays)
-        return self.levels[j]
+    def grow(self, k: int) -> None:
+        """Build the levels up to k that are not built yet, each by its own
+        _dos_level and _kz_average call, and extend the flat arrays once."""
+        built = len(self.ends) - 1
+        if k < built:
+            return
+        ws, ts = zip(*((_NONE, np.zeros(1)) if self.n else _dos_level(self.d, j) for j in range(built, k + 1)))
+        kzs = [_kz_average(self.spec, t) for t in ts]
+        old = (self.w, self.t, self.kz)
+        self.w, self.t, self.kz = (np.concatenate([a, *new]) for a, new in zip(old, (ws, ts, kzs)))
+        for a in (self.w, self.t, self.kz):
+            a.flags.writeable = False
+            self.nbytes += a.nbytes
+        self.nbytes -= sum(a.nbytes for a in old)
+        for t in ts:
+            self.ends.append(self.ends[-1] + t.size)
 
 
 def _even_table(s: int, d: int) -> list[int]:
@@ -411,7 +451,7 @@ def _rule(spec: DispersionSpec, d: int) -> _Rule:
     return rule
 
 
-def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int]) -> tuple:
+def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int], cols: Sequence[int]) -> tuple:
     """Transverse BZ averages of the rows of f over the levels of rule (see
     _rule), one row per entry of costs, as the arrays (values, errors,
     converged, points) of quadrature._converge: shapes (rows, ncomp),
@@ -419,8 +459,8 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     last level of each row.
 
     f(t, kz, rows) gives the integrands of the rows asked for, an index
-    array, at the level's values of t (the transverse kernel sum) and kz
-    (its kz average), as a (rows.size, t.size, ncomp) array. The one
+    array, at values of t (the transverse kernel sum) and kz (their kz
+    average), as a (rows.size, t.size, ncomp) array. The one
     exact point of d=1 gives each row its value there, with no
     refinement, zero errors and every row converged; cfg is not
     consulted, and _row judges its values. Tanh-sinh
@@ -428,23 +468,52 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     dot product of its weights with f, each value of t charged costs[i]
     points against the budget of row i, and each row stops on its own
     verdict with the change between its last two levels as the error.
+    A run of consecutive levels takes one f call over their values of t
+    together: it takes the next level while that level is at most the stop
+    of quadrature._converge (the smallest last level of the live rows, and
+    no level past the next once a row has converged) and, past level 1,
+    which level 0 always takes as no row is judged on level 0 alone, its
+    values of t times the columns of the live rows, cols[i] per value of t
+    for row i, stay within _BATCH. A row that stops inside a run
+    has the values, error, verdict and points of the level at which it
+    stops.
     Either way the error is at least the rounding floor of the largest
     component, which for the Casimir integrand is at least |e0_int|, the
     size of the terms that cancel pointwise; it is applied to all rows at
     once.
     """
     if rule.n:
-        _, t, kz = rule.level(0)
-        values = f(t, kz, np.arange(len(costs)))[:, 0]
+        rule.grow(0)
+        values = f(rule.t, rule.kz, np.arange(len(costs)))[:, 0]
         errors, converged, points = np.zeros_like(values), np.ones(len(costs), dtype=bool), np.full(len(costs), rule.n)
     else:
-        def level(j: int, live: np.ndarray, prev) -> tuple:
-            w, t, kz = rule.level(j)
-            part = w @ f(t, kz, live)  # stacked: each row gets the bits of its own w @ f(...)[i]
-            return (part if prev is None else 0.5 * prev + part), 2 * int(_TS_REACH * 2**j) + 1  # the rule's nodes
+        cols = np.asarray(cols)
+        budget, ends = _TS_VALUES[rule.d]
+        width = {}  # columns of the live rows, by their number, which only shrinks
 
-        # the budget counts values of t: one per node in d=2, two in d=3
-        values, errors, converged, points = _converge(level, lambda j: (rule.d - 1) * _tanh_sinh_size(j), costs, cfg)
+        def level(j: int, stop: int, live: np.ndarray, prev) -> tuple:
+            k, lo = j, rule.ends[j]
+            while k < stop:
+                if live.size not in width:
+                    width[live.size] = int(cols[live].sum())
+                if k and (ends[k + 1] - lo) * width[live.size] > _BATCH:  # level 0 is never judged alone
+                    break
+                k += 1
+            rule.grow(k)
+            hi = rule.ends[k + 1]
+            vals = f(rule.t[lo:hi], rule.kz[lo:hi], live)
+            nodes = _TS_ENDS[j : k + 1]  # of the nested rule, through each level
+            if k == j:  # one level, the most common run
+                part = rule.w[lo:hi] @ vals
+                return (part if prev is None else 0.5 * prev + part)[None], nodes
+            parts = []
+            for a, b in itertools.pairwise(rule.ends[j : k + 2]):
+                part = rule.w[a:b] @ vals[:, a - lo : b - lo]  # stacked: each row gets the bits of its own w @ f(...)[i]
+                prev = part if prev is None else 0.5 * prev + part
+                parts.append(prev)
+            return np.array(parts), nodes
+
+        values, errors, converged, points = _converge(level, budget, costs, cfg)
     # fmax: a NaN floor keeps the inf error
     return values, np.fmax(errors, _rounding_floor(values)[:, None]), converged, points
 
@@ -556,20 +625,23 @@ def _pointwise(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: li
     akz, bounds, w = _joined_modes(bc, nzs)
     k = _kernel(akz)
     half = 0.5 * np.array(nzs, dtype=float)[:, None]  # nz/2 of each row
+    bounds = np.array(bounds)  # np.add.reduceat takes an array without converting it each level
     # the live rows only shrink, so their number names them
     joins = {len(nzs): (k, bounds, half)}
 
     def f(t: np.ndarray, kz: np.ndarray, live: np.ndarray) -> np.ndarray:
         if live.size not in joins:
             joins.clear()
-            joins[live.size] = (*_join([k[bounds[i] : bounds[i + 1]] for i in live]), half[live])
+            joined, cols = _join([k[bounds[i] : bounds[i + 1]] for i in live])
+            joins[live.size] = (joined, np.array(cols), half[live])
         joined, cols, half_live = joins[live.size]
         vals = np.empty((live.size, t.size, 2))  # (e_cas, e0_int)
         int_part = np.multiply(half_live, kz, out=vals[..., 1])
         np.subtract(_mode_sum(spec, joined, cols, w, t), int_part, out=vals[..., 0])
         return vals
 
-    return _transverse_average(rule, f, cfg, [b - a + spec.s // 2 + 1 for a, b in itertools.pairwise(bounds)])
+    modes = bounds[1:] - bounds[:-1]
+    return _transverse_average(rule, f, cfg, modes + (spec.s // 2 + 1), modes)
 
 
 def _row(

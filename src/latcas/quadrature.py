@@ -7,7 +7,8 @@ rounding floor of _ROUNDING_ULPS ulps of its largest component, and
 reports their difference as the error. Each row takes its own convergence
 test and budget, and stops on its own, so a row has the bits it would have
 alone. It returns the rows as arrays of values, errors, verdicts and
-points. The levels come from the caller: the grid route below, and the
+points. The levels come from the caller, one at a time or in runs whose
+verdicts are taken in one vectorised pass: the grid route below, and the
 tanh-sinh levels of the transverse density of states, which casimir
 builds and feeds it.
 
@@ -30,7 +31,6 @@ count as converged.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -121,46 +121,87 @@ def _rounding_floor(values: np.ndarray) -> np.ndarray:
     return _ROUNDING_ULPS * _EPS * np.abs(values).max(axis=-1)
 
 
+def _ends(size: Callable[[int], int]) -> np.ndarray:
+    """The points through each level, level j taking size(j), up to the
+    first level that a row of cost 1 cannot afford, past _MAX_POINTS."""
+    ends = [size(0)]
+    while ends[-1] <= _MAX_POINTS:
+        ends.append(ends[-1] + size(len(ends)))
+    return np.array(ends)
+
+
 def _converge(
-    level: Callable[..., tuple], size: Callable[[int], int], costs: Sequence[int], cfg: QuadratureConfig
+    level: Callable[..., tuple], ends: np.ndarray, costs: Sequence[int], cfg: QuadratureConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows refined together, one value row, error row and verdict each.
 
-    level(j, live, prev) gives (values, points_per_axis) of level j for the
-    rows live, an index array, with values of shape (live.size, ncomp);
-    prev holds their values at level j-1 (None for level 0). Level j takes
-    size(j) points, each costing costs[i] for row i. A row stops at the
-    first level that agrees with the one before within tolerance. It also
-    stops, not converged, after cfg.max_refinements refinements or when its
-    next level would take it past _MAX_POINTS. Every row must afford level 0.
+    level(j, stop, live, prev) gives the levels j..k of the rows live, an
+    index array, for a k in [j, stop] of its choosing, as (values, nodes):
+    new arrays, values of shape (k - j + 1, live.size, ncomp), one slice
+    per level, and nodes the points_per_axis of each. prev holds their
+    values at level j-1 (None for level 0), and stop is the smallest last
+    level of the live rows, so no level past it is asked for; once a row
+    has converged, stop is j itself, as the rows that go on are near their
+    own verdicts and a level past one at which they stop would be
+    evaluated for nothing. ends[j] counts the points through level j
+    (_ends), each costing costs[i] for row i. A row stops at the first
+    level that agrees with the one before within tolerance. It also stops,
+    not converged, after cfg.max_refinements refinements or when its next
+    level would take it past _MAX_POINTS, so its last level is known before
+    the first. Every row must afford level 0. The verdicts of all levels
+    that one call gives are taken together.
 
     Returns (values, errors, converged, points) over all rows, of shapes
     (rows, ncomp), (rows, ncomp), (rows,) and (rows,): each row is written
     into them as it stops, with the points_per_axis of its last level.
     """
     costs = np.asarray(costs)
-    live, prev, used = np.arange(costs.size), None, 0
-    for j in itertools.count():
-        cur, n = level(j, live, prev)
-        if prev is None:  # unverified without a refinement
-            values, errors = np.empty((costs.size, cur.shape[1])), np.empty((costs.size, cur.shape[1]))
+    # the last level of each row, the number of levels past the first that
+    # it affords: ends[j] * c > _MAX_POINTS exactly when ends[j] >
+    # _MAX_POINTS // c, as both are integers, and ends is cut at
+    # max_refinements first, in Python ints, so any max_refinements works
+    last = ends[1 : min(cfg.max_refinements, len(ends)) + 1].searchsorted(_MAX_POINTS // costs, side="right")
+    live, prev, j, stop, single = np.arange(costs.size), None, 0, min(last.tolist()), False
+    while True:
+        cur, nodes = level(j, j if single else stop, live, prev)
+        b, ncomp = len(cur), cur.shape[2]
+        flat = cur.reshape(-1, ncomp)  # level by level, live rows each
+        if prev is None:
+            values, errors = np.empty((costs.size, ncomp)), np.empty((costs.size, ncomp))
             converged, points = np.zeros(costs.size, dtype=bool), np.zeros(costs.size, dtype=int)
-            delta, ok = np.full_like(cur, math.inf), np.zeros(live.size, dtype=bool)
+        if prev is None and b == 1:  # unverified without a refinement
+            delta, ok = np.full_like(flat, math.inf), np.zeros(live.size, dtype=bool)
         else:
-            delta = np.abs(cur - prev)
-            tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(cur)), _rounding_floor(cur)[:, None])
-            ok = ((delta <= tol) & np.isfinite(cur)).all(axis=1)  # an inf value makes tol inf
-        used += size(j)
-        done = ok | (j == cfg.max_refinements) | ((used + size(j + 1)) * costs > _MAX_POINTS)
+            if b > 1:  # each level against the one before it; level 0 against inf
+                prev = np.concatenate([np.full_like(flat[: live.size], math.inf) if prev is None else prev, flat[: -live.size]])
+            delta = np.abs(flat - prev)
+            tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(flat)), _rounding_floor(flat)[:, None])
+            ok = ((delta <= tol) & np.isfinite(flat)).all(axis=1)  # an inf value makes tol inf
+            if j == 0:
+                ok[: live.size] = False
+        j += b
+        ok, delta = ok.reshape(b, -1), delta.reshape(cur.shape)
+        early = None
+        if b > 1 and ok[:-1].any():  # a row stops at its first level that passes: move it to the last
+            early = np.flatnonzero(ok[:-1].any(axis=0))
+            k = ok[:-1, early].argmax(axis=0)
+            cur[-1, early], delta[-1, early], ok[-1, early] = cur[k, early], delta[k, early], True
+        done = ok[-1] | (last == j - 1)
         if done.any():
-            at = live[done]
-            values[at], errors[at] = cur[done], np.where(np.isfinite(cur[done]), delta[done], math.inf)
-            converged[at], points[at] = ok[done], n
+            at, got = live[done], cur[-1][done]
+            values[at], errors[at] = got, np.where(np.isfinite(got), delta[-1][done], math.inf)
+            converged[at], points[at] = ok[-1][done], nodes[-1]
+            if early is not None:
+                points[live[early]] = nodes[k]
             if done.all():
                 return values, errors, converged, points
             keep = ~done
-            live, costs, cur = live[keep], costs[keep], cur[keep]
-        prev = cur
+            live, last, prev = live[keep], last[keep], cur[-1][keep]
+            if not single:
+                single = converged[at].any()  # see the docstring
+                stop = min(last.tolist())
+        else:
+            prev = cur[-1]
 
 
 def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureConfig) -> MultiQuadResult:
@@ -170,11 +211,11 @@ def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureCon
     if cfg.base_points**ndim > _MAX_POINTS:
         return _unreached(f(np.empty((0, ndim))))
 
-    def grid(j: int, live: np.ndarray, prev) -> tuple:
+    def grid(j: int, stop: int, live: np.ndarray, prev) -> tuple:
         n = cfg.base_points << j
-        return _grid_average(f, ndim, n)[None], n
+        return _grid_average(f, ndim, n)[None, None], [n]
 
-    values, errors, converged, points = _converge(grid, lambda j: (cfg.base_points << j) ** ndim, [1], cfg)
+    values, errors, converged, points = _converge(grid, _ends(lambda j: (cfg.base_points << j) ** ndim), [1], cfg)
     return MultiQuadResult(values[0], errors[0], bool(converged[0]), int(points[0]))
 
 

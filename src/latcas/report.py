@@ -74,12 +74,12 @@ def sweep(
     is computed once per process for each (s, am, d) and kept for later
     calls in a store bounded to 8 MiB besides the table used last. Every
     odd row charges its point budget all the same, so a row does not depend
-    on what ran before. The odd-order thicknesses also refine level by level
-    together: one dispersion call per level covers
-    the modes of every thickness still refining, and each keeps its own
-    convergence test, budget and verdict. A non-converged row is recorded
-    like any other (its quad_error and converged flag tell the story) and
-    the sweep continues.
+    on what ran before. The odd-order thicknesses also refine together, in
+    runs of consecutive levels: one dispersion call per run covers the
+    modes of every thickness still refining, and each keeps its own
+    convergence test, budget and verdict, and the bits it would have alone.
+    A non-converged row is recorded like any other (its quad_error and
+    converged flag tell the story) and the sweep continues.
     """
     if isinstance(nz_range, range) and nz_range[_MAX_POINTS:]:  # a slice, as len() fails past sys.maxsize
         raise ValueError(f"a sweep takes at most {_MAX_POINTS} thicknesses")

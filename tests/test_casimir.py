@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -123,7 +124,7 @@ def test_even_orders_use_one_exact_grid(monkeypatch, s: int, d: int) -> None:
             assert r.converged and r.e_cas == float(mo.casimir_exact(s, d, r.nz, name)), (name, r.nz)
     assert tables == [(s, d)]
     rule = _rule(DispersionSpec(s), d)
-    assert rule.levels == [] and rule.nbytes == sum(f.bit_length() for f in rule.table) // 8  # held by the store
+    assert rule.ends == [0] and rule.nbytes == sum(f.bit_length() for f in rule.table) // 8  # held by the store
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -460,7 +461,7 @@ def test_dos_average_matches_the_direct_grid() -> None:
         k = _kernel(akz)
         return _mode_sum(spec, k, (0, k.size), w, t)[0] - (0.5 * nz) * _kz_average(spec, t)
 
-    values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG, [1])
+    values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG, [1], [1])
     assert converged.tolist() == [True]
     grids = [oracles.uniform_grid_mean(f, 3, n) for n in (128, 256, 512)]
     limit, order = richardson_extrapolate(grids)
@@ -477,7 +478,7 @@ def test_dos_levels_integrate_the_transverse_moments_exactly(d, m) -> None:
     # and the reported error covers the true one
     exact = mo.transverse_moment(m, d)
     f = lambda t, kz, rows: (t**m)[None, :, None]
-    values, errors, converged, _ = _transverse_average(_rule(DispersionSpec(1), d), f, QuadratureConfig(), [1])
+    values, errors, converged, _ = _transverse_average(_rule(DispersionSpec(1), d), f, QuadratureConfig(), [1], [1])
     assert converged.tolist() == [True]
     assert abs(values[0, 0] - exact) <= 4 * math.ulp(exact)
     assert errors[0, 0] >= abs(values[0, 0] - exact)
@@ -500,7 +501,7 @@ def test_point_budget_ends_in_nonconvergence() -> None:
     # the budget counts the values of t: one per node in d=2, two in d=3
     for d, width in ((2, 1), (3, 2)):
         seen.clear()
-        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, [1])
+        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, [1], [1])
         assert converged.tolist() == [False]
         assert sum(seen) == width * points[0] <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
 
@@ -579,6 +580,135 @@ def test_node_sum_blocking_is_bit_identical(monkeypatch) -> None:
     monkeypatch.setattr(casimir, "_MAT_BUDGET", 50)
     assert [casimir_energy(*case, FAST) for case in cases] == want
     assert [sweep(*case, FAST) for case in sweeps] == want_rows
+
+
+def _level_ends(d: int, levels: int) -> list:
+    """Values of t through each tanh-sinh level in d = 2, 3: two per node in d=3."""
+    return list(itertools.accumulate((d - 1) * casimir._tanh_sinh_size(j) for j in range(levels)))
+
+
+def test_batch_boundaries_move_no_bit(monkeypatch) -> None:
+    # a run of levels gives each level the bits it has alone: runs of one
+    # level past the first two, runs up to _BATCH, and runs as long as the
+    # last levels allow give the same rows
+    budget = QuadratureConfig(max_refinements=60, rel_tol=1e-16, abs_tol=1e-300)
+    calls = [
+        (spec, d, bc, range(1, 13), CFG)
+        for spec in (DispersionSpec(1), DispersionSpec(1, am=0.5))
+        for d in (2, 3)
+        for bc in (PER, ANTI, PHEN)
+    ]
+    calls += [
+        (DispersionSpec(1, am=5.0), 3, PER, [1, 2, 3], CFG),  # converged inside the first run of levels
+        (DispersionSpec(3), 2, PHEN, [1, 2, 300, 20000], budget),  # the budget stops the rows one by one
+        (DispersionSpec(1), 3, PER, [20000], budget),
+        (DispersionSpec(1), 3, ANTI, [1, 5, 40], QuadratureConfig(max_refinements=0)),
+        (DispersionSpec(1, am=0.5), 2, PER, [1, 5, 40], QuadratureConfig(max_refinements=1)),
+    ]
+    seen = collections.Counter()  # values of t each thickness of the converged call was evaluated at
+    mode_sum = casimir._mode_sum
+
+    def counted(spec, joined, bounds, w, t):
+        if spec.am == 5.0:
+            seen.update({b - a: t.size for a, b in zip(bounds, bounds[1:])})  # periodic: nz modes
+        return mode_sum(spec, joined, bounds, w, t)
+
+    monkeypatch.setattr(casimir, "_mode_sum", counted)
+    rows = {}
+    for batch in (0, casimir._BATCH, _MAX_POINTS):
+        monkeypatch.setattr(casimir, "_BATCH", batch)
+        casimir._RULES.clear()
+        rows[batch] = repr([sweep(*call) for call in calls])
+        if batch == 0:
+            alone, seen = seen, collections.Counter()
+    assert rows[0] == rows[casimir._BATCH] == rows[_MAX_POINTS]
+    # one level a call visits only the levels each row takes; the runs take
+    # levels past where a row converged, and still give its bits there
+    assert any(seen[nz] > alone[nz] for nz in (1, 2, 3))
+    assert all(n in _level_ends(3, 10) for n in alone.values())
+    # the moments t^m converge at unequal levels: each row keeps the values,
+    # error, verdict and points of its own level inside a run
+    moments = lambda t, kz, rows: (t ** rows[:, None])[..., None]
+    got = []
+    for batch in (0, _MAX_POINTS):
+        monkeypatch.setattr(casimir, "_BATCH", batch)
+        arrays = _transverse_average(_rule(DispersionSpec(1), 3), moments, CFG, [1] * 12, [1] * 12)
+        got.append([a.tobytes() for a in arrays])
+    assert got[0] == got[1] and len(set(arrays[3].tolist())) > 1  # two levels inside one run
+
+
+def test_no_level_is_evaluated_past_a_converged_row(monkeypatch) -> None:
+    # once a row has converged the others are near their own verdicts, so
+    # the runs take one level each: at am = 1 two thicknesses outlive the
+    # others by one level, and a run of three levels spent 4,704 dispersion
+    # values on levels they never reach
+    seen = []
+    omega = casimir._omega_inplace
+
+    def counted(spec, v):
+        seen.append(v.size)
+        return omega(spec, v)
+
+    monkeypatch.setattr(casimir, "_omega_inplace", counted)
+    spec = DispersionSpec(1, am=1.0)
+    evals = {}
+    for batch in (0, casimir._BATCH):
+        monkeypatch.setattr(casimir, "_BATCH", batch)
+        casimir._RULES.clear()
+        seen.clear()
+        sweep(spec, 3, PER, range(1, 31), CFG)
+        evals[batch] = sum(seen)
+    assert evals[0] == evals[casimir._BATCH]
+
+
+def test_runs_of_levels_stop_at_the_smallest_last_level(monkeypatch) -> None:
+    # the point budget gives rows of unequal costs unequal last levels; f
+    # never receives a value of t past the smallest last level of the rows
+    # it is asked for, however long a run _BATCH allows
+    monkeypatch.setattr(casimir, "_BATCH", 1 << 62)
+    cfg = QuadratureConfig(max_refinements=30, rel_tol=1e-16, abs_tol=1e-300)
+    costs = [1, 40, 700, 9000]
+    for d in (2, 3):
+        calls = []
+
+        def f(t: np.ndarray, kz: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            calls.append((t.size, rows.copy()))
+            return np.sin(1e6 * t)[None, :, None].repeat(rows.size, axis=0)  # never agrees with itself
+
+        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, costs, costs)
+        ends = _level_ends(d, 20)
+        last = [ends.index((d - 1) * p) for p in points]  # points: the nodes through the last level
+        assert not converged.any() and last == sorted(last, reverse=True) and len(set(last)) == len(costs)
+        total = 0
+        for size, rows in calls:
+            total += size
+            assert total <= ends[min(last[i] for i in rows)]
+        assert total == ends[last[0]] and len(calls) == len(set(last))  # one run per retirement
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_no_refinement_evaluates_level_zero_only(monkeypatch, d) -> None:
+    monkeypatch.setattr(casimir, "_BATCH", _MAX_POINTS)
+    sizes = []
+
+    def f(t: np.ndarray, kz: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        sizes.append(t.size)
+        return (t * t)[None, :, None].repeat(rows.size, axis=0)
+
+    _, _, converged, _ = _transverse_average(_rule(DispersionSpec(1), d), f, QuadratureConfig(max_refinements=0), [1, 2], [1, 2])
+    assert sizes == _level_ends(d, 1) and not converged.any()
+
+
+def test_any_refinement_cap_stops_at_the_point_budget() -> None:
+    # the last levels are taken in Python ints: a cap past int64 gives the
+    # rows the budget alone gives, as a cap of 60 does
+    tight = dict(rel_tol=1e-16, abs_tol=1e-300)
+    for spec, d, bc, nzs in ((DispersionSpec(1), 3, PER, [20000]), (DispersionSpec(1, am=0.5), 2, PHEN, [1, 300, 20000])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = sweep(spec, d, bc, nzs, QuadratureConfig(max_refinements=10**20, **tight))
+        assert repr(huge) == repr(sweep(spec, d, bc, nzs, QuadratureConfig(max_refinements=60, **tight)))
+        assert not huge[-1].converged
 
 
 def _node_sum_case() -> tuple:
@@ -733,7 +863,7 @@ def test_huge_orders_are_refused_in_bounded_work(s: int) -> None:
 def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
     import latcas.casimir as casimir
 
-    def fake(rule, f, cfg, costs):
+    def fake(rule, f, cfg, costs, cols):
         # one exact row: (values, errors, converged, points)
         return np.array([[e_cas, 1.0]]), np.zeros((1, 2)), np.array([True]), np.array([1])
 
@@ -773,7 +903,7 @@ def test_a_stored_rule_is_charged_to_the_budget_like_a_cold_one() -> None:
     casimir._RULES.clear()
     cold = casimir_energy(spec, Geometry(3, 20000), PER, cfg)
     casimir_energy(spec, Geometry(3, 1), PER, cfg)
-    assert len(_rule(spec, 3).levels) > 2
+    assert len(_rule(spec, 3).ends) - 1 > 2
     warm = casimir_energy(spec, Geometry(3, 20000), PER, cfg)
     assert repr(warm) == repr(cold) and not warm.converged
 
@@ -831,7 +961,7 @@ def test_even_rows_past_the_support_read_a_stored_continuum_average(monkeypatch)
         return even_table(s, d)
 
     monkeypatch.setattr(casimir, "_even_table", counted)
-    monkeypatch.setattr(casimir._Rule, "level", None)
+    monkeypatch.setattr(casimir._Rule, "grow", None)
     monkeypatch.setattr(casimir, "_transverse_average", None)
     first = sweep(DispersionSpec(4), 3, PER, range(1, 9), CFG)
     assert tables == [(4, 3)]
@@ -845,7 +975,7 @@ def test_even_rows_past_the_support_read_a_stored_continuum_average(monkeypatch)
 def _held_bytes() -> int:
     """Bytes of the level arrays of every stored rule but the most recently used."""
     rules = list(casimir._RULES.values())[:-1]
-    return sum(a.nbytes for r in rules for level in r.levels for a in level if a is not None)
+    return sum(a.nbytes for r in rules for a in (r.w, r.t, r.kz))
 
 
 def test_stored_levels_stay_within_their_bound() -> None:
@@ -860,7 +990,7 @@ def test_stored_levels_stay_within_their_bound() -> None:
         r = casimir_energy(DispersionSpec(1, am=1e200), Geometry(3, 1), PER, QuadratureConfig(max_refinements=16))
     assert not r.converged
     big = list(casimir._RULES.values())[-1]
-    assert big.nbytes == sum(a.nbytes for level in big.levels for a in level if a is not None)
+    assert big.nbytes == big.w.nbytes + big.t.nbytes + big.kz.nbytes
     assert big.nbytes > casimir._HELD_BYTES and _held_bytes() <= casimir._HELD_BYTES
     casimir_energy(DispersionSpec(1, am=0.1), Geometry(3, 4), PER, CFG)
     assert big not in casimir._RULES.values()  # evicted as soon as another rule was asked for
@@ -924,8 +1054,9 @@ def test_the_least_recently_used_rule_goes_first(monkeypatch) -> None:
 
 @pytest.mark.parametrize("spec, d", [(DispersionSpec(1), 3), (DispersionSpec(1), 2), (DispersionSpec(4), 3)])
 def test_stored_levels_are_read_only(spec, d) -> None:
-    arrays = [a for a in _rule(spec, d).level(0) if a is not None]
-    assert len(arrays) >= 2
+    rule = _rule(spec, d)
+    rule.grow(0)
+    arrays = [rule.w, rule.t, rule.kz]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.0

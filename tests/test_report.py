@@ -48,7 +48,9 @@ def test_sweep_rows_are_the_casimir_results() -> None:
 
 def test_odd_sweep_takes_one_kz_average_per_level(monkeypatch) -> None:
     # the kz average does not depend on nz: one call per tanh-sinh level that
-    # the deepest thickness visits, however many thicknesses read it
+    # the deepest thickness visits, however many thicknesses read it. Alone,
+    # one level at a time, each call builds only the levels it visits; the
+    # sweep, in runs of levels, builds no level past the deepest of them
     import latcas.casimir as casimir
 
     calls = []
@@ -59,12 +61,15 @@ def test_odd_sweep_takes_one_kz_average_per_level(monkeypatch) -> None:
         return kz_average(spec, t)
 
     monkeypatch.setattr(casimir, "_kz_average", counted)
+    monkeypatch.setattr(casimir, "_BATCH", 0)
     alone = []
     for nz in range(1, 13):
         casimir._RULES.clear()  # each call alone builds its own levels
         calls.clear()
         casimir_energy(DispersionSpec(1), Geometry(3, nz), PER, CFG)
         alone.append(len(calls))
+    monkeypatch.undo()
+    monkeypatch.setattr(casimir, "_kz_average", counted)
     casimir._RULES.clear()
     calls.clear()
     rows = sweep(DispersionSpec(1), 3, PER, range(1, 13), CFG)
@@ -83,18 +88,19 @@ def test_odd_sweep_rows_retire_on_their_own(monkeypatch, cap, small) -> None:
     # result of its thickness.
     import latcas.casimir as casimir
 
-    levels = collections.Counter()
+    seen = collections.Counter()  # values of t each thickness was evaluated at
     mode_sum = casimir._mode_sum
 
     def counted(spec, joined, bounds, w, t):
-        levels.update(b - a for a, b in zip(bounds, bounds[1:]))  # periodic: nz modes
+        seen.update({b - a: t.size for a, b in zip(bounds, bounds[1:])})  # periodic: nz modes
         return mode_sum(spec, joined, bounds, w, t)
 
     monkeypatch.setattr(casimir, "_mode_sum", counted)
     spec, cfg = DispersionSpec(1, am=0.5), QuadratureConfig(max_refinements=cap)
     nzs = [1, 2, 4, 8, 16, 200, 1000, 20000]
     rows = sweep(spec, 3, PER, nzs, cfg)
-    got = {r.nz: (r.converged, levels[r.nz] - 1) for r in rows}
+    level_ends = list(itertools.accumulate(2 * casimir._tanh_sinh_size(j) for j in range(8)))  # two per node in d=3
+    got = {r.nz: (r.converged, level_ends.index(seen[r.nz])) for r in rows}
     assert got == {**dict.fromkeys(nzs[:5], small), 200: (False, 3), 1000: (False, 3), 20000: (False, 1)}
     monkeypatch.undo()
     for r in rows:
@@ -102,9 +108,12 @@ def test_odd_sweep_rows_retire_on_their_own(monkeypatch, cap, small) -> None:
 
 
 @pytest.mark.parametrize("s, d", [(1, 2), (3, 3)])
-def test_odd_sweep_takes_one_dispersion_call_per_level(monkeypatch, s, d) -> None:
-    # the live thicknesses share each level's dispersion call over their
-    # joined mode kernels, where each thickness used to take its own
+def test_odd_sweep_takes_one_dispersion_call_per_run_of_levels(monkeypatch, s, d) -> None:
+    # the live thicknesses share one dispersion call over their joined mode
+    # kernels, where each thickness used to take its own, and that call covers
+    # a run of consecutive levels: each level is evaluated once, and a run
+    # takes more than one level only within _BATCH values of t times columns,
+    # or levels 0 and 1, as no thickness is judged on level 0 alone
     import latcas.casimir as casimir
 
     omega_calls, levels = [], []
@@ -122,7 +131,15 @@ def test_odd_sweep_takes_one_dispersion_call_per_level(monkeypatch, s, d) -> Non
     monkeypatch.setattr(casimir, "_dos_level", counted_level)
     rows = sweep(DispersionSpec(s), d, BoundaryCondition.phenomenological(), range(1, 13), CFG)
     assert all(r.converged for r in rows)
-    assert len(omega_calls) == len(levels) < len(rows)
+    assert levels == list(range(len(levels)))
+    level_ends = list(itertools.accumulate((d - 1) * casimir._tanh_sinh_size(j) for j in levels))
+    run_ends = list(itertools.accumulate(t for t, _ in omega_calls))
+    assert set(run_ends) <= set(level_ends) and run_ends[-1] == level_ends[-1]  # whole levels, each once
+    starts = [0, *level_ends]
+    for (t, cols), end in zip(omega_calls, run_ends):
+        first, last = starts.index(end - t), level_ends.index(end)
+        assert t * cols <= casimir._BATCH or last == first or (first, last) == (0, 1)
+    assert len(omega_calls) < len(levels) < len(rows)
 
 
 @pytest.mark.parametrize(
