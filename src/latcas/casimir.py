@@ -451,7 +451,7 @@ def _rule(spec: DispersionSpec, d: int) -> _Rule:
     return rule
 
 
-def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int], cols: Sequence[int]) -> tuple:
+def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int]) -> tuple:
     """Transverse BZ averages of the rows of f over the levels of rule (see
     _rule), one row per entry of costs, as the arrays (values, errors,
     converged, points) of quadrature._converge: shapes (rows, ncomp),
@@ -473,10 +473,10 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
     of quadrature._converge (the smallest last level of the live rows, and
     no level past the next once a row has converged) and, past level 1,
     which level 0 always takes as no row is judged on level 0 alone, its
-    values of t times the columns of the live rows, cols[i] per value of t
-    for row i, stay within _BATCH. A row that stops inside a run
-    has the values, error, verdict and points of the level at which it
-    stops.
+    values of t times the mode columns of the live rows stay within _BATCH,
+    costs[i] less the s // 2 + 1 values of the kz average per value of t
+    for row i. A row that stops inside a run has the values, error, verdict
+    and points of the level at which it stops.
     Either way the error is at least the rounding floor of the largest
     component, which for the Casimir integrand is at least |e0_int|, the
     size of the terms that cancel pointwise; it is applied to all rows at
@@ -487,31 +487,27 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
         values = f(rule.t, rule.kz, np.arange(len(costs)))[:, 0]
         errors, converged, points = np.zeros_like(values), np.ones(len(costs), dtype=bool), np.full(len(costs), rule.n)
     else:
-        cols = np.asarray(cols)
+        costs, kz_nodes = np.asarray(costs), rule.spec.s // 2 + 1
         budget, ends = _TS_VALUES[rule.d]
-        width = {}  # columns of the live rows, by their number, which only shrinks
+        width = {}  # mode columns of the live rows, by their number, which only shrinks
 
         def level(j: int, stop: int, live: np.ndarray, prev) -> tuple:
             k, lo = j, rule.ends[j]
             while k < stop:
                 if live.size not in width:
-                    width[live.size] = int(cols[live].sum())
+                    width[live.size] = int(costs[live].sum()) - kz_nodes * live.size
                 if k and (ends[k + 1] - lo) * width[live.size] > _BATCH:  # level 0 is never judged alone
                     break
                 k += 1
             rule.grow(k)
             hi = rule.ends[k + 1]
             vals = f(rule.t[lo:hi], rule.kz[lo:hi], live)
-            nodes = _TS_ENDS[j : k + 1]  # of the nested rule, through each level
-            if k == j:  # one level, the most common run
-                part = rule.w[lo:hi] @ vals
-                return (part if prev is None else 0.5 * prev + part)[None], nodes
             parts = []
             for a, b in itertools.pairwise(rule.ends[j : k + 2]):
                 part = rule.w[a:b] @ vals[:, a - lo : b - lo]  # stacked: each row gets the bits of its own w @ f(...)[i]
                 prev = part if prev is None else 0.5 * prev + part
                 parts.append(prev)
-            return np.array(parts), nodes
+            return np.array(parts), _TS_ENDS[j : k + 1]  # nodes of the nested rule, through each level
 
         values, errors, converged, points = _converge(level, budget, costs, cfg)
     # fmax: a NaN floor keeps the inf error
@@ -640,8 +636,7 @@ def _pointwise(spec: DispersionSpec, rule: _Rule, bc: BoundaryCondition, nzs: li
         np.subtract(_mode_sum(spec, joined, cols, w, t), int_part, out=vals[..., 0])
         return vals
 
-    modes = bounds[1:] - bounds[:-1]
-    return _transverse_average(rule, f, cfg, modes + (spec.s // 2 + 1), modes)
+    return _transverse_average(rule, f, cfg, bounds[1:] - bounds[:-1] + (spec.s // 2 + 1))
 
 
 def _row(

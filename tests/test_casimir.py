@@ -461,7 +461,7 @@ def test_dos_average_matches_the_direct_grid() -> None:
         k = _kernel(akz)
         return _mode_sum(spec, k, (0, k.size), w, t)[0] - (0.5 * nz) * _kz_average(spec, t)
 
-    values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG, [1], [1])
+    values, _, converged, _ = _transverse_average(_rule(spec, 3), lambda t, kz, rows: f(t)[None, :, None], CFG, [1])
     assert converged.tolist() == [True]
     grids = [oracles.uniform_grid_mean(f, 3, n) for n in (128, 256, 512)]
     limit, order = richardson_extrapolate(grids)
@@ -478,7 +478,7 @@ def test_dos_levels_integrate_the_transverse_moments_exactly(d, m) -> None:
     # and the reported error covers the true one
     exact = mo.transverse_moment(m, d)
     f = lambda t, kz, rows: (t**m)[None, :, None]
-    values, errors, converged, _ = _transverse_average(_rule(DispersionSpec(1), d), f, QuadratureConfig(), [1], [1])
+    values, errors, converged, _ = _transverse_average(_rule(DispersionSpec(1), d), f, QuadratureConfig(), [1])
     assert converged.tolist() == [True]
     assert abs(values[0, 0] - exact) <= 4 * math.ulp(exact)
     assert errors[0, 0] >= abs(values[0, 0] - exact)
@@ -501,9 +501,10 @@ def test_point_budget_ends_in_nonconvergence() -> None:
     # the budget counts the values of t: one per node in d=2, two in d=3
     for d, width in ((2, 1), (3, 2)):
         seen.clear()
-        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, [1], [1])
+        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, [1])
         assert converged.tolist() == [False]
-        assert sum(seen) == width * points[0] <= _MAX_POINTS < sum(seen) + 2 * seen[-1]
+        ends = _level_ends(d, 30)
+        assert sum(seen) == width * points[0] <= _MAX_POINTS < ends[ends.index(sum(seen)) + 1]
 
 
 def test_levels_that_agree_at_the_rounding_floor_converge() -> None:
@@ -627,12 +628,13 @@ def test_batch_boundaries_move_no_bit(monkeypatch) -> None:
     assert any(seen[nz] > alone[nz] for nz in (1, 2, 3))
     assert all(n in _level_ends(3, 10) for n in alone.values())
     # the moments t^m converge at unequal levels: each row keeps the values,
-    # error, verdict and points of its own level inside a run
+    # error, verdict and points of its own level inside a run; a cost of 2
+    # at s = 1 is one mode column per value of t, so _BATCH = 0 runs one level
     moments = lambda t, kz, rows: (t ** rows[:, None])[..., None]
     got = []
     for batch in (0, _MAX_POINTS):
         monkeypatch.setattr(casimir, "_BATCH", batch)
-        arrays = _transverse_average(_rule(DispersionSpec(1), 3), moments, CFG, [1] * 12, [1] * 12)
+        arrays = _transverse_average(_rule(DispersionSpec(1), 3), moments, CFG, [2] * 12)
         got.append([a.tobytes() for a in arrays])
     assert got[0] == got[1] and len(set(arrays[3].tolist())) > 1  # two levels inside one run
 
@@ -675,7 +677,7 @@ def test_runs_of_levels_stop_at_the_smallest_last_level(monkeypatch) -> None:
             calls.append((t.size, rows.copy()))
             return np.sin(1e6 * t)[None, :, None].repeat(rows.size, axis=0)  # never agrees with itself
 
-        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, costs, costs)
+        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, costs)
         ends = _level_ends(d, 20)
         last = [ends.index((d - 1) * p) for p in points]  # points: the nodes through the last level
         assert not converged.any() and last == sorted(last, reverse=True) and len(set(last)) == len(costs)
@@ -695,7 +697,7 @@ def test_no_refinement_evaluates_level_zero_only(monkeypatch, d) -> None:
         sizes.append(t.size)
         return (t * t)[None, :, None].repeat(rows.size, axis=0)
 
-    _, _, converged, _ = _transverse_average(_rule(DispersionSpec(1), d), f, QuadratureConfig(max_refinements=0), [1, 2], [1, 2])
+    _, _, converged, _ = _transverse_average(_rule(DispersionSpec(1), d), f, QuadratureConfig(max_refinements=0), [1, 2])
     assert sizes == _level_ends(d, 1) and not converged.any()
 
 
@@ -863,7 +865,7 @@ def test_huge_orders_are_refused_in_bounded_work(s: int) -> None:
 def test_coeff_overflow_cases(monkeypatch, e_cas: float, want: float) -> None:
     import latcas.casimir as casimir
 
-    def fake(rule, f, cfg, costs, cols):
+    def fake(rule, f, cfg, costs):
         # one exact row: (values, errors, converged, points)
         return np.array([[e_cas, 1.0]]), np.zeros((1, 2)), np.array([True]), np.array([1])
 
