@@ -32,10 +32,11 @@ twice the bound of that rounding. Past the support (m > n) the sum is
 empty and the row is exactly 0.0 with error 0.0, the structural zero,
 with no branch of its own. The table of (s, d), n+1 integers, is that
 sum over the binomial rows (-1)^k C(2j, j-k) of u^j, u = 2 - 2 cos kz,
-built in about n^2 integer steps when the first row asks and kept with
-the rule; a row takes no modes, no grid and no kz average. The alias sum
-is linear in the table, so the mass expansion aliases each row once and
-takes each order as one dot product with its weights (_even_orders).
+built in about n^2 integer steps when the first row asks and kept in a
+store of its own (_table); a row takes no modes, no transverse rule and
+no kz average. The alias sum is linear in the table, so the mass
+expansion aliases each row once and takes each order as one dot product
+with its weights (_even_orders).
 
 For odd s the inner kz average is a closed form in the complete elliptic
 integrals K and E, evaluated by the arithmetic-geometric mean, exact up to
@@ -43,23 +44,22 @@ rounding, so its error never masquerades as a Casimir signal.
 
 Every transverse integrand depends on the transverse momentum only through
 the kernel sum t = sum_i (2 - 2 cos k_i), so the integrands take t and its
-kz average. Every call reads one transverse rule, a table of levels that
-hold the values of t and the kz average at each, filled as the first
-thickness asks, with the integer table of even orders beside them. d=1
-has the single point t = 0, one exact level with no refinement and no
-QuadratureConfig. In d = 2, 3 the zone average is the one-dimensional
-integral of F(t) against the lattice density of states, by tanh-sinh
-levels under QuadratureConfig with the change between the last two levels
-as the error. The whole tanh-sinh rule is in this module: the
+kz average. Every odd call reads one transverse rule, a table of levels
+that hold the values of t and the kz average at each, filled as the first
+thickness asks. d=1 has the single point t = 0, one exact level with no
+refinement and no QuadratureConfig. In d = 2, 3 the zone average is the
+one-dimensional integral of F(t) against the lattice density of states, by
+tanh-sinh levels under QuadratureConfig with the change between the last
+two levels as the error. The whole tanh-sinh rule is in this module: the
 double-exponential nodes and weights on (0, 1) (Takahasi & Mori, Publ.
 RIMS 9, 1974), nested so that each level, at half the step, adds only its
 new nodes, the values of t at them, and the level sums that
 quadrature._converge refines, one dot product with the weights a level
-stores per value of t, step and density of states in them. The level
-sizes do not depend on the integrand, so the last level of every row is
-known before the first (_TS_ENDS). The rule
-converges exponentially even with algebraic or logarithmic singularities
-at the interval ends, where the density of states puts all of them:
+stores per value of t, step and density of states in them. The level sizes
+do not depend on the integrand, so the last level of every row is known
+before the first (_TS_ENDS). The rule converges exponentially even with
+algebraic or logarithmic singularities at the interval ends, where the
+density of states puts all of them:
 
 - d=2 averages kx over [0, pi] with t = 4 sin^2(kx/2);
 - d=3 uses the square-lattice density rho(t) = K(m) / (2 pi^2) on [0, 8],
@@ -85,44 +85,46 @@ takes at most 0.11 s (d = 2, 3, s = 1030, on a 2-core machine).
 
 The rule depends on s, am and d only, not on nz or the call, so it
 lives across calls: the calls of a process with the same (s, am, d) read
-and extend one table, and each result has the bits it would have from a
-table of its own. A table holds its levels flat, one array each of
+and extend one rule, and each result has the bits it would have from a
+rule of its own. A rule holds its levels flat, one array each of
 weights, values of t and kz averages with the offset of every level, so
 that a run of levels is one slice; each level is still built by its own
-calls, so its bits do not depend on the levels built with it. The tables
+calls, so its bits do not depend on the levels built with it. The rules
 stay in a least-recently-used store of at most _MAX_RULES (64) rules that
-holds at most _HELD_BYTES (8 MiB) of level arrays and integer tables
-besides the rule used last, so its memory beyond 8 MiB is one call's
-table, which the point budget or _EVEN_S_MAX bounds.
+holds at most _HELD_BYTES (8 MiB) of level arrays besides the rule used
+last, whose levels the point budget bounds. The even tables stay apart,
+at most 64 of about 100 KB each (s = 1030, d = 3), so neither store
+evicts from the other.
 
 One kernel, _casimir_rows, computes a list of thicknesses, and
-casimir_energy is its one-thickness case. It tests the parity of s once:
-an even order reads every row from the table, and an odd one refuses each
-row past the budget and puts the others in groups of the pointwise route.
-The thicknesses of a group refine together, in runs of consecutive
-levels: a run takes one dispersion call over its values of t and the
-joined mode kernels of the thicknesses still refining, one segmented sum
-(np.add.reduceat) that gives each thickness the sum of its own columns,
-one dot product per level and one vectorised convergence test of all its
-levels. A run from level 0 takes level 1 too, which every thickness needs
-before its first verdict; past it, a run takes a further level while its
-values of t times the live columns stay within _BATCH, no level passes the
-last level of a live thickness and no thickness has converged yet
-(_transverse_average). A segment's sum depends on its own
-columns only, and each thickness keeps its own budget and gets its own
-verdict, and retires at the first level where it converges, or where it
-reaches max_refinements or cannot afford its next level, so a sweep row is
-bit for bit the casimir_energy result of its thickness, however the
-levels fall into runs. The thicknesses go
-in groups whose joined modes take at most _MAT_BUDGET values on the first
-level, and each dispersion call stays within that budget, so memory does
-not grow with the sum of the thicknesses. A group builds the modes of all
-its thicknesses in one call (modes._joined_modes) and takes their kernels
-once; its values, errors and verdicts come back as arrays, one row per
-thickness, and each CasimirResult is made from their floats.
+casimir_energy is its one-thickness case. It tests the parity of s once,
+before it reads a store: an even order reads every row from its table, and
+an odd one reads its rule, refuses each row past the budget and puts the
+others in groups of the pointwise route. The thicknesses of a group refine
+together, in runs of consecutive levels: a run takes one dispersion call
+over its values of t and the joined mode kernels of the thicknesses still
+refining, one segmented sum (np.add.reduceat) that gives each thickness
+the sum of its own columns, one dot product per level and one vectorised
+convergence test of all its levels. A run from level 0 takes level 1 too,
+which every thickness needs before its first verdict; past it, a run takes
+a further level while its values of t times the live columns stay within
+_BATCH, no level passes the last level of a live thickness and no
+thickness has converged yet (_transverse_average). A segment's sum depends
+on its own columns only, and each thickness keeps its own budget and gets
+its own verdict, and retires at the first level where it converges, or
+where it reaches max_refinements or cannot afford its next level, so a
+sweep row is bit for bit the casimir_energy result of its thickness,
+however the levels fall into runs. The thicknesses go in groups whose
+joined modes take at most _MAT_BUDGET values on the first level, and each
+dispersion call stays within that budget, so memory does not grow with the
+sum of the thicknesses. A group builds the modes of all its thicknesses in
+one call (modes._joined_modes) and takes their kernels once; its values,
+errors and verdicts come back as arrays, one row per thickness, and each
+CasimirResult is made from their floats.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -331,9 +333,8 @@ def _dos_level(d: int, level: int) -> tuple:
 
 
 class _Rule:
-    """The transverse rule of (s, am) in d dimensions (module docstring): its
-    levels, built in order as callers first ask for them, and for even s
-    the integer table of its rows, that _rule keeps across calls.
+    """The transverse rule of (s, am) in d dimensions (module docstring):
+    its levels, built in order as callers first ask, that _rule keeps.
 
     The levels are stored flat, as read-only arrays w, t and kz: the
     weights, the values of t and _kz_average at each t, level j at the
@@ -349,8 +350,7 @@ class _Rule:
         self.first = 1 if self.n else (d - 1) * int(_TS_ENDS[0])
         self.w = self.t = self.kz = _NONE
         self.ends = [0]
-        self.table: list[int] | None = None  # even s: _even_table, once a row asks
-        self.nbytes = 0  # of the level arrays and the table
+        self.nbytes = 0  # of the level arrays
 
     def grow(self, k: int) -> None:
         """Build the levels up to k that are not built yet, each by its own
@@ -360,12 +360,10 @@ class _Rule:
             return
         ws, ts = zip(*((_NONE, np.zeros(1)) if self.n else _dos_level(self.d, j) for j in range(built, k + 1)))
         kzs = [_kz_average(self.spec, t) for t in ts]
-        old = (self.w, self.t, self.kz)
-        self.w, self.t, self.kz = (np.concatenate([a, *new]) for a, new in zip(old, (ws, ts, kzs)))
+        self.w, self.t, self.kz = (np.concatenate([a, *new]) for a, new in zip((self.w, self.t, self.kz), (ws, ts, kzs)))
         for a in (self.w, self.t, self.kz):
             a.flags.writeable = False
-            self.nbytes += a.nbytes
-        self.nbytes -= sum(a.nbytes for a in old)
+        self.nbytes = self.w.nbytes + self.t.nbytes + self.kz.nbytes
         for t in ts:
             self.ends.append(self.ends[-1] + t.size)
 
@@ -423,18 +421,25 @@ def _transverse_moments(n: int, d: int) -> list[int]:
 # the rules of earlier calls by (s, am, d), least recently used first
 _RULES: dict[tuple, _Rule] = {}
 _HELD_BYTES = 8 << 20  # level arrays kept besides those of the most recently used rule
-_MAX_RULES = 64  # rules kept, the most recently used included, with or without levels
+_MAX_RULES = 64  # rules kept, the most recently used included, with or without levels; and even tables
+
+
+@functools.lru_cache(maxsize=_MAX_RULES)
+def _table(s: int, d: int) -> tuple[int, ...]:
+    """_even_table(s, d) as a tuple, which no caller can change, stored
+    apart from the rules (module docstring)."""
+    return tuple(_even_table(s, d))
 
 
 def _rule(spec: DispersionSpec, d: int) -> _Rule:
-    """The transverse rule of spec in d dimensions, with the levels that
-    earlier calls built. Rules live across calls, least recently used
-    evicted first, so that at most _MAX_RULES are kept and the level arrays
-    of all but the most recently used hold at most _HELD_BYTES; a rule
-    larger than that alone goes as soon as another is asked for. A stored
-    level gives the bits it gave when it was built, and callers charge the
-    point budget for it all the same, so each result is the same whether
-    its rule was stored or not.
+    """The transverse rule of spec in d dimensions, which odd orders read,
+    with the levels that earlier calls built. Rules live across calls,
+    least recently used evicted first, so that at most _MAX_RULES are kept
+    and the level arrays of all but the most recently used hold at most
+    _HELD_BYTES; a rule larger than that alone goes as soon as another is
+    asked for. A stored level gives the bits it gave when it was built,
+    and callers charge the point budget for it all the same, so each
+    result is the same whether its rule was stored or not.
     """
     key = (spec.s, spec.am, d)
     rule = _RULES.pop(key, None) or _Rule(spec, d)
@@ -454,44 +459,42 @@ def _rule(spec: DispersionSpec, d: int) -> _Rule:
 def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[int]) -> tuple:
     """Transverse BZ averages of the rows of f over the levels of rule (see
     _rule), one row per entry of costs, as the arrays (values, errors,
-    converged, points) of quadrature._converge: shapes (rows, ncomp),
-    (rows, ncomp), (rows,) and (rows,), points the nodes per axis of the
-    last level of each row.
+    converged, levels) of quadrature._converge: shapes (rows, ncomp),
+    (rows, ncomp), (rows,) and (rows,), levels the level at which each
+    row stops.
 
     f(t, kz, rows) gives the integrands of the rows asked for, an index
     array, at values of t (the transverse kernel sum) and kz (their kz
-    average), as a (rows.size, t.size, ncomp) array. The one
-    exact point of d=1 gives each row its value there, with no
-    refinement, zero errors and every row converged; cfg is not
-    consulted, and _row judges its values. Tanh-sinh
-    levels refine the rows together under cfg, each half the last plus the
-    dot product of its weights with f, each value of t charged costs[i]
-    points against the budget of row i, and each row stops on its own
-    verdict with the change between its last two levels as the error.
-    A run of consecutive levels takes one f call over their values of t
-    together: it takes the next level while that level is at most the stop
-    of quadrature._converge (the smallest last level of the live rows, and
-    no level past the next once a row has converged) and, past level 1,
-    which level 0 always takes as no row is judged on level 0 alone, its
-    values of t times the mode columns of the live rows stay within _BATCH,
-    costs[i] less the s // 2 + 1 values of the kz average per value of t
-    for row i. A row that stops inside a run has the values, error, verdict
-    and points of the level at which it stops.
-    Either way the error is at least the rounding floor of the largest
-    component, which for the Casimir integrand is at least |e0_int|, the
-    size of the terms that cancel pointwise; it is applied to all rows at
-    once.
+    average), as a (rows.size, t.size, ncomp) array. The one exact point of
+    d=1 gives each row its value there, at level 0 with no refinement, zero
+    errors and every row converged; cfg is not consulted, and _row judges
+    its values. Tanh-sinh levels refine the rows together under cfg, each
+    half the last plus the dot product of its weights with f, each value of
+    t charged costs[i] points against the budget of row i, and each row
+    stops on its own verdict with the change between its last two levels as
+    the error. A run of consecutive levels takes one f call over their
+    values of t together: it takes the next level while that level is at
+    most the stop of quadrature._converge (the smallest last level of the
+    live rows, and no level past the next once a row has converged) and,
+    past level 1, which level 0 always takes as no row is judged on level 0
+    alone, its values of t times the mode columns of the live rows stay
+    within _BATCH, costs[i] less the s // 2 + 1 values of the kz average per
+    value of t for row i. A row that stops inside a run has the values,
+    error and verdict of the level at which it stops. Either way the error
+    is at least the rounding floor of the largest component, which for the
+    Casimir integrand is at least |e0_int|, the size of the terms that
+    cancel pointwise; it is applied to all rows at once.
     """
     if rule.n:
         rule.grow(0)
         values = f(rule.t, rule.kz, np.arange(len(costs)))[:, 0]
-        errors, converged, points = np.zeros_like(values), np.ones(len(costs), dtype=bool), np.full(len(costs), rule.n)
+        errors, converged, levels = np.zeros_like(values), np.ones(len(costs), dtype=bool), np.zeros(len(costs), int)
     else:
         costs, kz_nodes = np.asarray(costs), rule.spec.s // 2 + 1
         budget, ends = _TS_VALUES[rule.d]
         width = {}  # mode columns of the live rows, by their number, which only shrinks
 
-        def level(j: int, stop: int, live: np.ndarray, prev) -> tuple:
+        def level(j: int, stop: int, live: np.ndarray, prev) -> np.ndarray:
             k, lo = j, rule.ends[j]
             while k < stop:
                 if live.size not in width:
@@ -507,11 +510,11 @@ def _transverse_average(rule: _Rule, f, cfg: QuadratureConfig, costs: Sequence[i
                 part = rule.w[a:b] @ vals[:, a - lo : b - lo]  # stacked: each row gets the bits of its own w @ f(...)[i]
                 prev = part if prev is None else 0.5 * prev + part
                 parts.append(prev)
-            return np.array(parts), _TS_ENDS[j : k + 1]  # nodes of the nested rule, through each level
+            return np.array(parts)
 
-        values, errors, converged, points = _converge(level, budget, costs, cfg)
+        values, errors, converged, levels = _converge(level, budget, costs, cfg)
     # fmax: a NaN floor keeps the inf error
-    return values, np.fmax(errors, _rounding_floor(values)[:, None]), converged, points
+    return values, np.fmax(errors, _rounding_floor(values)[:, None]), converged, levels
 
 
 def _check(spec: DispersionSpec, geom: Geometry) -> None:
@@ -526,24 +529,25 @@ def _casimir_rows(
 ) -> list[CasimirResult]:
     """Casimir energies at the thicknesses nzs, one CasimirResult each.
 
-    Every row reads the one stored transverse rule of (s, am, d) (_rule),
-    and the parity of s picks the route of all rows once. An even row reads
-    the integer table of the rule (_exact), or is NaN past _EVEN_S_MAX
-    before any integer work. An odd row that the point budget does not
-    admit is NaN and builds nothing; each level's values of t and kz average
-    are built once per process, and every row charges them to its budget
-    whether this call built them or an earlier one. The odd rows take the
-    pointwise route together (module docstring), in groups of consecutive
-    rows whose joined modes times the first level's values of t stay within
-    _MAT_BUDGET, so memory does not grow with the sum of the thicknesses; a
-    row the point budget admits fits a group alone. Every route hands _row
-    plain numbers, and _row gives each row its verdict and error.
+    The parity of s picks the route of all rows once, before either store is
+    read. An even row reads the stored integer table of (s, d) (_table,
+    _exact), or is NaN past _EVEN_S_MAX before any integer work, and takes
+    no transverse rule. An odd row reads the one stored transverse rule of
+    (s, am, d) (_rule); one that the point budget does not admit is NaN and
+    builds nothing; each level's values of t and kz average are built once
+    per process, and every row charges them to its budget whether this call
+    built them or an earlier one. The odd rows take the pointwise route
+    together (module docstring), in groups of consecutive rows whose joined
+    modes times the first level's values of t stay within _MAT_BUDGET, so
+    memory does not grow with the sum of the thicknesses; a row the point
+    budget admits fits a group alone. Every route hands _row plain numbers,
+    and _row gives each row its verdict and error.
     """
-    rule = _rule(spec, d)
     counts = [_mode_count(bc, nz) for nz in nzs]  # a bc of another type raises here, for refused rows too
     if spec.s % 2 == 0:
-        exact = spec.s <= _EVEN_S_MAX
-        return [_row(spec, d, nz, *(_exact(rule, bc, nz, m) if exact else _REFUSED)) for nz, m in zip(nzs, counts)]
+        table = _table(spec.s, d) if spec.s <= _EVEN_S_MAX else None
+        return [_row(spec, d, nz, *(_exact(table, bc, nz, m) if table else _REFUSED)) for nz, m in zip(nzs, counts)]
+    rule = _rule(spec, d)
     kz_nodes = spec.s // 2 + 1  # dispersion evaluations of the kz average at one t, recurrence steps too
     rows: list = [None] * len(nzs)
     groups: list[list[int]] = []  # indices of the rows of the pointwise route
@@ -564,18 +568,14 @@ def _casimir_rows(
     return rows
 
 
-def _exact(rule: _Rule, bc: BoundaryCondition, nz: int, m: int) -> tuple:
+def _exact(table: Sequence[int], bc: BoundaryCondition, nz: int, m: int) -> tuple:
     """(e0_sum, e0_int, e_cas, error, converged) of the even row of
-    thickness nz with m modes from the integer table of rule (module
+    thickness nz with m modes from its integer table (_table, module
     docstring): e_cas = nz sum_(r>=1) F_(r m), (-1)^r in it antiperiodic,
     e0_int = nz F_0 / 2 and e0_sum = nz (F_0 + 2 sum_(r>=1) F_(r m)) / 2,
     each one correctly rounded conversion, and e_cas exactly 0.0 past the
     support. The error is one ulp of e_cas, twice the bound of its
     rounding."""
-    if rule.table is None:
-        rule.table = _even_table(rule.spec.s, rule.d)
-        rule.nbytes += sum(f.bit_length() for f in rule.table) // 8
-    table = rule.table
     aliased = _aliased(table, bc, m)
     e_cas, e0_int = _quotient(nz * aliased), _quotient(nz * table[0], 2)
     # the same rounding as e0_int where nothing aliases, past the support
@@ -583,7 +583,7 @@ def _exact(rule: _Rule, bc: BoundaryCondition, nz: int, m: int) -> tuple:
     return e0_sum, e0_int, e_cas, math.ulp(e_cas) if e_cas else 0.0, True
 
 
-def _aliased(table: list[int], bc: BoundaryCondition, m: int) -> int:
+def _aliased(table: Sequence[int], bc: BoundaryCondition, m: int) -> int:
     """sum_(r>=1) F_(r m) of an even table (or binomial row) for m modes,
     with (-1)^r in it antiperiodic: e_cas over nz."""
     if bc is BoundaryCondition.ANTIPERIODIC:

@@ -19,7 +19,9 @@ them unchanged in `rows`.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,10 +57,15 @@ class Classification:
 
 
 def classify_rows(rows: list[CasimirResult]) -> Classification:
-    """Classify precomputed sweep rows (ascending nz); the rows are kept as given."""
+    """Classify sweep rows, kept as given: CasimirResult values in strictly ascending nz."""
     if len(rows) < 2:
         raise ValueError("need at least two sweep rows to classify")
     frozen = tuple(rows)
+    if not all(map(isinstance, frozen, itertools.repeat(CasimirResult))):
+        raise TypeError("rows must be CasimirResult values")
+    nzs = [r.nz for r in frozen]
+    if not all(map(operator.lt, nzs, nzs[1:])):  # reversed, a remnant tail leads: no cliff
+        raise ValueError("rows must have strictly ascending nz")
     if not all(math.isfinite(r.e_cas) and math.isfinite(r.coeff) for r in rows):
         return Classification(BehaviorKind.UNCLASSIFIED, rows=frozen)
     is_zero = [r.e_cas == 0.0 and r.quad_error == 0.0 for r in rows]

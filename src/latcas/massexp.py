@@ -108,7 +108,7 @@ def convergence_check(am: float, d: int) -> ConvergenceReport:
     am = _check_mass(am)
     if not _is_int(d) or d not in (1, 2, 3):
         raise ValueError(f"d must be 1, 2, or 3, got {d!r}")
-    ratio = 4.0 * d / (am * am)
+    ratio = 4.0 * int(d) / (am * am)  # a numpy integer d would give numpy scalars
     return ConvergenceReport(ratio < 1.0, 1.0 - ratio)
 
 

@@ -26,6 +26,7 @@ __all__ = [
 
 
 _MAX_POINTS = 1 << 20  # points one quadrature call may hand its integrand, all levels together
+_TWO_PI = 2.0 * math.pi  # one Brillouin zone
 DEFAULT_ORDERS = 6  # expansion terms of remnant_partial_sums and `latcas mass-expansion`
 
 

@@ -7,11 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import _MAX_POINTS, BoundaryCondition, _is_int
+from .model import _MAX_POINTS, _TWO_PI, BoundaryCondition, _is_int
 
 __all__ = ["generate_modes"]
-
-_TWO_PI = 2.0 * math.pi
 
 
 def _mode_count(bc: BoundaryCondition, nz: int) -> int:

@@ -6,11 +6,12 @@ stops each row when its successive levels agree to tolerance, or to the
 rounding floor of _ROUNDING_ULPS ulps of its largest component, and
 reports their difference as the error. Each row takes its own convergence
 test and budget, and stops on its own, so a row has the bits it would have
-alone. It returns the rows as arrays of values, errors, verdicts and
-points. The levels come from the caller, one at a time or in runs whose
-verdicts are taken in one vectorised pass: the grid route below, and the
-tanh-sinh levels of the transverse density of states, which casimir
-builds and feeds it.
+alone; level 0, compared with inf, never passes. It returns the rows as
+arrays of values, errors, verdicts and stopping levels. The levels come
+from the caller as values, one at a time or in runs whose verdicts are
+taken in one vectorised pass: the grid route below, and the tanh-sinh
+levels of the transverse density of states, which casimir builds and
+feeds it.
 
 integrate_bz_multi averages over the uniform periodic grid of the
 transverse Brillouin zone, (1/2pi)^n int_[0,2pi)^n f, doubling the grid
@@ -37,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import _MAX_POINTS, QuadratureConfig
+from .model import _MAX_POINTS, _TWO_PI, QuadratureConfig
 
 __all__ = [
     "MultiQuadResult",
@@ -45,7 +46,6 @@ __all__ = [
     "richardson_extrapolate",
 ]
 
-_TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 18  # grid points evaluated per batch
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_ULPS = 16  # error floor, in ulps of the largest component
@@ -131,29 +131,29 @@ def _ends(size: Callable[[int], int]) -> np.ndarray:
 
 
 def _converge(
-    level: Callable[..., tuple], ends: np.ndarray, costs: Sequence[int], cfg: QuadratureConfig
+    level: Callable[..., np.ndarray], ends: np.ndarray, costs: Sequence[int], cfg: QuadratureConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows refined together, one value row, error row and verdict each.
 
     level(j, stop, live, prev) gives the levels j..k of the rows live, an
-    index array, for a k in [j, stop] of its choosing, as (values, nodes):
-    new arrays, values of shape (k - j + 1, live.size, ncomp), one slice
-    per level, and nodes the points_per_axis of each. prev holds their
-    values at level j-1 (None for level 0), and stop is the smallest last
-    level of the live rows, so no level past it is asked for; once a row
-    has converged, stop is j itself, as the rows that go on are near their
-    own verdicts and a level past one at which they stop would be
+    index array, for a k in [j, stop] of its choosing, as one new array of
+    shape (k - j + 1, live.size, ncomp), one slice per level. prev holds
+    their values at level j-1 (None for level 0), and stop is the smallest
+    last level of the live rows, so no level past it is asked for; once a
+    row has converged, stop is j itself, as the rows that go on are near
+    their own verdicts and a level past one at which they stop would be
     evaluated for nothing. ends[j] counts the points through level j
-    (_ends), each costing costs[i] for row i. A row stops at the first
-    level that agrees with the one before within tolerance. It also stops,
-    not converged, after cfg.max_refinements refinements or when its next
-    level would take it past _MAX_POINTS, so its last level is known before
-    the first. Every row must afford level 0. The verdicts of all levels
-    that one call gives are taken together.
+    (_ends), each costing costs[i] for row i. A row stops at the first level
+    that agrees with the one before within tolerance; level 0 is compared
+    with inf, and only a finite change passes. It also stops, not converged,
+    after cfg.max_refinements refinements or when its next level would take
+    it past _MAX_POINTS, so its last level is known before the first. Every
+    row must afford level 0. The verdicts of all levels that one call gives
+    are taken together.
 
-    Returns (values, errors, converged, points) over all rows, of shapes
+    Returns (values, errors, converged, levels) over all rows, of shapes
     (rows, ncomp), (rows, ncomp), (rows,) and (rows,): each row is written
-    into them as it stops, with the points_per_axis of its last level.
+    into them as it stops, with the level at which it stops.
     """
     costs = np.asarray(costs)
     # the last level of each row, the number of levels past the first that
@@ -163,22 +163,18 @@ def _converge(
     last = ends[1 : min(cfg.max_refinements, len(ends)) + 1].searchsorted(_MAX_POINTS // costs, side="right")
     live, prev, j, stop, single = np.arange(costs.size), None, 0, min(last.tolist()), False
     while True:
-        cur, nodes = level(j, j if single else stop, live, prev)
+        cur = level(j, j if single else stop, live, prev)
         b, ncomp = len(cur), cur.shape[2]
         flat = cur.reshape(-1, ncomp)  # level by level, live rows each
         if prev is None:
             values, errors = np.empty((costs.size, ncomp)), np.empty((costs.size, ncomp))
-            converged, points = np.zeros(costs.size, dtype=bool), np.zeros(costs.size, dtype=int)
-        if prev is None and b == 1:  # unverified without a refinement
-            delta, ok = np.full_like(flat, math.inf), np.zeros(live.size, dtype=bool)
-        else:
-            if b > 1:  # each level against the one before it; level 0 against inf
-                prev = np.concatenate([np.full_like(flat[: live.size], math.inf) if prev is None else prev, flat[: -live.size]])
-            delta = np.abs(flat - prev)
-            tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(flat)), _rounding_floor(flat)[:, None])
-            ok = ((delta <= tol) & np.isfinite(flat)).all(axis=1)  # an inf value makes tol inf
-            if j == 0:
-                ok[: live.size] = False
+            converged, levels = np.zeros(costs.size, dtype=bool), np.zeros(costs.size, dtype=int)
+            prev = np.full_like(flat[: live.size], math.inf)  # what level 0 is compared with
+        if b > 1:  # each level against the one before it
+            prev = np.concatenate([prev, flat[: -live.size]])
+        delta = np.abs(flat - prev)
+        tol = np.maximum(np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(flat)), _rounding_floor(flat)[:, None])
+        ok = ((delta <= tol) & np.isfinite(delta)).all(axis=1)  # tol is inf where a value is
         j += b
         ok, delta = ok.reshape(b, -1), delta.reshape(cur.shape)
         early = None
@@ -190,11 +186,11 @@ def _converge(
         if done.any():
             at, got = live[done], cur[-1][done]
             values[at], errors[at] = got, np.where(np.isfinite(got), delta[-1][done], math.inf)
-            converged[at], points[at] = ok[-1][done], nodes[-1]
+            converged[at], levels[at] = ok[-1][done], j - 1
             if early is not None:
-                points[live[early]] = nodes[k]
+                levels[live[early]] = j - b + k
             if done.all():
-                return values, errors, converged, points
+                return values, errors, converged, levels
             keep = ~done
             live, last, prev = live[keep], last[keep], cur[-1][keep]
             if not single:
@@ -211,12 +207,11 @@ def _refine(f: Callable[[np.ndarray], np.ndarray], ndim: int, cfg: QuadratureCon
     if cfg.base_points**ndim > _MAX_POINTS:
         return _unreached(f(np.empty((0, ndim))))
 
-    def grid(j: int, stop: int, live: np.ndarray, prev) -> tuple:
-        n = cfg.base_points << j
-        return _grid_average(f, ndim, n)[None, None], [n]
+    def grid(j: int, stop: int, live: np.ndarray, prev) -> np.ndarray:
+        return _grid_average(f, ndim, cfg.base_points << j)[None, None]
 
-    values, errors, converged, points = _converge(grid, _ends(lambda j: (cfg.base_points << j) ** ndim), [1], cfg)
-    return MultiQuadResult(values[0], errors[0], bool(converged[0]), int(points[0]))
+    values, errors, converged, levels = _converge(grid, _ends(lambda j: (cfg.base_points << j) ** ndim), [1], cfg)
+    return MultiQuadResult(values[0], errors[0], bool(converged[0]), cfg.base_points << int(levels[0]))
 
 
 def integrate_bz_multi(

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .casimir import _casimir_rows, _check, _kernel, _kz_average, eval_from_kernel_sum
-from .model import (_MAX_POINTS, CSV_COLUMNS, BoundaryCondition, CasimirResult, DispersionSpec, Geometry,
+from .model import (_MAX_POINTS, _TWO_PI, CSV_COLUMNS, BoundaryCondition, CasimirResult, DispersionSpec, Geometry,
                     QuadratureConfig, _is_int, _row_values)
 from .modes import generate_modes
 
@@ -30,8 +30,6 @@ __all__ = [
     "emit",
     "CSV_COLUMNS",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 # the benchmark in perfbench/ builds rows by this name, so it stays as an alias
 SweepRow = CasimirResult
@@ -70,11 +68,10 @@ def sweep(
     casimir_energy result of its thickness, bit for bit: the energies of
     one branch. Even-order thicknesses read one table of integers per
     (s, d), and odd-order ones share each transverse level's values of t,
-    density of states and kz average; none of these depends on nz, so each
-    is computed once per process for each (s, am, d) and kept for later
-    calls in a store bounded to 8 MiB besides the table used last. Every
-    odd row charges its point budget all the same, so a row does not depend
-    on what ran before. The odd-order thicknesses also refine together, in
+    density of states and kz average per (s, am, d); none of these depends
+    on nz, so each is computed once per process and kept for later calls,
+    in bounded stores (casimir). Every odd row charges its point budget all
+    the same, so a row does not depend on what ran before. The odd-order thicknesses also refine together, in
     runs of consecutive levels: one dispersion call per run covers the
     modes of every thickness still refining, and each keeps its own
     convergence test, budget and verdict, and the bits it would have alone.

@@ -123,8 +123,7 @@ def test_even_orders_use_one_exact_grid(monkeypatch, s: int, d: int) -> None:
         for r in sweep(DispersionSpec(s), d, bc, range(1, s // 2 + 3), cfg):
             assert r.converged and r.e_cas == float(mo.casimir_exact(s, d, r.nz, name)), (name, r.nz)
     assert tables == [(s, d)]
-    rule = _rule(DispersionSpec(s), d)
-    assert rule.ends == [0] and rule.nbytes == sum(f.bit_length() for f in rule.table) // 8  # held by the store
+    assert not casimir._RULES and casimir._table.cache_info().currsize == 1  # held by the table store alone
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -499,12 +498,12 @@ def test_point_budget_ends_in_nonconvergence() -> None:
         return np.sin(1e6 * t)[None, :, None]  # tanh-sinh levels never agree on this
 
     # the budget counts the values of t: one per node in d=2, two in d=3
-    for d, width in ((2, 1), (3, 2)):
+    for d in (2, 3):
         seen.clear()
-        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, [1])
+        _, _, converged, levels = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, [1])
         assert converged.tolist() == [False]
         ends = _level_ends(d, 30)
-        assert sum(seen) == width * points[0] <= _MAX_POINTS < ends[ends.index(sum(seen)) + 1]
+        assert sum(seen) == ends[levels[0]] <= _MAX_POINTS < ends[levels[0] + 1]
 
 
 def test_levels_that_agree_at_the_rounding_floor_converge() -> None:
@@ -677,9 +676,9 @@ def test_runs_of_levels_stop_at_the_smallest_last_level(monkeypatch) -> None:
             calls.append((t.size, rows.copy()))
             return np.sin(1e6 * t)[None, :, None].repeat(rows.size, axis=0)  # never agrees with itself
 
-        _, _, converged, points = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, costs)
+        _, _, converged, levels = _transverse_average(_rule(DispersionSpec(1), d), f, cfg, costs)
         ends = _level_ends(d, 20)
-        last = [ends.index((d - 1) * p) for p in points]  # points: the nodes through the last level
+        last = levels.tolist()  # the level at which each row stops
         assert not converged.any() and last == sorted(last, reverse=True) and len(set(last)) == len(costs)
         total = 0
         for size, rows in calls:
@@ -892,8 +891,10 @@ def test_stored_rules_give_the_bits_of_cold_ones() -> None:
     cold = []
     for call in calls:
         casimir._RULES.clear()
+        casimir._table.cache_clear()
         cold.append(energies(*call))
     casimir._RULES.clear()
+    casimir._table.cache_clear()
     assert [energies(*call) for call in calls] == cold
     order = random.Random(13).sample(range(len(calls)), len(calls))
     assert [energies(*calls[i]) for i in order] == [cold[i] for i in order]
@@ -1009,6 +1010,38 @@ def test_stored_rules_stay_within_their_count() -> None:
         casimir_energy(DispersionSpec(1, am=am), Geometry(1, 4), PER, CFG)
         assert len(casimir._RULES) <= 64
     assert list(casimir._RULES) == [(1, am, 1) for am in masses[-64:]]  # the most recently used
+
+
+def test_even_orders_neither_read_nor_evict_a_rule() -> None:
+    # even tables were kept inside the rules: 64 even sweeps evicted the rule
+    # of an odd call, whose next call rebuilt every level
+    casimir._RULES.clear()
+    odd = casimir_energy(DispersionSpec(1), Geometry(3, 8), PER, CFG)
+    rule = casimir._RULES[(1, 0.0, 3)]
+    for s in range(2, 129, 2):
+        sweep(DispersionSpec(s), 3, PER, range(1, 5), CFG)
+    assert list(casimir._RULES) == [(1, 0.0, 3)] and casimir._RULES[(1, 0.0, 3)] is rule
+    assert not hasattr(rule, "table") and rule.nbytes == rule.w.nbytes + rule.t.nbytes + rule.kz.nbytes
+    assert repr(casimir_energy(DispersionSpec(1), Geometry(3, 8), PER, CFG)) == repr(odd)
+
+
+def test_stored_tables_stay_within_their_count(monkeypatch) -> None:
+    built = []
+    even_table = casimir._even_table
+
+    def counted(s: int, d: int) -> list:
+        built.append((s, d))
+        return even_table(s, d)
+
+    monkeypatch.setattr(casimir, "_even_table", counted)
+    keys = [(s, d) for d in (1, 2, 3) for s in range(0, 44, 2)][:65]
+    for s, d in keys:
+        casimir_energy(DispersionSpec(s), Geometry(d, 1), PER, CFG)
+        assert casimir._table.cache_info().currsize <= 64
+    assert built == keys and not casimir._RULES
+    casimir_energy(DispersionSpec(keys[-1][0]), Geometry(keys[-1][1], 2), PER, CFG)  # the most recent is kept
+    casimir_energy(DispersionSpec(keys[0][0]), Geometry(keys[0][1], 2), PER, CFG)  # the least recent went
+    assert built == keys + [keys[0]]
 
 
 _REALS = {"float32": np.float32, "fraction": lambda x: Fraction(str(x)), "float64": np.float64}

@@ -137,6 +137,23 @@ def test_requires_a_meaningful_sweep() -> None:
         classify_rows(_rows([1.0]))
 
 
+def test_rows_out_of_nz_order_are_refused() -> None:
+    # the reversed rows of an even-order Remnant sweep came back Unclassified
+    rows = latcas.report.sweep(DispersionSpec(4), 3, PER, range(1, 9))
+    assert classify_rows(rows).kind is BehaviorKind.REMNANT
+    for bad in (rows[::-1], rows[:3] + rows[2:], rows[1:2] + rows[:1] + rows[2:]):
+        with pytest.raises(ValueError, match="strictly ascending nz"):
+            classify_rows(bad)
+
+
+def test_rows_that_are_not_results_are_refused() -> None:
+    # a row without the CasimirResult fields raised AttributeError
+    rows = _rows([5.0, -2.0, 0.0, 0.0])
+    for bad in (rows[:3] + [None], rows[:3] + [(4, 0.0, 0.0, 0.0, 0.0, 0.0, True)]):
+        with pytest.raises(TypeError, match="CasimirResult"):
+            classify_rows(bad)
+
+
 # single-axis geometries make full classification cheap enough for unit tests
 
 def test_chain_linear_branch_is_lasting() -> None:

@@ -133,6 +133,14 @@ def test_convergence_domain() -> None:
     assert convergence_check(5.0, 1).margin == pytest.approx(0.84)
 
 
+def test_convergence_report_holds_plain_numbers() -> None:
+    # a numpy d gave ConvergenceReport(converges=np.True_, margin=np.float64(0.52))
+    for d in (3, np.int64(3), np.int32(3)):
+        r = convergence_check(5.0, d)
+        assert type(r.converges) is bool and type(r.margin) is float
+        assert r == convergence_check(5.0, 3) and repr(r) == "ConvergenceReport(converges=True, margin=0.52)"
+
+
 def test_series_reproduces_square_root() -> None:
     am, x = 5.0, 6.0
     total = am + math.fsum(t.c_n * x**t.n for t in expansion_coefficients(am, 20))
